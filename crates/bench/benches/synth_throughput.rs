@@ -15,7 +15,7 @@
 //!   via `accum_conj_{1q,2q}` — exactly one allocation per channel
 //!   application.
 //! * `HsObjective` evaluations now reuse a thread-local
-//!   `InstantiateWorkspace` (prefix/suffix/scratch matrices) — zero heap
+//!   `InstantiateWorkspace` (prefix/suffix product chains) — zero heap
 //!   allocation per objective evaluation after warmup.
 
 use qaprox_bench::timing::header;

@@ -463,106 +463,6 @@ pub fn apply_1q_mat_left_into(dst: &mut Matrix, src: &Matrix, q: usize, u: &[Com
     }
 }
 
-/// Out-of-place variant of [`apply_2q_mat_left`]: `dst <- U_embed * src`.
-pub fn apply_2q_mat_left_into(
-    dst: &mut Matrix,
-    src: &Matrix,
-    a: usize,
-    b: usize,
-    u: &[Complex64; 16],
-) {
-    let rows = src.rows();
-    let cols = src.cols();
-    debug_assert_eq!((dst.rows(), dst.cols()), (rows, cols));
-    debug_assert!(a != b);
-    let (lo, hi) = if a < b { (a, b) } else { (b, a) };
-    let ma = 1usize << a;
-    let mb = 1usize << b;
-    let s = src.data();
-    let d = dst.data_mut();
-    for i in 0..rows / 4 {
-        let base = insert_zero_bit(insert_zero_bit(i, lo), hi);
-        let r = [
-            base * cols,
-            (base | mb) * cols,
-            (base | ma) * cols,
-            (base | ma | mb) * cols,
-        ];
-        for j in 0..cols {
-            let amp = [s[r[0] + j], s[r[1] + j], s[r[2] + j], s[r[3] + j]];
-            for (ri, &row_off) in r.iter().enumerate() {
-                let mut acc = Complex64::ZERO;
-                for (ci, &amp_c) in amp.iter().enumerate() {
-                    acc = acc.mul_add(u[ri * 4 + ci], amp_c);
-                }
-                d[row_off + j] = acc;
-            }
-        }
-    }
-}
-
-/// Out-of-place variant of [`apply_1q_mat_right_dag`]:
-/// `dst <- src * U_embed^dagger`.
-pub fn apply_1q_mat_right_dag_into(dst: &mut Matrix, src: &Matrix, q: usize, u: &[Complex64; 4]) {
-    let rows = src.rows();
-    let cols = src.cols();
-    debug_assert_eq!((dst.rows(), dst.cols()), (rows, cols));
-    let mask = 1usize << q;
-    let s = src.data();
-    let d = dst.data_mut();
-    for row in 0..rows {
-        let off = row * cols;
-        for j in 0..cols / 2 {
-            let j0 = insert_zero_bit(j, q);
-            let j1 = j0 | mask;
-            let a = s[off + j0];
-            let b = s[off + j1];
-            d[off + j0] = a * u[0].conj() + b * u[1].conj();
-            d[off + j1] = a * u[2].conj() + b * u[3].conj();
-        }
-    }
-}
-
-/// Out-of-place variant of [`apply_2q_mat_right_dag`]:
-/// `dst <- src * U_embed^dagger`.
-pub fn apply_2q_mat_right_dag_into(
-    dst: &mut Matrix,
-    src: &Matrix,
-    a: usize,
-    b: usize,
-    u: &[Complex64; 16],
-) {
-    let rows = src.rows();
-    let cols = src.cols();
-    debug_assert_eq!((dst.rows(), dst.cols()), (rows, cols));
-    debug_assert!(a != b);
-    let (lo, hi) = if a < b { (a, b) } else { (b, a) };
-    let ma = 1usize << a;
-    let mb = 1usize << b;
-    let s = src.data();
-    let d = dst.data_mut();
-    for row in 0..rows {
-        let off = row * cols;
-        for j in 0..cols / 4 {
-            let base = insert_zero_bit(insert_zero_bit(j, lo), hi);
-            let idx = [base, base | mb, base | ma, base | ma | mb];
-            let amp = [
-                s[off + idx[0]],
-                s[off + idx[1]],
-                s[off + idx[2]],
-                s[off + idx[3]],
-            ];
-            for (ci, &col_i) in idx.iter().enumerate() {
-                let mut acc = Complex64::ZERO;
-                for (ki, &amp_k) in amp.iter().enumerate() {
-                    acc = acc.mul_add(u[ci * 4 + ki].conj(), amp_k);
-                }
-                d[off + col_i] = acc;
-            }
-        }
-    }
-}
-
 /// Accumulates the conjugation of `src` by an embedded one-qubit gate:
 /// `dst += U_embed * src * U_embed^dagger`, with no intermediate matrix.
 /// This is one Kraus term `K rho K^dagger` of a channel sum — the 2x2
@@ -858,7 +758,6 @@ mod tests {
     #[test]
     fn into_variants_match_in_place() {
         let u1 = h_gate();
-        let u2 = cnot_gate();
         let mut src = Matrix::zeros(8, 8);
         for i in 0..8 {
             for j in 0..8 {
@@ -871,25 +770,6 @@ mod tests {
             let mut dst = Matrix::zeros(8, 8);
             apply_1q_mat_left_into(&mut dst, &src, q, &u1);
             assert!(dst.approx_eq(&expect, 1e-13), "1q left_into q={q}");
-
-            let mut expect = src.clone();
-            apply_1q_mat_right_dag(&mut expect, q, &u1);
-            let mut dst = Matrix::zeros(8, 8);
-            apply_1q_mat_right_dag_into(&mut dst, &src, q, &u1);
-            assert!(dst.approx_eq(&expect, 1e-13), "1q right_dag_into q={q}");
-        }
-        for (a, b) in [(0usize, 1usize), (2, 0), (1, 2)] {
-            let mut expect = src.clone();
-            apply_2q_mat_left(&mut expect, a, b, &u2);
-            let mut dst = Matrix::zeros(8, 8);
-            apply_2q_mat_left_into(&mut dst, &src, a, b, &u2);
-            assert!(dst.approx_eq(&expect, 1e-13), "2q left_into ({a},{b})");
-
-            let mut expect = src.clone();
-            apply_2q_mat_right_dag(&mut expect, a, b, &u2);
-            let mut dst = Matrix::zeros(8, 8);
-            apply_2q_mat_right_dag_into(&mut dst, &src, a, b, &u2);
-            assert!(dst.approx_eq(&expect, 1e-13), "2q right_dag_into ({a},{b})");
         }
     }
 

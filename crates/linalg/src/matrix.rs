@@ -223,6 +223,29 @@ impl Matrix {
         (0..self.rows).map(|i| self[(i, i)]).sum()
     }
 
+    /// `Tr(self * rhs)` computed from the diagonal of the product alone, bit
+    /// for bit equal to `self.matmul(rhs).trace()`: each diagonal entry
+    /// accumulates over `k` in [`Matrix::matmul_into`]'s order with its
+    /// `mul_add` and its skipping of zero left-hand entries, and the diagonal
+    /// is folded over `i` as [`Matrix::trace`] folds it.
+    pub fn matmul_trace(&self, rhs: &Matrix) -> Complex64 {
+        assert_eq!(self.cols, rhs.rows, "matmul dimension mismatch");
+        assert_eq!(self.rows, rhs.cols, "trace of non-square matrix");
+        (0..self.rows)
+            .map(|i| {
+                let mut acc = Complex64::ZERO;
+                for k in 0..self.cols {
+                    let a = self.data[i * self.cols + k];
+                    if a == Complex64::ZERO {
+                        continue;
+                    }
+                    acc = acc.mul_add(a, rhs.data[k * rhs.cols + i]);
+                }
+                acc
+            })
+            .sum()
+    }
+
     /// `Tr(self^dagger * rhs)` computed without forming the product —
     /// the Hilbert-Schmidt inner product.
     pub fn hs_inner(&self, rhs: &Matrix) -> Complex64 {
@@ -549,6 +572,42 @@ mod tests {
         let self_ip = a.hs_inner(&a);
         assert!((self_ip.re - a.fro_norm().powi(2)).abs() < 1e-13);
         assert!(self_ip.im.abs() < 1e-14);
+    }
+
+    #[test]
+    fn matmul_trace_is_bit_identical_to_matmul_then_trace() {
+        use crate::random::{Rng, SplitMix64};
+        let mut rng = SplitMix64::seed_from_u64(0x7ACE);
+        for dim in [1usize, 2, 4, 8, 16] {
+            for _ in 0..8 {
+                // sparse-ish entries with both signed zeros exercise the
+                // skipped left-hand entries and the zero-sign behaviour
+                let mut entry = || match rng.gen_range(0..4u32) {
+                    0 => c64(0.0, 0.0),
+                    1 => c64(
+                        -0.0,
+                        if rng.gen_range(0..2u32) == 0 {
+                            -0.0
+                        } else {
+                            0.5
+                        },
+                    ),
+                    _ => c64(rng.gen_range(-1.0..1.0), rng.gen_range(-1.0..1.0)),
+                };
+                let mut a = Matrix::zeros(dim, dim);
+                let mut b = Matrix::zeros(dim, dim);
+                for z in a.data_mut().iter_mut().chain(b.data_mut().iter_mut()) {
+                    *z = entry();
+                }
+                let want = a.matmul(&b).trace();
+                let got = a.matmul_trace(&b);
+                assert_eq!(
+                    (got.re.to_bits(), got.im.to_bits()),
+                    (want.re.to_bits(), want.im.to_bits()),
+                    "dim {dim}"
+                );
+            }
+        }
     }
 
     #[test]

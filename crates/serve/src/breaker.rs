@@ -16,11 +16,16 @@
 //!
 //! Transitions count *calls*, not wall-clock time, so breaker behavior in
 //! tests and chaos runs is deterministic under any scheduling.
+//!
+//! Breakers live in a [`BreakerRegistry`] instance, not in a process-global
+//! static: each scheduler owns one and hands it to execution through
+//! [`crate::ExecCtl`], so two schedulers (or two tests) in one process never
+//! see each other's breaker state.
 
 use std::collections::{HashMap, VecDeque};
-use std::sync::{Mutex, OnceLock};
+use std::sync::Mutex;
 
-/// Breaker tuning. One config applies to the whole process registry.
+/// Breaker tuning. One config applies to every breaker of a registry.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct BreakerConfig {
     /// Sliding-window length (outcomes).
@@ -120,86 +125,89 @@ impl Breaker {
     }
 }
 
-fn registry() -> &'static Mutex<HashMap<String, Breaker>> {
-    static REGISTRY: OnceLock<Mutex<HashMap<String, Breaker>>> = OnceLock::new();
-    REGISTRY.get_or_init(|| Mutex::new(HashMap::new()))
+/// The breakers of one scheduler, keyed by backend fingerprint and created
+/// closed on first use.
+#[derive(Debug, Default)]
+pub struct BreakerRegistry {
+    cfg: BreakerConfig,
+    breakers: Mutex<HashMap<String, Breaker>>,
 }
 
-/// Runs `f` through the breaker registered for `name` (created closed on
-/// first use with `cfg`). Open-state rejections carry the transient prefix
-/// so the worker retry loop drives the cooldown toward the half-open probe.
-pub fn call<T>(
-    name: &str,
-    cfg: &BreakerConfig,
-    f: impl FnOnce() -> Result<T, String>,
-) -> Result<T, String> {
-    {
-        let mut reg = registry().lock().unwrap_or_else(|e| e.into_inner());
-        let breaker = reg
+impl BreakerRegistry {
+    /// An empty registry whose breakers all use `cfg`.
+    pub fn new(cfg: BreakerConfig) -> Self {
+        BreakerRegistry {
+            cfg,
+            breakers: Mutex::new(HashMap::new()),
+        }
+    }
+
+    fn lock(&self) -> std::sync::MutexGuard<'_, HashMap<String, Breaker>> {
+        self.breakers.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
+    /// Runs `f` through the breaker for `name`. Open-state rejections carry
+    /// the transient prefix so the worker retry loop drives the cooldown
+    /// toward the half-open probe.
+    pub fn call<T>(&self, name: &str, f: impl FnOnce() -> Result<T, String>) -> Result<T, String> {
+        self.lock()
             .entry(name.to_string())
-            .or_insert_with(|| Breaker::new(cfg.clone()));
-        breaker.admit(name)?;
+            .or_insert_with(|| Breaker::new(self.cfg.clone()))
+            .admit(name)?;
+        // run without holding the registry lock: other backends stay live
+        let out = f();
+        if let Some(breaker) = self.lock().get_mut(name) {
+            breaker.record(out.is_ok());
+        }
+        out
     }
-    // run without holding the registry lock: other backends stay live
-    let out = f();
-    let mut reg = registry().lock().unwrap_or_else(|e| e.into_inner());
-    if let Some(breaker) = reg.get_mut(name) {
-        breaker.record(out.is_ok());
+
+    /// The named breaker's state (`closed` / `open` / `half-open`), or
+    /// `closed` when it has never been used.
+    pub fn state(&self, name: &str) -> &'static str {
+        self.lock().get(name).map_or("closed", Breaker::state_name)
     }
-    out
-}
 
-/// The named breaker's state (`closed` / `open` / `half-open`), or `closed`
-/// when it has never been used.
-pub fn state(name: &str) -> &'static str {
-    let reg = registry().lock().unwrap_or_else(|e| e.into_inner());
-    reg.get(name).map_or("closed", Breaker::state_name)
-}
-
-/// Every breaker the process has touched, as `(name, state)` pairs sorted
-/// by name — what the `stats` wire op reports so operators can see which
-/// backends are currently being rejected without probing each by name.
-pub fn states_all() -> Vec<(String, &'static str)> {
-    let reg = registry().lock().unwrap_or_else(|e| e.into_inner());
-    let mut out: Vec<(String, &'static str)> = reg
-        .iter()
-        .map(|(name, b)| (name.clone(), b.state_name()))
-        .collect();
-    out.sort_by(|a, b| a.0.cmp(&b.0));
-    out
-}
-
-/// Drops every breaker (tests; the registry is process-global).
-pub fn reset_all() {
-    registry().lock().unwrap_or_else(|e| e.into_inner()).clear();
+    /// Every breaker the registry has touched, as `(name, state)` pairs
+    /// sorted by name — what the `stats` wire op reports so operators can
+    /// see which backends are currently being rejected without probing each
+    /// by name.
+    pub fn states_all(&self) -> Vec<(String, &'static str)> {
+        let mut out: Vec<(String, &'static str)> = self
+            .lock()
+            .iter()
+            .map(|(name, b)| (name.clone(), b.state_name()))
+            .collect();
+        out.sort_by(|a, b| a.0.cmp(&b.0));
+        out
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn tiny() -> BreakerConfig {
-        BreakerConfig {
+    fn tiny() -> BreakerRegistry {
+        BreakerRegistry::new(BreakerConfig {
             window: 4,
             failure_threshold: 2,
             cooldown: 2,
-        }
+        })
     }
 
     #[test]
     fn breaker_walks_closed_open_halfopen_closed() {
         let name = "test.walk";
-        reset_all();
-        let cfg = tiny();
-        let fail = || call::<()>(name, &cfg, || Err("boom".into()));
-        let ok = || call(name, &cfg, || Ok(1u32));
+        let reg = tiny();
+        let fail = || reg.call::<()>(name, || Err("boom".into()));
+        let ok = || reg.call(name, || Ok(1u32));
 
         // under window: failures pass through while observations accumulate
         assert_eq!(fail().unwrap_err(), "boom");
         assert_eq!(ok().unwrap(), 1);
         assert_eq!(fail().unwrap_err(), "boom");
         assert_eq!(ok().unwrap(), 1);
-        assert_eq!(state(name), "open", "2 failures in a window of 4");
+        assert_eq!(reg.state(name), "open", "2 failures in a window of 4");
 
         // open: cooldown calls reject fast with a transient message
         for _ in 0..2 {
@@ -209,44 +217,44 @@ mod tests {
         }
         // next call is the half-open probe; success closes the breaker
         assert_eq!(ok().unwrap(), 1);
-        assert_eq!(state(name), "closed");
+        assert_eq!(reg.state(name), "closed");
 
         // the window was reset: two fresh failures alone cannot re-open
         assert_eq!(fail().unwrap_err(), "boom");
         assert_eq!(fail().unwrap_err(), "boom");
-        assert_eq!(state(name), "closed", "window not yet full after reset");
+        assert_eq!(reg.state(name), "closed", "window not yet full after reset");
     }
 
     #[test]
     fn failed_probe_reopens_the_breaker() {
         let name = "test.reopen";
-        reset_all();
-        let cfg = tiny();
+        let reg = tiny();
         for _ in 0..2 {
-            let _ = call::<()>(name, &cfg, || Err("boom".into()));
-            let _ = call(name, &cfg, || Ok(()));
+            let _ = reg.call::<()>(name, || Err("boom".into()));
+            let _ = reg.call(name, || Ok(()));
         }
-        assert_eq!(state(name), "open");
+        assert_eq!(reg.state(name), "open");
         for _ in 0..2 {
-            let _ = call(name, &cfg, || Ok(()));
+            let _ = reg.call(name, || Ok(()));
         }
         // probe fails → straight back to open, full cooldown again
-        let err = call::<()>(name, &cfg, || Err("still down".into())).unwrap_err();
+        let err = reg
+            .call::<()>(name, || Err("still down".into()))
+            .unwrap_err();
         assert_eq!(err, "still down");
-        assert_eq!(state(name), "open");
-        let err = call(name, &cfg, || Ok(())).unwrap_err();
+        assert_eq!(reg.state(name), "open");
+        let err = reg.call(name, || Ok(())).unwrap_err();
         assert!(qaprox_fault::is_transient(&err), "{err}");
     }
 
     #[test]
     fn states_all_lists_touched_breakers_sorted() {
-        reset_all();
-        let cfg = tiny();
-        let _ = call("test.b", &cfg, || Ok(()));
+        let reg = tiny();
+        let _ = reg.call("test.b", || Ok(()));
         for _ in 0..4 {
-            let _ = call::<()>("test.a", &cfg, || Err("x".into()));
+            let _ = reg.call::<()>("test.a", || Err("x".into()));
         }
-        let states = states_all();
+        let states = reg.states_all();
         assert_eq!(
             states,
             vec![
@@ -257,14 +265,25 @@ mod tests {
     }
 
     #[test]
-    fn breakers_are_isolated_per_name() {
-        reset_all();
-        let cfg = tiny();
+    fn registries_are_isolated_from_each_other() {
+        let (a, b) = (tiny(), tiny());
         for _ in 0..4 {
-            let _ = call::<()>("test.iso.bad", &cfg, || Err("x".into()));
+            let _ = a.call::<()>("test.shared", || Err("x".into()));
         }
-        assert_eq!(state("test.iso.bad"), "open");
-        assert_eq!(state("test.iso.good"), "closed");
-        assert_eq!(call("test.iso.good", &cfg, || Ok(7)).unwrap(), 7);
+        assert_eq!(a.state("test.shared"), "open");
+        assert_eq!(b.state("test.shared"), "closed");
+        assert!(b.states_all().is_empty());
+        assert_eq!(b.call("test.shared", || Ok(7)).unwrap(), 7);
+    }
+
+    #[test]
+    fn breakers_are_isolated_per_name() {
+        let reg = tiny();
+        for _ in 0..4 {
+            let _ = reg.call::<()>("test.iso.bad", || Err("x".into()));
+        }
+        assert_eq!(reg.state("test.iso.bad"), "open");
+        assert_eq!(reg.state("test.iso.good"), "closed");
+        assert_eq!(reg.call("test.iso.good", || Ok(7)).unwrap(), 7);
     }
 }

@@ -16,7 +16,7 @@
 //! both use the same suspension path). A suspended job leaves a checkpoint
 //! behind and reports [`ExecResult::Suspended`].
 
-use crate::breaker::BreakerConfig;
+use crate::breaker::BreakerRegistry;
 use crate::spec::{JobSpec, RunSpec, SynthSpec};
 use qaprox::prelude::*;
 use qaprox::{GenerateControl, ResumeMode};
@@ -47,8 +47,9 @@ pub struct ExecCtl {
     /// Called with the absolute node count whenever a partial checkpoint
     /// lands in the store (the scheduler journals it).
     pub on_checkpoint: Option<Arc<dyn Fn(usize) + Send + Sync>>,
-    /// Circuit-breaker tuning for backend execution.
-    pub breaker: BreakerConfig,
+    /// The circuit breakers backend execution runs through (the
+    /// scheduler's registry; a default control gets a fresh one).
+    pub breakers: Arc<BreakerRegistry>,
 }
 
 impl std::fmt::Debug for ExecCtl {
@@ -59,7 +60,7 @@ impl std::fmt::Debug for ExecCtl {
             .field("node_budget", &self.node_budget)
             .field("checkpoint_every", &self.checkpoint_every)
             .field("on_checkpoint", &self.on_checkpoint.is_some())
-            .field("breaker", &self.breaker)
+            .field("breakers", &self.breakers.states_all())
             .finish()
     }
 }
@@ -419,7 +420,7 @@ pub fn obtain_run(
     // backend execution goes through the per-backend circuit breaker: a
     // backend that keeps failing rejects fast instead of absorbing every
     // worker's full retry budget
-    let (probs, healths) = crate::breaker::call(&spec.backend_fingerprint(), &ctl.breaker, || {
+    let (probs, healths) = ctl.breakers.call(&spec.backend_fingerprint(), || {
         backend.probabilities_batch_health(&undecided)
     })?;
     // interrupted mid-execution (watchdog cancel, deadline): suspend
@@ -521,7 +522,7 @@ fn obtain_run_wide(
     let ideal = qaprox_sim::statevector::probabilities(&reference);
     let ref_probs = backend.probabilities(&reference, spec.job_seed);
     let ref_score = qaprox_metrics::total_variation(&ref_probs, &ideal);
-    let (probs, healths) = crate::breaker::call(&spec.backend_fingerprint(), &ctl.breaker, || {
+    let (probs, healths) = ctl.breakers.call(&spec.backend_fingerprint(), || {
         backend.probabilities_batch_health(&batch)
     })?;
     ctl.backend_gate()?;

@@ -43,7 +43,7 @@ pub mod scheduler;
 pub mod server;
 pub mod spec;
 
-pub use breaker::BreakerConfig;
+pub use breaker::{BreakerConfig, BreakerRegistry};
 pub use client::{Client, ClientError};
 pub use exec::{
     obtain_population, obtain_run, run_spec, ExecCtl, ExecResult, PopulationOutcome, RunOutcome,

@@ -41,7 +41,7 @@
 //!   memory budget quarantine at dispatch. `quarantined` is terminal and
 //!   journaled, so recovery replay never re-runs a poison job.
 
-use crate::breaker::BreakerConfig;
+use crate::breaker::{BreakerConfig, BreakerRegistry};
 use crate::exec::{degraded_payload, run_spec, ExecCtl, ExecResult};
 use crate::journal::{self, Journal};
 use crate::retry::RetryPolicy;
@@ -289,6 +289,7 @@ struct Inner {
     store: Option<Arc<Store>>,
     journal: Option<Journal>,
     recovery: Option<Json>,
+    breakers: Arc<BreakerRegistry>,
     cfg: SchedulerConfig,
 }
 
@@ -452,6 +453,7 @@ impl Scheduler {
             store,
             journal,
             recovery,
+            breakers: Arc::new(BreakerRegistry::new(cfg.breaker.clone())),
             cfg,
         });
         let workers = (0..inner.cfg.workers.max(1))
@@ -668,7 +670,9 @@ impl Scheduler {
             (
                 "breakers".to_string(),
                 Json::Arr(
-                    crate::breaker::states_all()
+                    self.inner
+                        .breakers
+                        .states_all()
                         .into_iter()
                         .map(|(name, state)| {
                             Json::obj(vec![
@@ -876,7 +880,7 @@ fn worker_loop(inner: &Arc<Inner>) {
             node_budget: None,
             checkpoint_every: inner.cfg.checkpoint_every,
             on_checkpoint,
-            breaker: inner.cfg.breaker.clone(),
+            breakers: Arc::clone(&inner.breakers),
         };
         let store = inner.store.as_deref();
         let spec_for_run = spec.clone();

@@ -17,8 +17,8 @@
 
 use qaprox_fault::Scenario;
 use qaprox_serve::{
-    breaker, JobSpec, JobState, RetryPolicy, RunSpec, Scheduler, SchedulerConfig, Submitted,
-    SynthSpec, WatchdogConfig,
+    JobSpec, JobState, RetryPolicy, RunSpec, Scheduler, SchedulerConfig, Submitted, SynthSpec,
+    WatchdogConfig,
 };
 use qaprox_store::json::Json;
 use qaprox_store::Store;
@@ -63,7 +63,6 @@ fn seeded_fault_schedules_never_lose_or_wedge_jobs() {
     let schedules: u64 = if quick { 12 } else { 100 };
 
     for chaos_seed in 0..schedules {
-        breaker::reset_all(); // isolate breaker state between schedules
         let store_dir =
             std::env::temp_dir().join(format!("qaprox-chaos-{chaos_seed}-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&store_dir);
@@ -164,7 +163,6 @@ fn seeded_fault_schedules_never_lose_or_wedge_jobs() {
 /// counter untouched.
 #[test]
 fn trajectory_jobs_count_backend_invocations_and_survive_outages() {
-    breaker::reset_all();
     let store_dir = std::env::temp_dir().join(format!("qaprox-chaos-traj-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&store_dir);
     let store = Arc::new(Store::open(&store_dir).unwrap());
@@ -249,7 +247,6 @@ fn trajectory_jobs_count_backend_invocations_and_survive_outages() {
 /// them — so a poison circuit cannot crash-loop recovery replay.
 #[test]
 fn overload_schedule_sheds_quarantines_and_balances_accounting() {
-    breaker::reset_all();
     let base = std::env::temp_dir().join(format!("qaprox-chaos-overload-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&base);
     let store = Arc::new(Store::open(base.join("store")).unwrap());

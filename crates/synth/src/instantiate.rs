@@ -5,33 +5,63 @@
 //! minimized by multistart L-BFGS with **analytic gradients**. The gradient
 //! uses prefix products `A_k` and suffix products `L_k = V^dag G_m ... G_{k+1}`
 //! so that `dT/dtheta = Tr(L_k dG_k A_{k-1})` costs `O(d^2)` per parameter.
+//!
+//! # Bit-identity contract
+//!
+//! Rewrites of this objective must not move a single bit of `f` or of any
+//! gradient entry for finite parameters: synthesis streams are hashed into
+//! checkpoint keys and stored artifacts, and every scored row downstream
+//! depends on them. Two tests enforce it. The unit tests compare
+//! [`HsObjective::eval_with_workspace`] with a test-only oracle (the
+//! straightforward evaluation this one replaced) by `to_bits` over random
+//! structures, and `tests/golden_stream.rs` pins digests of full QSearch
+//! and QFast intermediate streams.
+//!
+//! The evaluation does only the arithmetic whose result is used:
+//! * each U3's trigonometry is evaluated once ([`U3Trig`]) and shared by the
+//!   prefix gate, the suffix gate and the three partials;
+//! * CX is a row permutation (prefix chain) or a column swap (suffix chain),
+//!   not a dense 4x4 multiply;
+//! * each partial's `Tr(L_k dG A_k)` is one fused pass that forms entries of
+//!   `dG A_k` on the fly, skipping the rows that `dG/dphi` zeroes and the
+//!   zero column of `dG/dlambda`.
+//!
+//! Dropping those terms is exact for finite values. Every nonzero result of
+//! a complex add or multiply is the same whatever the signs of any zero
+//! inputs, so the two ways differ at most in the sign of exact zeros (the
+//! dense CX multiply turns `-0.0` into `+0.0`; a copy keeps it). That sign
+//! never reaches the output: the trace and each partial fold into an
+//! accumulator that starts at `+0.0` and so can never hold `-0.0`.
+//!
+//! Computed cost of one 3-qubit evaluation (`d = 8`) with `B` blocks, in
+//! complex multiply-adds: the oracle spends `832` per U3 (`128` prefix,
+//! `128` suffix, `3 x 192` gradient) and `512` per CX, so `832 (3 + 2B) +
+//! 512 B`, which is `11200` at `B = 4`. This evaluation spends `672` per U3
+//! (`128 + 128 + 192 + 96 + 128`) and none per CX: `672 (3 + 2B)`, `7392`
+//! at `B = 4`. Trigonometric calls per U3 fall from 24 to 8.
 
-use crate::template::{u3_partials, AnsatzOp, Structure};
-use qaprox_circuit::Gate;
-use qaprox_linalg::kernels::{
-    apply_1q_mat_left_into, apply_1q_mat_right_dag, apply_2q_mat_left_into, apply_2q_mat_right_dag,
-    mat4_to_array,
-};
+use crate::template::{AnsatzOp, Structure, U3Trig};
+use qaprox_linalg::kernels::{apply_1q_mat_left_into, apply_1q_mat_right_dag};
 use qaprox_linalg::matrix::Matrix;
-use qaprox_linalg::{u3_array, Complex64};
+use qaprox_linalg::Complex64;
 use qaprox_opt::{multistart_minimize, GradObjective, LbfgsParams, MultistartParams};
 use std::cell::RefCell;
 
 /// Reusable buffers for one objective/gradient evaluation: the prefix and
-/// suffix product chains plus scratch matrices. After the first evaluation at
-/// a given (dimension, op-count) every later evaluation does **zero** heap
-/// allocation inside the objective — the optimizer's hot loop touches only
-/// these warm buffers.
+/// suffix product chains plus the per-op U3 trigonometry. After the first
+/// evaluation at a given (dimension, op-count) every later evaluation does
+/// **zero** heap allocation inside the objective — the optimizer's hot loop
+/// touches only these warm buffers.
 pub struct InstantiateWorkspace {
     dim: usize,
     /// `prefixes[k] = G_{k-1} ... G_0` (so `prefixes[0] = I`).
     prefixes: Vec<Matrix>,
     /// `suffixes[k] = V^dag G_{m-1} ... G_{k+1}`.
     suffixes: Vec<Matrix>,
-    /// Partial-derivative scratch `dG_embed * prefixes[k]`.
-    scratch: Matrix,
     /// Running suffix accumulator (ends as `V^dag U`).
     cur: Matrix,
+    /// `trig[k]` for every U3 op `k` of this evaluation (unused at CX ops).
+    trig: Vec<U3Trig>,
 }
 
 impl Default for InstantiateWorkspace {
@@ -47,8 +77,8 @@ impl InstantiateWorkspace {
             dim: 0,
             prefixes: Vec::new(),
             suffixes: Vec::new(),
-            scratch: Matrix::zeros(0, 0),
             cur: Matrix::zeros(0, 0),
+            trig: Vec::new(),
         }
     }
 
@@ -57,7 +87,6 @@ impl InstantiateWorkspace {
         if self.dim != dim {
             self.prefixes.clear();
             self.suffixes.clear();
-            self.scratch = Matrix::zeros(dim, dim);
             self.cur = Matrix::zeros(dim, dim);
             self.dim = dim;
         }
@@ -66,6 +95,9 @@ impl InstantiateWorkspace {
         }
         while self.suffixes.len() < m {
             self.suffixes.push(Matrix::zeros(dim, dim));
+        }
+        if self.trig.len() < m {
+            self.trig.resize(m, U3Trig::default());
         }
     }
 }
@@ -83,9 +115,6 @@ pub struct HsObjective<'a> {
     target_dag: Matrix,
     dim: usize,
     ops: Vec<AnsatzOp>,
-    /// The CX gate array, materialized once per structure instead of once per
-    /// op per evaluation (the fixed-CX part of the ansatz never changes).
-    cx: [Complex64; 16],
 }
 
 impl<'a> HsObjective<'a> {
@@ -98,64 +127,15 @@ impl<'a> HsObjective<'a> {
             target_dag: target.adjoint(),
             dim,
             ops: structure.ops(),
-            cx: mat4_to_array(&Gate::CX.matrix()),
         }
-    }
-
-    /// Trace overlap `T = Tr(V^dag U(theta))`.
-    fn trace_overlap(&self, params: &[f64]) -> Complex64 {
-        let u = self.structure.unitary(params);
-        self.target_dag.matmul(&u).trace()
     }
 
     /// Objective value only.
     pub fn distance(&self, params: &[f64]) -> f64 {
-        (1.0 - self.trace_overlap(params).abs() / self.dim as f64).max(0.0)
-    }
-
-    /// Left-multiplies into `dst`: `dst <- G_embed * src`.
-    fn apply_left_into(&self, dst: &mut Matrix, src: &Matrix, op: &AnsatzOp, params: &[f64]) {
-        match *op {
-            AnsatzOp::U3 {
-                qubit,
-                param_offset,
-            } => {
-                let g = u3_array(
-                    params[param_offset],
-                    params[param_offset + 1],
-                    params[param_offset + 2],
-                );
-                apply_1q_mat_left_into(dst, src, qubit, &g);
-            }
-            AnsatzOp::Cx { control, target } => {
-                apply_2q_mat_left_into(dst, src, control, target, &self.cx);
-            }
-        }
-    }
-
-    /// Right-multiplies in place by the embedded gate (not its adjoint):
-    /// `M <- M * G_embed`, through the `right_dag` kernels by passing the
-    /// dagger (built on the stack — no heap allocation).
-    fn apply_right(&self, m: &mut Matrix, op: &AnsatzOp, params: &[f64]) {
-        match *op {
-            AnsatzOp::U3 {
-                qubit,
-                param_offset,
-            } => {
-                let g = u3_array(
-                    params[param_offset],
-                    params[param_offset + 1],
-                    params[param_offset + 2],
-                );
-                // dagger = conjugate transpose, so (g^dag)^dag = g applies G
-                let gd = [g[0].conj(), g[2].conj(), g[1].conj(), g[3].conj()];
-                apply_1q_mat_right_dag(m, qubit, &gd);
-            }
-            AnsatzOp::Cx { control, target } => {
-                // CX is self-adjoint
-                apply_2q_mat_right_dag(m, control, target, &self.cx);
-            }
-        }
+        let t = self
+            .target_dag
+            .matmul_trace(&self.structure.unitary(params));
+        (1.0 - t.abs() / self.dim as f64).max(0.0)
     }
 
     /// The full objective+gradient evaluation against an explicit workspace.
@@ -174,7 +154,19 @@ impl<'a> HsObjective<'a> {
         ws.prefixes[0].set_identity();
         for (k, op) in self.ops.iter().enumerate() {
             let (done, rest) = ws.prefixes.split_at_mut(k + 1);
-            self.apply_left_into(&mut rest[0], &done[k], op, params);
+            match *op {
+                AnsatzOp::U3 {
+                    qubit,
+                    param_offset,
+                } => {
+                    let p = &params[param_offset..param_offset + 3];
+                    ws.trig[k] = U3Trig::new(p[0], p[1], p[2]);
+                    apply_1q_mat_left_into(&mut rest[0], &done[k], qubit, &ws.trig[k].gate());
+                }
+                AnsatzOp::Cx { control, target } => {
+                    cx_rows_into(&mut rest[0], &done[k], control, target);
+                }
+            }
         }
 
         // suffix products: l[k] = V^dag G_{m-1} ... G_{k+1} (l[m-1] = V^dag)
@@ -182,7 +174,16 @@ impl<'a> HsObjective<'a> {
         ws.cur.copy_from(&self.target_dag);
         for k in (0..m).rev() {
             ws.suffixes[k].copy_from(&ws.cur);
-            self.apply_right(&mut ws.cur, &self.ops[k], params);
+            match self.ops[k] {
+                AnsatzOp::U3 { qubit, .. } => {
+                    // M * G through the right_dag kernel: pass G^dag (its
+                    // adjoint is G again, bit for bit)
+                    let g = ws.trig[k].gate();
+                    let gd = [g[0].conj(), g[2].conj(), g[1].conj(), g[3].conj()];
+                    apply_1q_mat_right_dag(&mut ws.cur, qubit, &gd);
+                }
+                AnsatzOp::Cx { control, target } => cx_cols(&mut ws.cur, control, target),
+            }
         }
         // after the loop, cur = V^dag U; trace overlap:
         let t = ws.cur.trace();
@@ -201,15 +202,14 @@ impl<'a> HsObjective<'a> {
                 param_offset,
             } = *op
             {
-                let partials = u3_partials(
-                    params[param_offset],
-                    params[param_offset + 1],
-                    params[param_offset + 2],
-                );
-                for (which, dg) in partials.iter().enumerate() {
-                    // dT = Tr(l[k] * dG_embed * a[k])
-                    apply_1q_mat_left_into(&mut ws.scratch, &ws.prefixes[k], qubit, dg);
-                    let dt = trace_product(&ws.suffixes[k], &ws.scratch);
+                let [dt, dp, dl] = ws.trig[k].partials();
+                let (l, a) = (&ws.suffixes[k], &ws.prefixes[k]);
+                let dts = [
+                    partial_trace(l, a, qubit, Partial::Theta(&dt)),
+                    partial_trace(l, a, qubit, Partial::Phi(&dp)),
+                    partial_trace(l, a, qubit, Partial::Lambda(&dl)),
+                ];
+                for (which, dt) in dts.into_iter().enumerate() {
                     grad[param_offset + which] = -(scale * dt).re;
                 }
             }
@@ -218,13 +218,84 @@ impl<'a> HsObjective<'a> {
     }
 }
 
-/// Trace of the product `L * M` without forming it: `sum_ij L[i,j] M[j,i]`.
-fn trace_product(l: &Matrix, m: &Matrix) -> Complex64 {
+/// `dst <- CX_embed * src`: rows with the control bit set take the row with
+/// the target bit flipped; the rest are copied.
+fn cx_rows_into(dst: &mut Matrix, src: &Matrix, control: usize, target: usize) {
+    let cols = src.cols();
+    let (cmask, tmask) = (1usize << control, 1usize << target);
+    let s = src.data();
+    for (r, row) in dst.data_mut().chunks_exact_mut(cols).enumerate() {
+        let from = if r & cmask != 0 { r ^ tmask } else { r };
+        row.copy_from_slice(&s[from * cols..(from + 1) * cols]);
+    }
+}
+
+/// `m <- m * CX_embed`: columns with the control bit set swap with the
+/// column whose target bit is flipped.
+fn cx_cols(m: &mut Matrix, control: usize, target: usize) {
+    let cols = m.cols();
+    let (cmask, tmask) = (1usize << control, 1usize << target);
+    for row in m.data_mut().chunks_exact_mut(cols) {
+        for j in (0..cols).filter(|j| j & cmask != 0 && j & tmask == 0) {
+            row.swap(j, j | tmask);
+        }
+    }
+}
+
+/// One U3 partial, tagged by which structural zeros it has.
+enum Partial<'g> {
+    /// `dG/dtheta`: dense.
+    Theta(&'g [Complex64; 4]),
+    /// `dG/dphi`: first row zero, so rows of `dG A` with the qubit's bit clear
+    /// vanish.
+    Phi(&'g [Complex64; 4]),
+    /// `dG/dlambda`: first column zero, so each entry of `dG A` is a single
+    /// product.
+    Lambda(&'g [Complex64; 4]),
+}
+
+/// `Tr(L * dG_embed * A)` in one pass with no scratch matrix. Entry `(j, i)`
+/// of `dG_embed * A` is formed on the fly with the expression
+/// `apply_1q_mat_left_into` uses, and accumulated with `L[i, j]` in
+/// i-then-j order into one accumulator, as a scratch-then-trace pass does.
+/// Terms a structural zero of `dG` makes zero are skipped (see the module
+/// docs for why that is exact).
+fn partial_trace(l: &Matrix, a: &Matrix, qubit: usize, dg: Partial<'_>) -> Complex64 {
     let n = l.rows();
+    let mask = 1usize << qubit;
     let mut acc = Complex64::ZERO;
-    for i in 0..n {
-        for j in 0..n {
-            acc = acc.mul_add(l[(i, j)], m[(j, i)]);
+    match dg {
+        Partial::Theta(u) => {
+            for i in 0..n {
+                for j in 0..n {
+                    let e = if j & mask == 0 {
+                        a[(j, i)] * u[0] + a[(j | mask, i)] * u[1]
+                    } else {
+                        a[(j ^ mask, i)] * u[2] + a[(j, i)] * u[3]
+                    };
+                    acc = acc.mul_add(l[(i, j)], e);
+                }
+            }
+        }
+        Partial::Phi(u) => {
+            for i in 0..n {
+                for j in (0..n).filter(|j| j & mask != 0) {
+                    let e = a[(j ^ mask, i)] * u[2] + a[(j, i)] * u[3];
+                    acc = acc.mul_add(l[(i, j)], e);
+                }
+            }
+        }
+        Partial::Lambda(u) => {
+            for i in 0..n {
+                for j in 0..n {
+                    let e = if j & mask == 0 {
+                        a[(j | mask, i)] * u[1]
+                    } else {
+                        a[(j, i)] * u[3]
+                    };
+                    acc = acc.mul_add(l[(i, j)], e);
+                }
+            }
         }
     }
     acc
@@ -308,10 +379,160 @@ pub fn instantiate(
 mod tests {
     use super::*;
     use qaprox_circuit::Circuit;
+    use qaprox_circuit::Gate;
+    use qaprox_linalg::kernels::{
+        apply_1q_mat_left, apply_2q_mat_left, apply_2q_mat_right_dag, mat4_to_array,
+    };
     use qaprox_linalg::random::haar_unitary;
+    use qaprox_linalg::random::Rng;
     use qaprox_linalg::random::SplitMix64 as StdRng;
+    use qaprox_linalg::u3_array;
     use qaprox_metrics::hs_distance;
     use qaprox_opt::gradient::central_difference;
+
+    /// Trace of the product `L * M` without forming it: `sum_ij L[i,j] M[j,i]`.
+    fn oracle_trace_product(l: &Matrix, m: &Matrix) -> Complex64 {
+        let n = l.rows();
+        let mut acc = Complex64::ZERO;
+        for i in 0..n {
+            for j in 0..n {
+                acc = acc.mul_add(l[(i, j)], m[(j, i)]);
+            }
+        }
+        acc
+    }
+
+    /// The evaluation [`HsObjective::eval_with_workspace`] replaced, kept as
+    /// its bit-identity oracle: the gate from `u3_array` at every use, CX as
+    /// a dense 4x4 multiply, and each partial written in full to a scratch
+    /// matrix before its trace.
+    fn oracle_eval(obj: &HsObjective<'_>, params: &[f64]) -> (f64, Vec<f64>) {
+        let d = obj.dim as f64;
+        let cx = mat4_to_array(&Gate::CX.matrix());
+        let u3 = |o: usize| u3_array(params[o], params[o + 1], params[o + 2]);
+        let mut prefixes = vec![Matrix::identity(obj.dim)];
+        for op in &obj.ops {
+            let mut next = prefixes.last().unwrap().clone();
+            match *op {
+                AnsatzOp::U3 {
+                    qubit,
+                    param_offset,
+                } => apply_1q_mat_left(&mut next, qubit, &u3(param_offset)),
+                AnsatzOp::Cx { control, target } => {
+                    apply_2q_mat_left(&mut next, control, target, &cx)
+                }
+            }
+            prefixes.push(next);
+        }
+        let mut suffixes = vec![Matrix::zeros(0, 0); obj.ops.len()];
+        let mut cur = obj.target_dag.clone();
+        for k in (0..obj.ops.len()).rev() {
+            suffixes[k] = cur.clone();
+            match obj.ops[k] {
+                AnsatzOp::U3 {
+                    qubit,
+                    param_offset,
+                } => {
+                    let g = u3(param_offset);
+                    let gd = [g[0].conj(), g[2].conj(), g[1].conj(), g[3].conj()];
+                    apply_1q_mat_right_dag(&mut cur, qubit, &gd);
+                }
+                AnsatzOp::Cx { control, target } => {
+                    apply_2q_mat_right_dag(&mut cur, control, target, &cx)
+                }
+            }
+        }
+        let t = cur.trace();
+        let t_abs = t.abs();
+        let f = (1.0 - t_abs / d).max(0.0);
+        let mut grad = vec![0.0; params.len()];
+        if t_abs < 1e-300 {
+            return (f, grad);
+        }
+        let scale = t.conj() / (t_abs * d);
+        for (k, op) in obj.ops.iter().enumerate() {
+            if let AnsatzOp::U3 {
+                qubit,
+                param_offset,
+            } = *op
+            {
+                let p = &params[param_offset..];
+                for (which, dg) in U3Trig::new(p[0], p[1], p[2]).partials().iter().enumerate() {
+                    let mut scratch = prefixes[k].clone();
+                    apply_1q_mat_left(&mut scratch, qubit, dg);
+                    let dt = oracle_trace_product(&suffixes[k], &scratch);
+                    grad[param_offset + which] = -(scale * dt).re;
+                }
+            }
+        }
+        (f, grad)
+    }
+
+    /// A random structure on `n` qubits with `blocks` placements drawn from
+    /// every ordered pair, so repeated and reversed placements both occur.
+    fn random_structure(n: usize, blocks: usize, rng: &mut StdRng) -> Structure {
+        let mut s = Structure::root(n);
+        for _ in 0..blocks {
+            let c = rng.gen_range(0..n);
+            let t = (c + rng.gen_range(1..n)) % n;
+            s = s.extended(c, t);
+        }
+        s
+    }
+
+    fn bits(v: &[f64]) -> Vec<u64> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    #[test]
+    fn evaluation_is_bit_identical_to_the_oracle() {
+        let mut rng = StdRng::seed_from_u64(0xB17);
+        let mut ws = InstantiateWorkspace::new();
+        let mut cases = 0;
+        for n in 1..=4usize {
+            for blocks in 0..=7usize {
+                if n == 1 && blocks > 0 {
+                    continue;
+                }
+                for rep in 0..8 {
+                    let s = random_structure(n, blocks, &mut rng);
+                    // sparse real targets (a CX skeleton, the identity) make
+                    // exact zeros, and so signed zeros, reach f and the gradient
+                    let target = match rep {
+                        0 => random_structure(n, blocks, &mut rng)
+                            .unitary(&vec![0.0; s.num_params()]),
+                        1 => Matrix::identity(1 << n),
+                        _ => haar_unitary(1 << n, &mut rng),
+                    };
+                    let obj = HsObjective::new(&s, &target);
+                    // warm-start zeros, a partial warm start, then generic points
+                    let params: Vec<f64> = match rep {
+                        0..=2 => vec![0.0; s.num_params()],
+                        3 => s.warm_start_from(
+                            &(0..3 * n)
+                                .map(|_| rng.gen_range(-3.2..3.2))
+                                .collect::<Vec<_>>(),
+                        ),
+                        _ => (0..s.num_params())
+                            .map(|_| rng.gen_range(-7.0..7.0))
+                            .collect(),
+                    };
+                    let (f_oracle, g_oracle) = oracle_eval(&obj, &params);
+                    let mut g = vec![f64::NAN; params.len()];
+                    let f = obj.eval_with_workspace(&mut ws, &params, &mut g);
+                    let ctx = format!("n={n} blocks={blocks} rep={rep} {:?}", s.placements);
+                    assert_eq!(f.to_bits(), f_oracle.to_bits(), "f differs: {ctx}");
+                    assert_eq!(bits(&g), bits(&g_oracle), "gradient differs: {ctx}");
+                    let u = s.unitary(&params);
+                    let t = obj.target_dag.matmul(&u).trace();
+                    let dist = (1.0 - t.abs() / obj.dim as f64).max(0.0);
+                    assert_eq!(obj.distance(&params).to_bits(), dist.to_bits(), "{ctx}");
+                    cases += 1;
+                }
+            }
+        }
+        assert_eq!(cases, 8 * (1 + 3 * 8));
+    }
 
     #[test]
     fn analytic_gradient_matches_finite_differences() {

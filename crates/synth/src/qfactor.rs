@@ -120,7 +120,7 @@ pub fn qfactor_optimize(circuit: &Circuit, target: &Matrix, cfg: &QFactorConfig)
         for inst in insts {
             apply_gate_left(&mut u, inst);
         }
-        (1.0 - target_dag.matmul(&u).trace().abs() / dim as f64).max(0.0)
+        (1.0 - target_dag.matmul_trace(&u).abs() / dim as f64).max(0.0)
     };
 
     let mut best_dist = dist_of(&insts);

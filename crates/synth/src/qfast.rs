@@ -22,7 +22,7 @@ use qaprox_linalg::kernels::{apply_2q_mat_left, mat4_to_array};
 use qaprox_linalg::matrix::Matrix;
 use qaprox_linalg::parallel::par_map_range;
 use qaprox_linalg::pauli::{hermitian_from_coeffs, su_basis};
-use qaprox_opt::gradient::central_difference;
+use qaprox_linalg::Complex64;
 use qaprox_opt::{lbfgs, LbfgsParams};
 use std::collections::HashMap;
 
@@ -68,27 +68,76 @@ struct Block {
     coeffs: Vec<f64>,
 }
 
-/// Builds the coarse unitary for a block sequence.
-fn coarse_unitary(n: usize, blocks: &[Block], basis: &[Matrix]) -> Matrix {
-    let mut m = Matrix::identity(1 << n);
-    for b in blocks {
-        let h = hermitian_from_coeffs(basis, &b.coeffs);
-        let u = expm_i_hermitian(&h);
-        apply_2q_mat_left(&mut m, b.edge.0, b.edge.1, &mat4_to_array(&u));
-    }
-    m
+/// Central-difference step of the coarse stage's gradient.
+const FD_STEP: f64 = 1e-6;
+
+/// The 4x4 unitary `exp(i sum_j t_j P_j)` a block's coefficients generate.
+fn block_unitary(coeffs: &[f64], basis: &[Matrix]) -> Matrix {
+    expm_i_hermitian(&hermitian_from_coeffs(basis, coeffs))
 }
 
-fn coarse_distance(n: usize, blocks: &[Block], basis: &[Matrix], target_dag: &Matrix) -> f64 {
-    let u = coarse_unitary(n, blocks, basis);
-    let d = (1 << n) as f64;
-    (1.0 - target_dag.matmul(&u).trace().abs() / d).max(0.0)
+/// The coarse objective and its central-difference gradient at `flat` (15
+/// coefficients per block on `edges`), bit for bit equal to evaluating the
+/// coarse distance at the point and at every probe from scratch. Every block
+/// is exponentiated once and the prefix products `B_{b-1} ... B_0` are kept,
+/// so a probe of block `b` re-exponentiates only that block, applies it to
+/// the cached prefix, then applies the cached later blocks; the distance
+/// needs only the diagonal of `V^dag U`.
+fn coarse_objective(
+    n: usize,
+    edges: &[(usize, usize)],
+    flat: &[f64],
+    basis: &[Matrix],
+    target_dag: &Matrix,
+) -> (f64, Vec<f64>) {
+    let dim = 1usize << n;
+    let distance = |u: &Matrix| (1.0 - target_dag.matmul_trace(u).abs() / dim as f64).max(0.0);
+    let blocks: Vec<[Complex64; 16]> = (0..edges.len())
+        .map(|b| mat4_to_array(&block_unitary(&flat[b * 15..(b + 1) * 15], basis)))
+        .collect();
+    // prefixes[b] = B_{b-1} ... B_0
+    let mut prefixes = vec![Matrix::identity(dim)];
+    for (b, &(hi, lo)) in edges.iter().enumerate() {
+        let mut next = prefixes[b].clone();
+        apply_2q_mat_left(&mut next, hi, lo, &blocks[b]);
+        prefixes.push(next);
+    }
+    let f = distance(&prefixes[edges.len()]);
+
+    let mut grad = vec![0.0; flat.len()];
+    let mut u = Matrix::zeros(dim, dim);
+    for (b, &(hi, lo)) in edges.iter().enumerate() {
+        let mut coeffs = flat[b * 15..(b + 1) * 15].to_vec();
+        let mut probe = |coeffs: &[f64]| {
+            u.copy_from(&prefixes[b]);
+            apply_2q_mat_left(
+                &mut u,
+                hi,
+                lo,
+                &mat4_to_array(&block_unitary(coeffs, basis)),
+            );
+            for (later, &(h, l)) in edges.iter().enumerate().skip(b + 1) {
+                apply_2q_mat_left(&mut u, h, l, &blocks[later]);
+            }
+            distance(&u)
+        };
+        for j in 0..15 {
+            let orig = coeffs[j];
+            coeffs[j] = orig + FD_STEP;
+            let fp = probe(&coeffs);
+            coeffs[j] = orig - FD_STEP;
+            let fm = probe(&coeffs);
+            coeffs[j] = orig;
+            grad[b * 15 + j] = (fp - fm) / (2.0 * FD_STEP);
+        }
+    }
+    (f, grad)
 }
 
 /// Optimizes every block's coefficients jointly (finite-difference L-BFGS).
 fn optimize_blocks(
     n: usize,
-    blocks: &mut Vec<Block>,
+    blocks: &mut [Block],
     basis: &[Matrix],
     target_dag: &Matrix,
     lb: &LbfgsParams,
@@ -98,31 +147,12 @@ fn optimize_blocks(
         .flat_map(|b| b.coeffs.iter().copied())
         .collect();
     let edges: Vec<(usize, usize)> = blocks.iter().map(|b| b.edge).collect();
-    let rebuild = |flat: &[f64]| -> Vec<Block> {
-        edges
-            .iter()
-            .enumerate()
-            .map(|(i, &edge)| Block {
-                edge,
-                coeffs: flat[i * 15..(i + 1) * 15].to_vec(),
-            })
-            .collect()
-    };
-    let value = |flat: &[f64]| coarse_distance(n, &rebuild(flat), basis, target_dag);
-    let obj = |flat: &[f64]| {
-        let f = value(flat);
-        let g = central_difference(&value, flat, 1e-6);
-        (f, g)
-    };
+    let obj = |flat: &[f64]| coarse_objective(n, &edges, flat, basis, target_dag);
     let r = lbfgs(&obj, &flat0, lb);
-    *blocks = rebuild(&r.x);
+    for (i, b) in blocks.iter_mut().enumerate() {
+        b.coeffs.copy_from_slice(&r.x[i * 15..(i + 1) * 15]);
+    }
     r.f.max(0.0)
-}
-
-/// The 4x4 unitary a block's coefficients generate.
-fn block_unitary(block: &Block, basis: &[Matrix]) -> Matrix {
-    let h = hermitian_from_coeffs(basis, &block.coeffs);
-    expm_i_hermitian(&h)
 }
 
 /// Refines one SU(4) unitary into at most 3 CNOTs + U3s on the virtual
@@ -198,7 +228,7 @@ fn assemble(
     let mut keys: Vec<(u64, u64)> = Vec::with_capacity(blocks.len());
     let mut wave_seen: HashMap<(u64, u64), usize> = HashMap::new();
     for (i, b) in blocks.iter().enumerate() {
-        let u = block_unitary(b, basis);
+        let u = block_unitary(&b.coeffs, basis);
         let key = hash128(&u.canonical_bytes());
         let kind = if let Some(local) = memo.map.get(&key) {
             memo.hits += 1;
@@ -338,7 +368,7 @@ pub fn qfast_with_hooks(
         let native = assemble(n, &blocks, &basis, &cfg.refine, &mut refine_memo);
         let d = {
             let dim = (1 << n) as f64;
-            (1.0 - target_dag.matmul(&native.unitary()).trace().abs() / dim).max(0.0)
+            (1.0 - target_dag.matmul_trace(&native.unitary()).abs() / dim).max(0.0)
         };
         intermediates.push(ApproxCircuit::new(native, d));
         hooks.progress(nodes_evaluated, &intermediates);
@@ -369,6 +399,55 @@ mod tests {
     use qaprox_linalg::random::haar_unitary;
     use qaprox_linalg::random::SplitMix64 as StdRng;
     use qaprox_metrics::hs_distance;
+
+    /// The coarse distance evaluated from scratch: every block
+    /// exponentiated and applied, then the full product `V^dag U` formed.
+    fn coarse_distance(n: usize, blocks: &[Block], basis: &[Matrix], target_dag: &Matrix) -> f64 {
+        let mut u = Matrix::identity(1 << n);
+        for b in blocks {
+            let g = mat4_to_array(&block_unitary(&b.coeffs, basis));
+            apply_2q_mat_left(&mut u, b.edge.0, b.edge.1, &g);
+        }
+        let d = (1 << n) as f64;
+        (1.0 - target_dag.matmul(&u).trace().abs() / d).max(0.0)
+    }
+
+    #[test]
+    fn coarse_objective_is_bit_identical_to_from_scratch_probes() {
+        use qaprox_linalg::random::Rng;
+        use qaprox_opt::gradient::central_difference;
+        let basis = su_basis(2);
+        let mut rng = StdRng::seed_from_u64(0xC0A5);
+        for n in 2..=4usize {
+            let target_dag = haar_unitary(1 << n, &mut rng).adjoint();
+            let topology = Topology::linear(n);
+            let all_edges = topology.edges();
+            for num_blocks in 1..=4usize {
+                let edges: Vec<(usize, usize)> = (0..num_blocks)
+                    .map(|_| all_edges[rng.gen_range(0..all_edges.len())])
+                    .collect();
+                let flat: Vec<f64> = (0..15 * num_blocks)
+                    .map(|_| rng.gen_range(-0.8..0.8))
+                    .collect();
+                let value = |x: &[f64]| {
+                    let blocks: Vec<Block> = edges
+                        .iter()
+                        .enumerate()
+                        .map(|(i, &edge)| Block {
+                            edge,
+                            coeffs: x[i * 15..(i + 1) * 15].to_vec(),
+                        })
+                        .collect();
+                    coarse_distance(n, &blocks, &basis, &target_dag)
+                };
+                let (f, g) = coarse_objective(n, &edges, &flat, &basis, &target_dag);
+                let g_ref = central_difference(&value, &flat, FD_STEP);
+                assert_eq!(f.to_bits(), value(&flat).to_bits(), "n={n} {edges:?}");
+                let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(&g), bits(&g_ref), "n={n} {edges:?}");
+            }
+        }
+    }
 
     fn quick_cfg() -> QFastConfig {
         QFastConfig {

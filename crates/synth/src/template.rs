@@ -210,25 +210,61 @@ impl Structure {
     }
 }
 
-/// Partial derivatives of the U3 matrix with respect to its three angles.
-pub fn u3_partials(theta: f64, phi: f64, lambda: f64) -> [[Complex64; 4]; 3] {
-    let (ct, st) = ((theta / 2.0).cos(), (theta / 2.0).sin());
-    let ep = Complex64::cis(phi);
-    let el = Complex64::cis(lambda);
-    let epl = Complex64::cis(phi + lambda);
-    let i = Complex64::I;
-    // d/dtheta
-    let dt = [
-        Complex64::from_real(-st / 2.0),
-        -el * (ct / 2.0),
-        ep * (ct / 2.0),
-        epl * (-st / 2.0),
-    ];
-    // d/dphi
-    let dp = [Complex64::ZERO, Complex64::ZERO, i * ep * st, i * epl * ct];
-    // d/dlambda
-    let dl = [Complex64::ZERO, -i * el * st, Complex64::ZERO, i * epl * ct];
-    [dt, dp, dl]
+/// The trigonometry of one U3 gate: `cos/sin(theta/2)` and the phases
+/// `e^{i phi}`, `e^{i lambda}`, `e^{i (phi + lambda)}`. The instantiation
+/// objective computes it once per gate per evaluation and builds the gate
+/// and its three partials from it, with the same expressions as
+/// [`qaprox_linalg::u3_array`], so the gate is bit-identical to that one.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct U3Trig {
+    ct: f64,
+    st: f64,
+    ep: Complex64,
+    el: Complex64,
+    epl: Complex64,
+}
+
+impl U3Trig {
+    /// Evaluates the trigonometry of `U3(theta, phi, lambda)`.
+    pub fn new(theta: f64, phi: f64, lambda: f64) -> Self {
+        U3Trig {
+            ct: (theta / 2.0).cos(),
+            st: (theta / 2.0).sin(),
+            ep: Complex64::cis(phi),
+            el: Complex64::cis(lambda),
+            epl: Complex64::cis(phi + lambda),
+        }
+    }
+
+    /// The row-major U3 matrix.
+    pub fn gate(&self) -> [Complex64; 4] {
+        let (ct, st) = (self.ct, self.st);
+        [
+            Complex64::from_real(ct),
+            -self.el * st,
+            self.ep * st,
+            self.epl * ct,
+        ]
+    }
+
+    /// Partial derivatives of the U3 matrix with respect to its three angles.
+    pub fn partials(&self) -> [[Complex64; 4]; 3] {
+        let (ct, st) = (self.ct, self.st);
+        let (ep, el, epl) = (self.ep, self.el, self.epl);
+        let i = Complex64::I;
+        // d/dtheta
+        let dt = [
+            Complex64::from_real(-st / 2.0),
+            -el * (ct / 2.0),
+            ep * (ct / 2.0),
+            epl * (-st / 2.0),
+        ];
+        // d/dphi
+        let dp = [Complex64::ZERO, Complex64::ZERO, i * ep * st, i * epl * ct];
+        // d/dlambda
+        let dl = [Complex64::ZERO, -i * el * st, Complex64::ZERO, i * epl * ct];
+        [dt, dp, dl]
+    }
 }
 
 #[cfg(test)]
@@ -332,10 +368,24 @@ mod tests {
     }
 
     #[test]
+    fn u3_trig_gate_is_bit_identical_to_u3_array() {
+        let bits = |g: [Complex64; 4]| g.map(|z| (z.re.to_bits(), z.im.to_bits()));
+        for (t, p, l) in [
+            (0.0, 0.0, 0.0),
+            (0.7, -1.2, 2.1),
+            (-3.1, 2.9, -0.4),
+            (1e-9, 6.0, -6.0),
+        ] {
+            let gate = U3Trig::new(t, p, l).gate();
+            assert_eq!(bits(gate), bits(qaprox_linalg::u3_array(t, p, l)));
+        }
+    }
+
+    #[test]
     fn u3_partials_match_finite_differences() {
         let (t, p, l) = (0.7, -1.2, 2.1);
         let h = 1e-6;
-        let partials = u3_partials(t, p, l);
+        let partials = U3Trig::new(t, p, l).partials();
         let base_args = [(t, p, l); 3];
         for (k, args) in base_args.iter().enumerate() {
             let (mut tp, mut pp, mut lp) = *args;
