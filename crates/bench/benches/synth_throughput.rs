@@ -1,9 +1,11 @@
 //! Synthesis throughput vs worker-thread count: full QSearch runs on random
 //! 3q/4q targets at 1/2/4/8 threads, plus the structure-memo hit counters.
+//! Each thread count is a `with_thread_budget` around the runs; the
+//! 1-thread row is the serial path (every wave a plain loop).
 //!
 //! Output is CSV; the checked-in snapshot lives at
 //! `artifacts/synth_throughput.csv` (regenerate with
-//! `cargo bench -p qaprox-bench --features parallel --bench synth_throughput`).
+//! `cargo bench -p qaprox-bench --bench synth_throughput`).
 //! `QAPROX_QUICK=1` shrinks the run for CI smoke. Speedup is bounded by the
 //! host's physical cores — the snapshot records the host core count in a
 //! comment so flat curves on small machines read as what they are.
@@ -20,7 +22,7 @@
 
 use qaprox_bench::timing::header;
 use qaprox_device::Topology;
-use qaprox_linalg::parallel::set_max_threads;
+use qaprox_linalg::parallel::with_thread_budget;
 use qaprox_linalg::random::{haar_unitary, SplitMix64};
 use qaprox_synth::{qsearch, QSearchConfig};
 use std::time::Instant;
@@ -55,11 +57,10 @@ fn main() {
 
         let mut baseline_ns: u128 = 0;
         for &t in threads {
-            set_max_threads(t);
             let mut runs: Vec<u128> = (0..reps)
                 .map(|_| {
                     let t0 = Instant::now();
-                    std::hint::black_box(qsearch(&target, &topo, &cfg));
+                    std::hint::black_box(with_thread_budget(t, || qsearch(&target, &topo, &cfg)));
                     t0.elapsed().as_nanos()
                 })
                 .collect();
@@ -75,12 +76,9 @@ fn main() {
                 println!("# qsearch_{n}q threads={t}: speedup {speedup:.2}x vs 1 thread");
             }
         }
-        set_max_threads(0);
 
         // memo counters for one representative run (thread-count invariant)
-        set_max_threads(1);
-        let out = qsearch(&target, &topo, &cfg);
-        set_max_threads(0);
+        let out = with_thread_budget(1, || qsearch(&target, &topo, &cfg));
         println!(
             "# qsearch_{n}q memo: hits={} misses={}",
             out.stats.memo_hits, out.stats.memo_misses

@@ -26,8 +26,8 @@
 //! deny-level findings — so CI can tell "found problems" from "could not
 //! run".
 //!
-//! Global options: `--jobs N` caps worker threads (default `QAPROX_THREADS`,
-//! then all cores); `--store DIR` / `--no-store` select the content-addressed
+//! Global options: `--jobs N` caps worker threads (default `QAPROX_JOBS`,
+//! then the legacy `QAPROX_THREADS`, then all cores); `--store DIR` / `--no-store` select the content-addressed
 //! artifact store (default `QAPROX_STORE`, then `.qaprox-store`) that makes
 //! `synth`/`run` cache-first. See `docs/SERVE.md` for the service protocol.
 //!

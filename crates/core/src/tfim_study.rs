@@ -137,6 +137,7 @@ mod tests {
     use crate::workflow::Engine;
     use qaprox_device::devices::ourense;
     use qaprox_device::Topology;
+    use qaprox_linalg::parallel::with_thread_budget;
     use qaprox_sim::NoiseModel;
     use qaprox_synth::{InstantiateConfig, QSearchConfig};
 
@@ -200,6 +201,41 @@ mod tests {
         if r.minimal_hs.hs_distance < 1e-6 {
             assert!((r.minimal_hs.score - r.noise_free_ref).abs() < 1e-4);
         }
+    }
+
+    /// Every float of a row, as raw bits.
+    fn row_bits(r: &TimestepResult) -> Vec<u64> {
+        let mut bits = vec![r.step as u64, r.reference_cnots as u64];
+        bits.extend([r.noise_free_ref, r.noisy_ref].map(f64::to_bits));
+        for s in [&r.minimal_hs, &r.best_approx].into_iter().chain(&r.all) {
+            bits.extend([s.cnots as u64, s.hs_distance.to_bits(), s.score.to_bits()]);
+        }
+        bits
+    }
+
+    /// The benchmark's scoring pass (density and hardware emulation on
+    /// ourense) yields bit-identical rows whether its waves run on one
+    /// thread or two.
+    #[test]
+    fn rows_are_bit_identical_at_budgets_1_and_2() {
+        let cal = ourense().induced(&[0, 1, 2]);
+        let density = Backend::Noisy(NoiseModel::from_calibration(cal.clone()));
+        let hardware = Backend::Hardware(qaprox_sim::HardwareBackend::new(
+            NoiseModel::from_calibration(cal),
+        ));
+        let rows_at = |budget: usize| {
+            with_thread_budget(budget, || {
+                let pops = quick_populations(3);
+                let mut bits = Vec::new();
+                for backend in [&density, &hardware] {
+                    let rows = evaluate(&pops, backend);
+                    assert_eq!(rows.len(), 3);
+                    bits.extend(rows.iter().flat_map(row_bits));
+                }
+                bits
+            })
+        };
+        assert_eq!(rows_at(1), rows_at(2));
     }
 
     #[test]

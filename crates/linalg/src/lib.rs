@@ -17,8 +17,8 @@
 //! * [`pauli`] — Pauli strings and the su(2^n) Hermitian basis;
 //! * [`random`] — a seedable in-repo RNG ([`random::SplitMix64`]),
 //!   Haar-distributed unitaries, and random states;
-//! * [`parallel`] — order-preserving parallel map / join, sequential by
-//!   default and threaded behind the `parallel` feature;
+//! * [`parallel`] — order-preserving parallel map / join over scoped
+//!   threads, serial at a thread budget of 1;
 //! * [`simd`] — runtime-dispatched AVX2 amplitude kernels, bit-identical to
 //!   the scalar fallback (`QAPROX_SIMD=0` forces scalar).
 

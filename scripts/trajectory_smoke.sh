@@ -16,7 +16,6 @@ bin=${QAPROX_BIN:-target/release/qaprox}
 echo "--- trajectory engine tests (quick): convergence vs density matrix,"
 echo "--- thread-count invariance, fusion exactness, batch bit-identity"
 QAPROX_QUICK=1 cargo test -p qaprox-sim trajectory::
-QAPROX_QUICK=1 cargo test -p qaprox-sim --features parallel trajectory::
 
 echo "--- narrow end-to-end: 3q TFIM on ourense, trajectory backend"
 "$bin" run --workload tfim --qubits 3 --steps 4 --device ourense \
