@@ -911,14 +911,14 @@ fn cmd_analyze(args: &Args) -> Result<(), CliError> {
 }
 
 /// The `analyze --check-shots N` dynamic cross-check, batched: circuits are
-/// grouped by width and every group is simulated in one shot-batched
-/// trajectory pass
-/// ([`qaprox_sim::TrajectoryBackend::probabilities_batch_seeded_health`]),
-/// each row bit-identical to the solo `probabilities(c, job_seed)` call it
-/// replaces. Returns `(tvd_to_ideal, classical_fidelity, health)` per
-/// circuit, in input order; the [`qaprox_sim::HealthReport`] says how many
-/// shots the numerical sentinels aborted, so a file whose shots all failed
-/// is surfaced instead of silently scored from an empty average. The
+/// grouped by width and every group is simulated as one trajectory request
+/// ([`qaprox_sim::TrajectoryBackend::execute`]) in which every row carries
+/// the same `--job-seed`, so each row is bit-identical to the solo
+/// `probabilities(c, job_seed)` call it replaces. Returns
+/// `(tvd_to_ideal, classical_fidelity, health)` per circuit, in input
+/// order; the [`qaprox_sim::HealthReport`] says how many shots the
+/// numerical sentinels aborted, so a file whose shots all failed is
+/// surfaced instead of silently scored from an empty average. The
 /// classical (Bhattacharyya) fidelity between the noisy and ideal
 /// distributions is directly comparable to the analyzer's `fidelity_bound`
 /// — the simulated value should sit at or above the sound static bound,
@@ -939,8 +939,8 @@ fn trajectory_check_all(
     let mut out = vec![(0.0, 0.0, qaprox_sim::HealthReport::default()); circuits.len()];
     for idxs in by_width.values() {
         let refs: Vec<&Circuit> = idxs.iter().map(|&i| &circuits[i].1).collect();
-        let (rows, healths) = backend.probabilities_batch_seeded_health(&refs, job_seed)?;
-        for ((&i, noisy), health) in idxs.iter().zip(&rows).zip(healths) {
+        let run = backend.execute(&refs, &vec![job_seed; refs.len()])?;
+        for ((&i, noisy), health) in idxs.iter().zip(&run.rows).zip(run.health) {
             let ideal = qaprox_sim::statevector::probabilities(&circuits[i].1);
             let tvd = qaprox_metrics::total_variation(noisy, &ideal);
             let bhatt: f64 = noisy.iter().zip(&ideal).map(|(p, q)| (p * q).sqrt()).sum();
@@ -1331,7 +1331,7 @@ mod tests {
     }
 
     #[test]
-    fn run_trajectory_backend_narrow_and_wide() {
+    fn run_command_on_trajectory_backend_narrow_and_wide() {
         // narrow: the trajectory backend scores a synthesized population
         assert!(run(&with_tiny(
             &["run"],

@@ -22,45 +22,6 @@ fn insert_zero_bit(i: usize, q: usize) -> usize {
     ((i >> q) << (q + 1)) | low
 }
 
-/// Applies a one-qubit gate `u` (row-major 2x2) to qubit `q` of a statevector.
-pub fn apply_1q_vec(state: &mut [Complex64], q: usize, u: &[Complex64; 4]) {
-    let dim = state.len();
-    debug_assert!(dim.is_power_of_two());
-    debug_assert!(1 << q < dim, "qubit index out of range");
-    let mask = 1usize << q;
-    for i in 0..dim / 2 {
-        let i0 = insert_zero_bit(i, q);
-        let i1 = i0 | mask;
-        let a = state[i0];
-        let b = state[i1];
-        state[i0] = a * u[0] + b * u[1];
-        state[i1] = a * u[2] + b * u[3];
-    }
-}
-
-/// Applies a two-qubit gate `u` (row-major 4x4) to qubits `(a, b)` of a
-/// statevector, with `a` the high bit of the small index.
-pub fn apply_2q_vec(state: &mut [Complex64], a: usize, b: usize, u: &[Complex64; 16]) {
-    let dim = state.len();
-    debug_assert!(a != b, "two-qubit gate needs distinct qubits");
-    debug_assert!((1 << a) < dim && (1 << b) < dim, "qubit index out of range");
-    let (lo, hi) = if a < b { (a, b) } else { (b, a) };
-    let ma = 1usize << a;
-    let mb = 1usize << b;
-    for i in 0..dim / 4 {
-        let base = insert_zero_bit(insert_zero_bit(i, lo), hi);
-        let idx = [base, base | mb, base | ma, base | ma | mb];
-        let amp = [state[idx[0]], state[idx[1]], state[idx[2]], state[idx[3]]];
-        for (r, &out_i) in idx.iter().enumerate() {
-            let mut acc = Complex64::ZERO;
-            for (c, &amp_c) in amp.iter().enumerate() {
-                acc = acc.mul_add(u[r * 4 + c], amp_c);
-            }
-            state[out_i] = acc;
-        }
-    }
-}
-
 /// Squared norm of `U psi` for a one-qubit gate `u` on qubit `q`, without
 /// mutating the state. This is the read-only half of stochastic Kraus
 /// sampling: branch probabilities `||K_i psi||^2` are computed with this
@@ -227,10 +188,12 @@ pub fn norm_sqr_2q_scalar(state: &[Complex64], a: usize, b: usize, u: &[Complex6
     (lanes[0] + lanes[2]) + (lanes[1] + lanes[3])
 }
 
-/// Cache-friendly variant of [`apply_1q_vec`]: instead of recomputing the
-/// bit-insert per index pair, iterate blocks of `2^q` contiguous amplitudes
-/// so the inner loop walks two contiguous streams. Identical results to the
-/// plain kernel (same operations in the same order per pair).
+/// Applies a one-qubit gate `u` (row-major 2x2) to qubit `q` of a
+/// statevector. Cache-friendly: instead of recomputing the bit-insert per
+/// index pair, it iterates blocks of `2^q` contiguous amplitudes so the
+/// inner loop walks two contiguous streams. Identical results to the plain
+/// per-pair kernel its tests use as an oracle (same operations in the same
+/// order per pair).
 ///
 /// Dispatches to the AVX2 kernel when the host supports it and to
 /// [`apply_1q_vec_blocked_scalar`] otherwise; the two are bit-identical
@@ -239,11 +202,13 @@ pub fn apply_1q_vec_blocked(state: &mut [Complex64], q: usize, u: &[Complex64; 4
     (crate::simd::kernel_dispatch().apply_1q_blocked)(state, q, u)
 }
 
-/// Cache-friendly variant of [`apply_2q_vec`]: three nested loops over
-/// (high-bit block, mid block, contiguous low offsets), so the innermost
-/// loop reads and writes four contiguous amplitude streams — the layout the
-/// trajectory backend's fused 2q matrices are applied with. Identical
-/// results to the plain kernel.
+/// Applies a two-qubit gate `u` (row-major 4x4) to qubits `(a, b)` of a
+/// statevector, with `a` the high bit of the small index. Cache-friendly:
+/// three nested loops over (high-bit block, mid block, contiguous low
+/// offsets), so the innermost loop reads and writes four contiguous
+/// amplitude streams — the layout the trajectory backend's fused 2q
+/// matrices are applied with. Identical results to the plain per-quad
+/// kernel its tests use as an oracle.
 ///
 /// Dispatched like [`apply_1q_vec_blocked`], with
 /// [`apply_2q_vec_blocked_scalar`] as the portable fallback.
@@ -583,6 +548,48 @@ mod tests {
     use super::*;
     use crate::complex::c64;
     use crate::matrix::{pauli_x, pauli_y, pauli_z};
+
+    // The unblocked reference kernels: one bit-insert per amplitude pair.
+    // They are the oracle the blocked and SIMD kernels are tested against.
+
+    /// Applies a one-qubit gate `u` (row-major 2x2) to qubit `q` of a statevector.
+    fn apply_1q_vec(state: &mut [Complex64], q: usize, u: &[Complex64; 4]) {
+        let dim = state.len();
+        debug_assert!(dim.is_power_of_two());
+        debug_assert!(1 << q < dim, "qubit index out of range");
+        let mask = 1usize << q;
+        for i in 0..dim / 2 {
+            let i0 = insert_zero_bit(i, q);
+            let i1 = i0 | mask;
+            let a = state[i0];
+            let b = state[i1];
+            state[i0] = a * u[0] + b * u[1];
+            state[i1] = a * u[2] + b * u[3];
+        }
+    }
+
+    /// Applies a two-qubit gate `u` (row-major 4x4) to qubits `(a, b)` of a
+    /// statevector, with `a` the high bit of the small index.
+    fn apply_2q_vec(state: &mut [Complex64], a: usize, b: usize, u: &[Complex64; 16]) {
+        let dim = state.len();
+        debug_assert!(a != b, "two-qubit gate needs distinct qubits");
+        debug_assert!((1 << a) < dim && (1 << b) < dim, "qubit index out of range");
+        let (lo, hi) = if a < b { (a, b) } else { (b, a) };
+        let ma = 1usize << a;
+        let mb = 1usize << b;
+        for i in 0..dim / 4 {
+            let base = insert_zero_bit(insert_zero_bit(i, lo), hi);
+            let idx = [base, base | mb, base | ma, base | ma | mb];
+            let amp = [state[idx[0]], state[idx[1]], state[idx[2]], state[idx[3]]];
+            for (r, &out_i) in idx.iter().enumerate() {
+                let mut acc = Complex64::ZERO;
+                for (c, &amp_c) in amp.iter().enumerate() {
+                    acc = acc.mul_add(u[r * 4 + c], amp_c);
+                }
+                state[out_i] = acc;
+            }
+        }
+    }
 
     fn h_gate() -> [Complex64; 4] {
         let s = std::f64::consts::FRAC_1_SQRT_2;

@@ -8,7 +8,7 @@
 //!   population (which clears the partial).
 //! * **run** — look up the result by key; on miss, obtain the population
 //!   (cache-first, as above), execute it on the spec's backend via the
-//!   order-preserving [`Backend::probabilities_batch`], and persist the
+//!   order-preserving [`Backend::execute`] request, and persist the
 //!   scored rows.
 //!
 //! Both paths honor an [`ExecCtl`]: cooperative cancellation, a deadline,
@@ -130,6 +130,11 @@ pub struct RunOutcome {
     /// shots (NaN / norm drift). Fully-aborted candidates are degraded to
     /// the worst score instead of emitting corrupt rows.
     pub health: Option<Json>,
+    /// The candidates' shot-loop counters when a trajectory backend scored
+    /// them (`None` on cache and certified hits and for exact backends).
+    /// Not part of the payload, so payloads and store keys do not depend
+    /// on it.
+    pub batch: Option<qaprox_sim::BatchStats>,
 }
 
 fn ignore_corruption<T>(r: Result<Option<T>, StoreError>) -> Result<Option<T>, String> {
@@ -327,6 +332,7 @@ pub fn obtain_run(
                 certified: None,
                 population: None,
                 health: None,
+                batch: None,
             });
         }
         // the certified fast path needs dense-unitary equivalence checking,
@@ -347,6 +353,7 @@ pub fn obtain_run(
                     certified: Some((source, bound)),
                     population: None,
                     health: None,
+                    batch: None,
                 });
             }
         }
@@ -420,13 +427,13 @@ pub fn obtain_run(
     // backend execution goes through the per-backend circuit breaker: a
     // backend that keeps failing rejects fast instead of absorbing every
     // worker's full retry budget
-    let (probs, healths) = ctl.breakers.call(&spec.backend_fingerprint(), || {
-        backend.probabilities_batch_health(&undecided)
-    })?;
+    let run = ctl
+        .breakers
+        .call(&spec.backend_fingerprint(), || backend.execute(&undecided))?;
     // interrupted mid-execution (watchdog cancel, deadline): suspend
     // without persisting rows averaged over a truncated shot loop
     ctl.backend_gate()?;
-    let mut simulated = probs.iter().zip(&healths);
+    let mut simulated = run.rows.iter().zip(&run.health);
     let rows: Vec<ResultRow> = ranked
         .iter()
         .zip(&bounds)
@@ -478,7 +485,8 @@ pub fn obtain_run(
         cached: false,
         certified: None,
         population: Some(pop),
-        health: health_summary(&healths),
+        health: health_summary(&run.health),
+        batch: trajectory_stats(&backend, &run),
     })
 }
 
@@ -489,11 +497,12 @@ pub fn obtain_run(
 /// TFIM evolution Trotterized with every shallower step count (the paper's
 /// depth/accuracy trade-off in its rawest form), pre-ranked by the same
 /// O(gates) analyzer, and scored on the trajectory backend against the
-/// ideal statevector. The batch call below lands on the executor's
-/// shot-batched trajectory fast path ([`qaprox_sim::TrajectoryBatch`]): all
-/// candidates advance through the shot loop together with one shared state
-/// reset per shot, bit-identical to scoring them one at a time. Results
-/// cache under the spec's own key exactly like narrow runs.
+/// ideal statevector. The candidates go to the backend as one
+/// [`Backend::execute`] request, which runs them through the trajectory
+/// shot loop together ([`qaprox_sim::TrajectoryBatch`]) with one shared
+/// state reset per shot, bit-identical to scoring them one at a time; the
+/// counters land in [`RunOutcome::batch`]. Results cache under the spec's
+/// own key exactly like narrow runs.
 fn obtain_run_wide(
     store: Option<&Store>,
     spec: &RunSpec,
@@ -522,13 +531,13 @@ fn obtain_run_wide(
     let ideal = qaprox_sim::statevector::probabilities(&reference);
     let ref_probs = backend.probabilities(&reference, spec.job_seed);
     let ref_score = qaprox_metrics::total_variation(&ref_probs, &ideal);
-    let (probs, healths) = ctl.breakers.call(&spec.backend_fingerprint(), || {
-        backend.probabilities_batch_health(&batch)
-    })?;
+    let run = ctl
+        .breakers
+        .call(&spec.backend_fingerprint(), || backend.execute(&batch))?;
     ctl.backend_gate()?;
     let rows: Vec<ResultRow> = ranked
         .iter()
-        .zip(probs.iter().zip(&healths))
+        .zip(run.rows.iter().zip(&run.health))
         .map(|((ap, predicted), (p, h))| ResultRow {
             cnots: ap.cnots,
             hs_distance: ap.hs_distance,
@@ -559,13 +568,22 @@ fn obtain_run_wide(
         cached: false,
         certified: None,
         population: None,
-        health: health_summary(&healths),
+        health: health_summary(&run.health),
+        batch: trajectory_stats(&backend, &run),
     })
 }
 
 // An error-channel marker for "the synthesis stage suspended" inside
 // obtain_run, folded back into ExecResult::Suspended by run_spec.
 const SUSPENDED_SENTINEL: &str = "__qaprox_serve_suspended__";
+
+/// The shot-loop counters of a run, for trajectory backends only.
+fn trajectory_stats(
+    backend: &Backend,
+    run: &qaprox_sim::BatchRun,
+) -> Option<qaprox_sim::BatchStats> {
+    matches!(backend, Backend::Trajectory(_)).then_some(run.stats)
+}
 
 /// A candidate whose every shot aborted has no usable probability row.
 fn degraded_candidate(h: &qaprox_sim::HealthReport) -> bool {

@@ -1,11 +1,11 @@
 //! Wide-run batching: the serve wide path must score its trajectory
-//! candidates in ONE shot-batched pass — a single shared arena reset per
-//! shot per batch, however many candidates are in flight — instead of one
-//! full shot loop per candidate. Pinned via the process-wide reset counter
-//! ([`qaprox_sim::batch_reset_total`]); this file holds exactly one test so
-//! the counter delta is not polluted by a concurrent batch.
+//! candidates in ONE shot-batched request — a single shared arena reset per
+//! shot, however many candidates are in flight — instead of one full shot
+//! loop per candidate. Pinned via the run's own counters
+//! ([`qaprox_serve::RunOutcome::batch`]).
 
 use qaprox_serve::{obtain_run, ExecCtl, RunSpec, SynthSpec};
+use qaprox_sim::BatchStats;
 
 #[test]
 fn wide_run_shares_one_reset_per_shot_across_candidates() {
@@ -22,15 +22,15 @@ fn wide_run_shares_one_reset_per_shot_across_candidates() {
         shots: Some(shots),
         ..Default::default()
     };
-    let before = qaprox_sim::batch_reset_total();
     let out = obtain_run(None, &spec, &ExecCtl::default()).unwrap();
-    let delta = qaprox_sim::batch_reset_total() - before;
     assert_eq!(out.result.rows.len(), 2, "steps 1 and 2 truncations");
     assert_eq!(
-        delta,
-        shots as u64,
-        "candidates must share one arena reset per shot (got {delta} resets \
-         for {shots} shots over {} candidates)",
+        out.batch,
+        Some(BatchStats {
+            resets: shots as u64,
+            groups: 1
+        }),
+        "candidates must share one arena reset per shot over {} candidates",
         out.result.rows.len()
     );
 }

@@ -7,7 +7,7 @@
 use crate::hardware::HardwareBackend;
 use crate::noise_model::NoiseModel;
 use crate::statevector;
-use crate::trajectory::{HealthReport, TrajectoryBackend};
+use crate::trajectory::{BatchRun, BatchStats, HealthReport, TrajectoryBackend};
 use qaprox_circuit::Circuit;
 use qaprox_linalg::parallel::par_map_indexed;
 use std::sync::atomic::AtomicBool;
@@ -80,27 +80,20 @@ impl Backend {
         par_map_indexed(circuits, |i, c| f(c, self.probabilities(c, i as u64)))
     }
 
-    /// [`Backend::run_batch`] with failures surfaced instead of swallowed.
+    /// Runs `circuits` as one request; row `i` uses job seed `i`, as in
+    /// [`Backend::run_batch`], and results keep input order exactly.
     ///
     /// Every circuit is statically validated first: a deny-lint circuit
     /// turns the whole batch into an error naming the offending index, so a
     /// bad member never costs the batch's compute. A circuit that *panics*
     /// during simulation (an engine bug, not an input bug) is likewise
-    /// reported by index rather than poisoning the worker pool. Successful
-    /// batches preserve input order exactly.
-    pub fn probabilities_batch(&self, circuits: &[Circuit]) -> Result<Vec<Vec<f64>>, String> {
-        Ok(self.probabilities_batch_health(circuits)?.0)
-    }
-
-    /// [`Backend::probabilities_batch`] plus one [`HealthReport`] per row.
+    /// reported by index rather than poisoning the worker pool.
     ///
     /// Trajectory rows carry real shot-level health accounting (aborted
-    /// corrupt shots, cooperative cancellation); exact backends never abort
-    /// shots and report a default (healthy, zero-shot) record.
-    pub fn probabilities_batch_health(
-        &self,
-        circuits: &[Circuit],
-    ) -> Result<(Vec<Vec<f64>>, Vec<HealthReport>), String> {
+    /// corrupt shots, cooperative cancellation) and the shot loop's arena
+    /// counters; exact backends never abort shots and report a default
+    /// (healthy, zero-shot) record per row and zero counters.
+    pub fn execute(&self, circuits: &[Circuit]) -> Result<BatchRun, String> {
         // Failpoint `hardware.shot`: the emulated analogue of a physical
         // backend rejecting or dropping a submitted job. `error` fails the
         // whole batch with a transient (retryable) message, `panic` emulates
@@ -111,47 +104,60 @@ impl Backend {
         for (i, c) in circuits.iter().enumerate() {
             Backend::validate(c).map_err(|e| format!("circuit {i} of {}: {e}", circuits.len()))?;
         }
-        // Trajectory fast path: score the whole batch in one shot-batched
-        // pass (a single arena reset per shot instead of one per candidate),
+        // Trajectory: score the whole batch in one shot-batched request (a
+        // single arena reset per shot instead of one per candidate),
         // bit-identical to the per-candidate loop below. Mixed widths, an
         // injected `traj.batch` fault, or a mid-batch panic fall through to
-        // per-candidate evaluation rather than failing the job.
+        // per-candidate requests rather than failing the job.
         if let Backend::Trajectory(tb) = self {
-            if circuits.len() > 1 {
-                let attempt = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                    tb.probabilities_batch_health(circuits)
-                }));
-                if let Ok(Ok(out)) = attempt {
-                    return Ok(out);
-                }
+            let attempt = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                qaprox_fault::fail_point!("traj.batch", |_action| {
+                    Err(qaprox_fault::injected_error("traj.batch"))
+                });
+                let refs: Vec<&Circuit> = circuits.iter().collect();
+                let seeds: Vec<u64> = (0..circuits.len() as u64).collect();
+                tb.execute(&refs, &seeds)
+            }));
+            if let Ok(Ok(run)) = attempt {
+                return Ok(run);
             }
         }
-        let runs: Vec<std::thread::Result<(Vec<f64>, HealthReport)>> =
+        let runs: Vec<std::thread::Result<Result<BatchRun, String>>> =
             par_map_indexed(circuits, |i, c| {
                 std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| match self {
-                    Backend::Trajectory(tb) => tb.probabilities_health(c, i as u64),
-                    other => (other.probabilities(c, i as u64), HealthReport::default()),
+                    Backend::Trajectory(tb) => tb.execute(&[c], &[i as u64]),
+                    other => Ok(BatchRun {
+                        rows: vec![other.probabilities(c, i as u64)],
+                        health: vec![HealthReport::default()],
+                        stats: BatchStats::default(),
+                    }),
                 }))
             });
-        let mut rows = Vec::with_capacity(runs.len());
-        let mut healths = Vec::with_capacity(runs.len());
+        let mut out = BatchRun::default();
         for (i, r) in runs.into_iter().enumerate() {
-            match r {
-                Ok((p, h)) => {
-                    rows.push(p);
-                    healths.push(h);
-                }
-                Err(payload) => {
-                    let msg = payload
-                        .downcast_ref::<String>()
-                        .map(String::as_str)
-                        .or_else(|| payload.downcast_ref::<&str>().copied())
-                        .unwrap_or("non-string panic payload");
-                    return Err(format!("circuit {i} panicked during simulation: {msg}"));
-                }
-            }
+            let run = r.map_err(|payload| {
+                let msg = payload
+                    .downcast_ref::<String>()
+                    .map(String::as_str)
+                    .or_else(|| payload.downcast_ref::<&str>().copied())
+                    .unwrap_or("non-string panic payload");
+                format!("circuit {i} panicked during simulation: {msg}")
+            })??;
+            out.rows.extend(run.rows);
+            out.health.extend(run.health);
+            out.stats.resets += run.stats.resets;
+            out.stats.groups += run.stats.groups;
         }
-        Ok((rows, healths))
+        Ok(out)
+    }
+
+    /// [`Backend::execute`]'s rows and health reports.
+    pub fn probabilities_batch_health(
+        &self,
+        circuits: &[Circuit],
+    ) -> Result<(Vec<Vec<f64>>, Vec<HealthReport>), String> {
+        let run = self.execute(circuits)?;
+        Ok((run.rows, run.health))
     }
 
     /// Attaches a cooperative cancellation token to backends that support
@@ -260,10 +266,17 @@ mod tests {
         let tb = TrajectoryBackend::with_shots(NoiseModel::from_calibration(cal), 16);
         let backend = Backend::Trajectory(tb);
         let circuits = some_circuits(4);
+        let run = backend.execute(&circuits).unwrap();
+        assert_eq!(run.rows, backend.run_batch(&circuits));
+        // one request: one arena group, one shared reset per shot
         assert_eq!(
-            backend.probabilities_batch(&circuits).unwrap(),
-            backend.run_batch(&circuits)
+            run.stats,
+            BatchStats {
+                resets: 16,
+                groups: 1
+            }
         );
+        assert!(run.health.iter().all(HealthReport::is_healthy));
     }
 
     #[test]
@@ -276,7 +289,7 @@ mod tests {
     fn probabilities_batch_preserves_input_order() {
         let circuits = some_circuits(8);
         let backend = Backend::Ideal;
-        let batch = backend.probabilities_batch(&circuits).unwrap();
+        let batch = backend.execute(&circuits).unwrap().rows;
         assert_eq!(batch.len(), circuits.len());
         for (i, c) in circuits.iter().enumerate() {
             let solo = statevector::probabilities(c);
@@ -285,18 +298,18 @@ mod tests {
                 assert!((a - b).abs() < 1e-14, "row {i} out of order");
             }
         }
-        assert!(backend.probabilities_batch(&[]).unwrap().is_empty());
+        assert_eq!(backend.execute(&[]).unwrap(), BatchRun::default());
     }
 
     #[test]
     fn probabilities_batch_names_the_offending_circuit() {
         let mut circuits = some_circuits(3);
         circuits[1].rz(f64::NAN, 0); // non-finite parameter is a deny lint
-        let err = Backend::Ideal.probabilities_batch(&circuits).unwrap_err();
+        let err = Backend::Ideal.execute(&circuits).unwrap_err();
         assert!(err.contains("circuit 1 of 3"), "{err}");
         assert!(err.contains("validation"), "{err}");
         // the clean prefix/suffix did not mask the failure into a partial batch
-        assert!(Backend::Ideal.probabilities_batch(&circuits[..1]).is_ok());
+        assert!(Backend::Ideal.execute(&circuits[..1]).is_ok());
     }
 
     #[test]
@@ -307,38 +320,9 @@ mod tests {
         let backend = Backend::Hardware(hw);
         let circuits = some_circuits(4);
         assert_eq!(
-            backend.probabilities_batch(&circuits).unwrap(),
+            backend.execute(&circuits).unwrap().rows,
             backend.run_batch(&circuits)
         );
-    }
-
-    #[cfg(feature = "failpoints")]
-    #[test]
-    fn injected_shot_fault_fails_the_batch_transiently() {
-        let _guard = qaprox_fault::Scenario::setup("hardware.shot=after:0");
-        let backend = Backend::Ideal;
-        let circuits = some_circuits(2);
-        let err = backend.probabilities_batch(&circuits).unwrap_err();
-        assert!(qaprox_fault::is_transient(&err), "{err}");
-        // after:N disarms once fired: the retry succeeds
-        assert_eq!(backend.probabilities_batch(&circuits).unwrap().len(), 2);
-    }
-
-    #[cfg(feature = "failpoints")]
-    #[test]
-    fn injected_batch_fault_degrades_to_per_candidate() {
-        // a `traj.batch` fault kills the shot-batched fast path, but the
-        // executor degrades to per-candidate evaluation: the job still
-        // succeeds and — because both paths are bit-identical by contract —
-        // produces exactly the rows the fast path would have
-        let cal = ourense().induced(&[0, 1, 2]);
-        let tb = TrajectoryBackend::with_shots(NoiseModel::from_calibration(cal), 16);
-        let backend = Backend::Trajectory(tb);
-        let circuits = some_circuits(3);
-        let clean = backend.probabilities_batch(&circuits).unwrap();
-        let _guard = qaprox_fault::Scenario::setup("traj.batch=always");
-        let degraded = backend.probabilities_batch(&circuits).unwrap();
-        assert_eq!(clean, degraded, "degraded path must match the fast path");
     }
 
     #[test]

@@ -38,6 +38,6 @@ pub use noise_model::NoiseModel;
 pub use readout::ReadoutError;
 pub use sampler::{counts_to_probs, sample_counts, DEFAULT_SHOTS};
 pub use trajectory::{
-    batch_reset_total, trajectory_probabilities, BatchStats, FusedProgram, HealthReport,
-    TrajectoryBackend, TrajectoryBatch, DEFAULT_TRAJECTORY_SHOTS, NORM_DRIFT_TOL,
+    BatchRun, BatchStats, FusedProgram, HealthReport, TrajectoryBackend, TrajectoryBatch,
+    DEFAULT_TRAJECTORY_SHOTS, NORM_DRIFT_TOL,
 };

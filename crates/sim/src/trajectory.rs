@@ -581,103 +581,6 @@ impl FusedProgram {
             crate::readout::apply_confusion(probs, &self.readout);
         }
     }
-
-    /// Averages `shots` trajectories into an outcome distribution (before
-    /// readout confusion). Bit-for-bit thread-count invariant: shots are
-    /// partitioned into structural chunks keyed by shot index, each chunk
-    /// reuses one state buffer and one accumulator, and chunk partials are
-    /// reduced sequentially in index order.
-    pub fn shot_average(&self, shots: usize, seed: u64) -> Vec<f64> {
-        self.shot_average_health(shots, seed, None).0
-    }
-
-    /// [`shot_average`](Self::shot_average) plus the per-shot health
-    /// sentinels and an optional cooperative cancellation token.
-    ///
-    /// Every finished shot is vetted before it reaches the accumulator: a
-    /// non-finite amplitude ([`HealthReport::nan_events`]) or a state norm
-    /// drifted beyond [`NORM_DRIFT_TOL`] ([`HealthReport::norm_drift_events`])
-    /// aborts the shot, so corrupt trajectories never contaminate the
-    /// averaged row. Clean rows are averaged over the clean-shot count —
-    /// when every shot is clean that equals `shots` and the result is
-    /// bit-identical to [`shot_average`](Self::shot_average).
-    ///
-    /// `cancel` is checked once per shot: once it reads `true` the remaining
-    /// shots are skipped, [`HealthReport::cancelled`] is set, and the
-    /// (partial) row should be discarded by the caller.
-    ///
-    /// Failpoint `traj.shot` evaluates once per shot (sleep actions emulate
-    /// a stalled kernel; the serve watchdog quarantines jobs stuck here).
-    pub fn shot_average_health(
-        &self,
-        shots: usize,
-        seed: u64,
-        cancel: Option<&AtomicBool>,
-    ) -> (Vec<f64>, HealthReport) {
-        let dim = 1usize << self.num_qubits;
-        if shots == 0 {
-            return (vec![0.0; dim], HealthReport::default());
-        }
-        let chunk = shot_chunk(self.num_qubits);
-        let chunks = shots.div_ceil(chunk);
-        let partials: Vec<(Vec<f64>, HealthReport)> = par_map_range(chunks, |c| {
-            let lo = c * chunk;
-            let hi = (lo + chunk).min(shots);
-            let mut state = vec![Complex64::ZERO; dim];
-            let mut acc = vec![0.0f64; dim];
-            let mut health = HealthReport::default();
-            for shot in lo..hi {
-                if cancel.is_some_and(|f| f.load(Ordering::Relaxed)) {
-                    health.cancelled = true;
-                    break;
-                }
-                qaprox_fault::fail_point!("traj.shot");
-                let mut rng = shot_rng(seed, shot as u64);
-                self.run_shot(&mut state, &mut rng);
-                inject_shot_corruption(&mut state);
-                match shot_verdict(&state) {
-                    ShotVerdict::Clean => {
-                        health.clean_shots += 1;
-                        for (a, z) in acc.iter_mut().zip(state.iter()) {
-                            *a += z.norm_sqr();
-                        }
-                    }
-                    ShotVerdict::Nan => {
-                        health.aborted_shots += 1;
-                        health.nan_events += 1;
-                    }
-                    ShotVerdict::Drift => {
-                        health.aborted_shots += 1;
-                        health.norm_drift_events += 1;
-                    }
-                }
-            }
-            (acc, health)
-        });
-        let mut probs = vec![0.0f64; dim];
-        let mut health = HealthReport::default();
-        for (p, h) in &partials {
-            for (dst, &x) in probs.iter_mut().zip(p) {
-                *dst += x;
-            }
-            health.merge(h);
-        }
-        if health.clean_shots > 0 {
-            let inv = 1.0 / health.clean_shots as f64;
-            for x in probs.iter_mut() {
-                *x *= inv;
-            }
-        }
-        (probs, health)
-    }
-
-    /// [`FusedProgram::shot_average`] plus the model's readout confusion
-    /// (when the model it was compiled from enables it).
-    pub fn probabilities(&self, shots: usize, seed: u64) -> Vec<f64> {
-        let mut probs = self.shot_average(shots, seed);
-        self.fold_readout(&mut probs);
-        probs
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -693,14 +596,13 @@ pub const NORM_DRIFT_TOL: f64 = 1e-6;
 
 /// Per-candidate numerical health from one shot-averaged run.
 ///
-/// Recorded by [`FusedProgram::shot_average_health`] and
-/// [`TrajectoryBatch::shot_average_health`]: shots whose final state carries
-/// a NaN/Inf amplitude or a norm drifted beyond [`NORM_DRIFT_TOL`] are
-/// **aborted** — excluded from the averaged row — instead of contaminating
-/// it, and the abort is counted here. A report with `aborted_shots > 0` (or
-/// `cancelled`) marks the row as degraded: it averages fewer trajectories
-/// than requested and callers should surface that rather than treat the row
-/// as a full-budget estimate.
+/// Recorded by [`TrajectoryBatch::shot_average_health`]: shots whose final
+/// state carries a NaN/Inf amplitude or a norm drifted beyond
+/// [`NORM_DRIFT_TOL`] are **aborted** — excluded from the averaged row —
+/// instead of contaminating it, and the abort is counted here. A report
+/// with `aborted_shots > 0` (or `cancelled`) marks the row as degraded: it
+/// averages fewer trajectories than requested and callers should surface
+/// that rather than treat the row as a full-budget estimate.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct HealthReport {
     /// Shots that finished cleanly and entered the average.
@@ -897,54 +799,6 @@ fn renormalize(state: &mut [Complex64], norm_sqr: f64) {
     qaprox_linalg::kernels::scale(state, inv);
 }
 
-/// Applies one Kraus channel stochastically to a statevector: branch `i` is
-/// chosen with probability `||K_i psi||^2`, then the state is renormalized.
-/// Allocation-free: norms come from the read-only kernel and only the
-/// selected branch is applied.
-pub fn apply_kraus_1q_stochastic<R: Rng>(
-    state: &mut [Complex64],
-    q: usize,
-    kraus: &[Matrix],
-    rng: &mut R,
-) {
-    debug_assert!(!kraus.is_empty());
-    let u: f64 = rng.gen();
-    let mut acc = 0.0f64;
-    for (i, k) in kraus.iter().enumerate() {
-        let arr = mat2_to_array(k);
-        let norm = norm_sqr_1q(state, q, &arr);
-        acc += norm;
-        if u < acc || i + 1 == kraus.len() {
-            apply_1q_vec_blocked(state, q, &arr);
-            renormalize(state, norm);
-            return;
-        }
-    }
-}
-
-/// One stochastic run of `circuit` under `model`'s gate noise; returns the
-/// final statevector (readout error is applied at the distribution level by
-/// the caller). Compiles a fresh [`FusedProgram`] — callers running many
-/// shots should compile once and use [`FusedProgram::run_shot`].
-pub fn run_trajectory(circuit: &Circuit, model: &NoiseModel, seed: u64) -> Vec<Complex64> {
-    let program = FusedProgram::compile(circuit, model);
-    let mut state = vec![Complex64::ZERO; circuit.dim()];
-    let mut rng = StdRng::seed_from_u64(seed);
-    program.run_shot(&mut state, &mut rng);
-    state
-}
-
-/// Averages `trajectories` stochastic runs into an outcome distribution
-/// (including the model's readout confusion when enabled).
-pub fn trajectory_probabilities(
-    circuit: &Circuit,
-    model: &NoiseModel,
-    trajectories: usize,
-    seed: u64,
-) -> Vec<f64> {
-    FusedProgram::compile(circuit, model).probabilities(trajectories, seed)
-}
-
 /// The trajectory execution backend: a [`NoiseModel`] plus a shot budget.
 ///
 /// Mirrors [`HardwareBackend`](crate::hardware::HardwareBackend)'s calling
@@ -1005,113 +859,46 @@ impl TrajectoryBackend {
         self.shots
     }
 
-    /// Compiles `circuit` once for repeated shot runs against this backend's
-    /// model.
-    pub fn compile(&self, circuit: &Circuit) -> FusedProgram {
-        FusedProgram::compile(circuit, &self.model)
-    }
-
-    /// One full "job": `shots` trajectories, averaged, plus readout
-    /// confusion. `job_seed` distinguishes repeated submissions.
-    pub fn probabilities(&self, circuit: &Circuit, job_seed: u64) -> Vec<f64> {
-        self.probabilities_health(circuit, job_seed).0
-    }
-
-    /// [`probabilities`](Self::probabilities) plus the run's
-    /// [`HealthReport`] (aborted-shot and cancellation accounting). The row
-    /// is bit-identical to [`probabilities`](Self::probabilities) whenever
-    /// the report is healthy.
-    pub fn probabilities_health(
-        &self,
-        circuit: &Circuit,
-        job_seed: u64,
-    ) -> (Vec<f64>, HealthReport) {
-        let program = self.compile(circuit);
-        let (mut probs, health) =
-            program.shot_average_health(self.shots, self.seed ^ job_seed, self.cancel_flag());
-        program.fold_readout(&mut probs);
-        (probs, health)
-    }
-
-    /// Finite measurement-shot counts drawn from the trajectory-averaged
-    /// distribution, via the same shared sampler the statevector path uses
-    /// ([`crate::sampler`]).
-    pub fn sample_shots(&self, circuit: &Circuit, job_seed: u64) -> Vec<u64> {
-        crate::sampler::sample_counts(
-            &self.probabilities(circuit, job_seed),
-            self.shots,
-            self.seed ^ job_seed,
-        )
-    }
-
-    /// Evaluates `circuits` as one shot-batched pass ([`TrajectoryBatch`]),
-    /// seeding candidate `i` with `self.seed ^ i` — exactly the per-index
-    /// job seeds the executor's batch entry points use, so the rows are
-    /// bit-identical to N independent `probabilities(c, i as u64)` calls.
+    /// Runs `circuits` as one shot-batched request ([`TrajectoryBatch`]):
+    /// `shots` trajectories per circuit, averaged, plus readout confusion.
+    /// Row `i` draws from the seed `self.seed ^ job_seeds[i]`, so a batch
+    /// of one is exactly a solo job and a row never depends on what else
+    /// shares its batch.
     ///
-    /// Errors on mixed circuit widths (callers degrade to per-candidate
-    /// evaluation). Failpoint `traj.batch`: injects a mid-batch failure so
-    /// the executor's degradation path can be chaos-tested.
-    pub fn probabilities_batch(&self, circuits: &[Circuit]) -> Result<Vec<Vec<f64>>, String> {
-        Ok(self.probabilities_batch_health(circuits)?.0)
-    }
-
-    /// [`probabilities_batch`](Self::probabilities_batch) plus one
-    /// [`HealthReport`] per candidate row.
-    pub fn probabilities_batch_health(
-        &self,
-        circuits: &[Circuit],
-    ) -> Result<(Vec<Vec<f64>>, Vec<HealthReport>), String> {
-        let seeds: Vec<u64> = (0..circuits.len()).map(|i| self.seed ^ i as u64).collect();
-        self.batch_with_seeds(circuits.iter(), seeds)
-    }
-
-    /// [`probabilities_batch`](Self::probabilities_batch) with one shared
-    /// `job_seed` for every candidate — the seeding a solo
-    /// `probabilities(c, job_seed)` call uses. For callers batching
-    /// independent jobs that each carry the same user-supplied seed
-    /// (`analyze --check-shots` across input files): each row is
-    /// bit-identical to the solo call it replaces.
-    pub fn probabilities_batch_seeded(
-        &self,
-        circuits: &[&Circuit],
-        job_seed: u64,
-    ) -> Result<Vec<Vec<f64>>, String> {
-        Ok(self
-            .probabilities_batch_seeded_health(circuits, job_seed)?
-            .0)
-    }
-
-    /// [`probabilities_batch_seeded`](Self::probabilities_batch_seeded) plus
-    /// one [`HealthReport`] per candidate row — what `analyze --check-shots`
-    /// uses to report per-file health instead of dropping failed candidates.
-    pub fn probabilities_batch_seeded_health(
-        &self,
-        circuits: &[&Circuit],
-        job_seed: u64,
-    ) -> Result<(Vec<Vec<f64>>, Vec<HealthReport>), String> {
-        let seeds = vec![self.seed ^ job_seed; circuits.len()];
-        self.batch_with_seeds(circuits.iter().copied(), seeds)
-    }
-
-    fn batch_with_seeds<'c>(
-        &self,
-        circuits: impl Iterator<Item = &'c Circuit>,
-        seeds: Vec<u64>,
-    ) -> Result<(Vec<Vec<f64>>, Vec<HealthReport>), String> {
-        qaprox_fault::fail_point!("traj.batch", |_action| {
-            Err(qaprox_fault::injected_error("traj.batch"))
-        });
-        let programs: Vec<FusedProgram> = circuits.map(|c| self.compile(c)).collect();
-        if programs.is_empty() {
-            return Ok((Vec::new(), Vec::new()));
-        }
+    /// Errors on an empty batch, a seed-count mismatch or mixed circuit
+    /// widths (the executor degrades to per-candidate requests).
+    pub fn execute(&self, circuits: &[&Circuit], job_seeds: &[u64]) -> Result<BatchRun, String> {
+        let programs: Vec<FusedProgram> = circuits
+            .iter()
+            .map(|c| FusedProgram::compile(c, &self.model))
+            .collect();
+        let seeds = job_seeds.iter().map(|s| self.seed ^ s).collect();
         let batch = TrajectoryBatch::new(programs.iter().collect(), seeds)?;
-        let (mut rows, healths, _stats) = batch.shot_average_health(self.shots, self.cancel_flag());
+        let (mut rows, health, stats) = batch.shot_average_health(self.shots, self.cancel_flag());
         for (row, prog) in rows.iter_mut().zip(&programs) {
             prog.fold_readout(row);
         }
-        Ok((rows, healths))
+        Ok(BatchRun {
+            rows,
+            health,
+            stats,
+        })
+    }
+
+    /// One full "job": [`execute`](Self::execute) on a batch of one.
+    /// `job_seed` distinguishes repeated submissions.
+    pub fn probabilities(&self, circuit: &Circuit, job_seed: u64) -> Vec<f64> {
+        let run = self.execute(&[circuit], &[job_seed]);
+        run.expect("a batch of one is always valid").rows.remove(0)
+    }
+
+    /// [`execute`](Self::execute) with job seed `i` for row `i` — the
+    /// per-index seeds of the executor's batch entry points, so row `i` is
+    /// bit-identical to `probabilities(&circuits[i], i)`.
+    pub fn probabilities_batch(&self, circuits: &[Circuit]) -> Result<Vec<Vec<f64>>, String> {
+        let refs: Vec<&Circuit> = circuits.iter().collect();
+        let seeds: Vec<u64> = (0..circuits.len() as u64).collect();
+        Ok(self.execute(&refs, &seeds)?.rows)
     }
 }
 
@@ -1126,18 +913,8 @@ impl TrajectoryBackend {
 /// with `QAPROX_BATCH_BYTES`.
 const DEFAULT_BATCH_ARENA_BYTES: usize = 256 << 20;
 
-static BATCH_RESETS: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
-
-/// Process-wide count of batch arena resets (one per shot per candidate
-/// group). Monotone over the process lifetime; exists so tests in other
-/// crates (the serve wide path) can assert the "one amortized reset per
-/// shot per batch" contract on counter deltas.
-pub fn batch_reset_total() -> u64 {
-    BATCH_RESETS.load(std::sync::atomic::Ordering::Relaxed)
-}
-
-/// Counters from one [`TrajectoryBatch::shot_average_with_stats`] call.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// Counters from one [`TrajectoryBatch::shot_average_health`] call.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct BatchStats {
     /// Arena resets performed: `groups * shots`. With a single group this
     /// is exactly one reset per shot, however many candidates share it.
@@ -1145,6 +922,18 @@ pub struct BatchStats {
     /// Candidate groups the arena was split into (1 unless the memory cap
     /// forced splitting).
     pub groups: usize,
+}
+
+/// What one trajectory request ([`TrajectoryBackend::execute`] or the
+/// executor's [`Backend::execute`](crate::Backend::execute)) returns.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct BatchRun {
+    /// One outcome distribution per circuit, in input order.
+    pub rows: Vec<Vec<f64>>,
+    /// One health report per row.
+    pub health: Vec<HealthReport>,
+    /// The shot loop's arena counters (zero for exact backends).
+    pub stats: BatchStats,
 }
 
 /// Evaluates N candidate [`FusedProgram`]s in one pass per shot.
@@ -1155,11 +944,12 @@ pub struct BatchStats {
 /// contiguous fill — the *shared reset* — and every candidate's trajectory
 /// then runs against its own slice of the interleaved arena.
 ///
-/// Results are **bit-for-bit identical** to N independent
-/// [`FusedProgram::shot_average`] runs at any thread count, because each
-/// (candidate, shot) pair draws from the same [`SplitMix64`] stream it
-/// would solo (`shot_rng(seed_g, shot)`), per-candidate accumulation stays
-/// in shot order, and chunk partials reduce in index order.
+/// This is the only shot loop: a solo run is a batch of one. Results are
+/// **bit-for-bit identical** to N independent batches of one at any thread
+/// count, because each (candidate, shot) pair draws from the same
+/// [`SplitMix64`] stream it would solo (`shot_rng(seed_g, shot)`),
+/// per-candidate accumulation stays in shot order, and chunk partials
+/// reduce in index order.
 ///
 /// All candidates must share one circuit width; mixed widths are an error
 /// (the executor degrades to per-candidate evaluation for those).
@@ -1223,22 +1013,27 @@ impl<'a> TrajectoryBatch<'a> {
         (budget / state_bytes.max(1)).clamp(1, self.programs.len())
     }
 
-    /// Averaged distributions (before readout confusion), one row per
-    /// candidate in input order, plus the reset/group counters. See the
-    /// type docs for the bit-identity contract.
-    pub fn shot_average_with_stats(&self, shots: usize) -> (Vec<Vec<f64>>, BatchStats) {
-        let (rows, _healths, stats) = self.shot_average_health(shots, None);
-        (rows, stats)
-    }
-
-    /// [`shot_average_with_stats`](Self::shot_average_with_stats) plus one
-    /// [`HealthReport`] per candidate and an optional cooperative
-    /// cancellation token, mirroring
-    /// [`FusedProgram::shot_average_health`]'s contract: corrupt shots
-    /// (NaN/Inf amplitudes, norm drift beyond [`NORM_DRIFT_TOL`]) are
-    /// aborted per candidate and excluded from that candidate's average;
-    /// rows stay bit-identical to the solo path whenever their report is
-    /// healthy. Failpoint `traj.shot` evaluates once per shot per group.
+    /// Averages `shots` trajectories per candidate into outcome
+    /// distributions (before readout confusion), one row and one
+    /// [`HealthReport`] per candidate in input order, plus the reset/group
+    /// counters. See the type docs for the bit-identity contract.
+    ///
+    /// Shots are partitioned into structural chunks keyed by shot index;
+    /// each chunk reuses one arena and one accumulator per candidate. Every
+    /// finished shot is vetted before it reaches the accumulator: a
+    /// non-finite amplitude ([`HealthReport::nan_events`]) or a state norm
+    /// drifted beyond [`NORM_DRIFT_TOL`] ([`HealthReport::norm_drift_events`])
+    /// aborts that candidate's shot, so corrupt trajectories never
+    /// contaminate its row. Rows are averaged over each candidate's
+    /// clean-shot count, which equals `shots` on a healthy run.
+    ///
+    /// `cancel` is checked once per shot: once it reads `true` the remaining
+    /// shots are skipped, [`HealthReport::cancelled`] is set, and the
+    /// (partial) rows should be discarded by the caller.
+    ///
+    /// Failpoint `traj.shot` evaluates once per shot per group (sleep
+    /// actions emulate a stalled kernel; the serve watchdog quarantines jobs
+    /// stuck here).
     pub fn shot_average_health(
         &self,
         shots: usize,
@@ -1250,10 +1045,7 @@ impl<'a> TrajectoryBatch<'a> {
             return (
                 vec![vec![0.0; dim]; n_cand],
                 vec![HealthReport::default(); n_cand],
-                BatchStats {
-                    resets: 0,
-                    groups: 0,
-                },
+                BatchStats::default(),
             );
         }
         let cap = self.group_capacity();
@@ -1313,7 +1105,7 @@ impl<'a> TrajectoryBatch<'a> {
                 }
                 (accs, healths)
             });
-            // chunk partials reduce in index order, exactly like shot_average
+            // chunk partials reduce in index order
             for g in 0..glen {
                 let mut probs = vec![0.0f64; dim];
                 let mut health = HealthReport::default();
@@ -1336,7 +1128,6 @@ impl<'a> TrajectoryBatch<'a> {
             resets += shots as u64;
             g0 = g1;
         }
-        BATCH_RESETS.fetch_add(resets, std::sync::atomic::Ordering::Relaxed);
         (rows, reports, BatchStats { resets, groups })
     }
 }
@@ -1353,6 +1144,31 @@ mod tests {
         pub fn total_variation(p: &[f64], q: &[f64]) -> f64 {
             0.5 * p.iter().zip(q).map(|(a, b)| (a - b).abs()).sum::<f64>()
         }
+    }
+
+    /// `shots` trajectories of one compiled program as a batch of one,
+    /// seeded with the raw `seed` (no backend seed mixed in), before
+    /// readout confusion.
+    fn solo_average(program: &FusedProgram, shots: usize, seed: u64) -> Vec<f64> {
+        TrajectoryBatch::new(vec![program], vec![seed])
+            .unwrap()
+            .shot_average_health(shots, None)
+            .0
+            .remove(0)
+    }
+
+    /// [`solo_average`] of `circuit` compiled under `model`, plus the
+    /// model's readout confusion.
+    fn solo_probabilities(
+        circuit: &Circuit,
+        model: &NoiseModel,
+        shots: usize,
+        seed: u64,
+    ) -> Vec<f64> {
+        let program = FusedProgram::compile(circuit, model);
+        let mut probs = solo_average(&program, shots, seed);
+        program.fold_readout(&mut probs);
+        probs
     }
 
     fn noiseless_cal(n: usize) -> qaprox_device::Calibration {
@@ -1397,7 +1213,7 @@ mod tests {
         model.include_readout = false;
         // ourense sx errors are ~3e-4, so residual 1q depolarizing remains;
         // many trajectories and a loose bound absorb it.
-        let probs = trajectory_probabilities(&c, &model, 200, 42);
+        let probs = solo_probabilities(&c, &model, 200, 42);
         let ideal = crate::statevector::probabilities(&c);
         assert!(total_variation(&probs, &ideal) < 0.02);
     }
@@ -1413,7 +1229,7 @@ mod tests {
         c.h(0).rz(0.3, 0).rx(0.2, 0); // 1q run on qubit 0
         c.cx(0, 1).cx(1, 0).cx(0, 1); // 2q run with swapped orientation (a SWAP)
         c.h(2).cx(1, 2).rz(0.9, 2).ry(0.4, 2); // trailing 1q run
-        let probs = trajectory_probabilities(&c, &model, 1, 0);
+        let probs = solo_probabilities(&c, &model, 1, 0);
         let ideal = crate::statevector::probabilities(&c);
         for (a, b) in probs.iter().zip(&ideal) {
             assert!((a - b).abs() < 1e-12, "fused unitary drifted: {a} vs {b}");
@@ -1497,7 +1313,7 @@ mod tests {
         assert!(p.len() < c.len(), "fusion must actually trigger here");
         let dm_probs = model.probabilities(&c);
         let shots = 4000;
-        let tj_probs = p.shot_average(shots, 13);
+        let tj_probs = solo_average(&p, shots, 13);
         let tvd = total_variation(&dm_probs, &tj_probs);
         let envelope = 1.5 * (8.0f64 / shots as f64).sqrt();
         assert!(
@@ -1519,7 +1335,7 @@ mod tests {
         model.include_readout = false;
         assert!(model.include_relaxation);
         let dm_probs = model.probabilities(&c);
-        let tj_probs = trajectory_probabilities(&c, &model, 4000, 11);
+        let tj_probs = solo_probabilities(&c, &model, 4000, 11);
         let tvd = total_variation(&dm_probs, &tj_probs);
         assert!(tvd < 0.02, "conjugated relaxation diverged: TVD {tvd}");
     }
@@ -1531,7 +1347,7 @@ mod tests {
         let cal = ourense().induced(&[0, 1]).with_uniform_cx_error(0.15);
         let model = NoiseModel::from_calibration(cal);
         let dm_probs = model.probabilities(&c);
-        let tj_probs = trajectory_probabilities(&c, &model, 4000, 7);
+        let tj_probs = solo_probabilities(&c, &model, 4000, 7);
         let tvd = total_variation(&dm_probs, &tj_probs);
         assert!(
             tvd < 0.03,
@@ -1574,7 +1390,7 @@ mod tests {
             let dim = (1usize << n) as f64;
             let mut last = f64::INFINITY;
             for shots in [128usize, 1024] {
-                let tj = trajectory_probabilities(&c, &model, shots, cseed ^ 0xABCD);
+                let tj = solo_probabilities(&c, &model, shots, cseed ^ 0xABCD);
                 let tvd = total_variation(&exact, &tj);
                 let envelope = 1.5 * (dim / shots as f64).sqrt();
                 assert!(
@@ -1602,9 +1418,9 @@ mod tests {
         let cal = ourense().induced(&[0, 1, 2, 3]);
         let model = NoiseModel::from_calibration(cal);
         // 70 shots -> 5 structural chunks of 16: uneven splits across pools
-        let base = with_thread_budget(1, || trajectory_probabilities(&c, &model, 70, 99));
+        let base = with_thread_budget(1, || solo_probabilities(&c, &model, 70, 99));
         for threads in [2usize, 8] {
-            let got = with_thread_budget(threads, || trajectory_probabilities(&c, &model, 70, 99));
+            let got = with_thread_budget(threads, || solo_probabilities(&c, &model, 70, 99));
             assert_eq!(base, got, "results drifted at {threads} threads");
         }
     }
@@ -1615,7 +1431,8 @@ mod tests {
         state[3] = Complex64::ONE;
         let mut rng = StdRng::seed_from_u64(1);
         for _ in 0..20 {
-            apply_kraus_1q_stochastic(&mut state, 0, &amplitude_damping(0.3), &mut rng);
+            let ops = kraus_arrays_1q(&amplitude_damping(0.3));
+            select_and_apply_1q(&mut state, 0, &ops, &mut rng);
             let norm: f64 = state.iter().map(|z| z.norm_sqr()).sum();
             assert!((norm - 1.0).abs() < 1e-10);
         }
@@ -1630,7 +1447,8 @@ mod tests {
         for t in 0..trials {
             let mut state = vec![Complex64::ZERO, Complex64::ONE];
             let mut rng = StdRng::seed_from_u64(t as u64);
-            apply_kraus_1q_stochastic(&mut state, 0, &amplitude_damping(gamma), &mut rng);
+            let ops = kraus_arrays_1q(&amplitude_damping(gamma));
+            select_and_apply_1q(&mut state, 0, &ops, &mut rng);
             if state[1].norm_sqr() > 0.5 {
                 stays += 1;
             }
@@ -1645,8 +1463,8 @@ mod tests {
         c.h(0).cx(0, 1);
         let cal = ourense().induced(&[0, 1]);
         let model = NoiseModel::from_calibration(cal);
-        let a = trajectory_probabilities(&c, &model, 50, 9);
-        let b = trajectory_probabilities(&c, &model, 50, 9);
+        let a = solo_probabilities(&c, &model, 50, 9);
+        let b = solo_probabilities(&c, &model, 50, 9);
         assert_eq!(a, b);
     }
 
@@ -1704,7 +1522,7 @@ mod tests {
             }
         };
         let model = NoiseModel::from_calibration(cal);
-        let probs = trajectory_probabilities(&c, &model, 20, 3);
+        let probs = solo_probabilities(&c, &model, 20, 3);
         assert_eq!(probs.len(), 1 << n);
         assert!((probs.iter().sum::<f64>() - 1.0).abs() < 1e-9);
     }
@@ -1734,14 +1552,14 @@ mod tests {
         let seeds: Vec<u64> = (0..4u64).map(|i| 0xB00 ^ i).collect();
         let shots = 70; // uneven chunk split: 5 structural chunks of 16
         let batch = TrajectoryBatch::new(programs.iter().collect(), seeds.clone()).unwrap();
-        let (rows, stats) = batch.shot_average_with_stats(shots);
+        let (rows, _health, stats) = batch.shot_average_health(shots, None);
         assert_eq!(stats.groups, 1, "4 small candidates share one arena");
         assert_eq!(
             stats.resets, shots as u64,
             "one shared reset per shot, not one per candidate"
         );
         for (g, prog) in programs.iter().enumerate() {
-            let solo = prog.shot_average(shots, seeds[g]);
+            let solo = solo_average(prog, shots, seeds[g]);
             assert_eq!(rows[g], solo, "candidate {g} drifted from its solo run");
         }
     }
@@ -1761,20 +1579,20 @@ mod tests {
         let shots = 40;
         let shared = TrajectoryBatch::new(programs.iter().collect(), seeds.clone())
             .unwrap()
-            .shot_average_with_stats(shots);
+            .shot_average_health(shots, None);
         let split = TrajectoryBatch::new(programs.iter().collect(), seeds)
             .unwrap()
             .with_arena_budget((1 << 3) * std::mem::size_of::<Complex64>())
-            .shot_average_with_stats(shots);
+            .shot_average_health(shots, None);
         assert_eq!(
-            shared.1,
+            shared.2,
             BatchStats {
                 resets: shots as u64,
                 groups: 1
             }
         );
         assert_eq!(
-            split.1,
+            split.2,
             BatchStats {
                 resets: 3 * shots as u64,
                 groups: 3
@@ -1797,14 +1615,14 @@ mod tests {
         let base = with_thread_budget(1, || {
             TrajectoryBatch::new(programs.iter().collect(), seeds.clone())
                 .unwrap()
-                .shot_average_with_stats(70)
+                .shot_average_health(70, None)
                 .0
         });
         for threads in [2usize, 8] {
             let got = with_thread_budget(threads, || {
                 TrajectoryBatch::new(programs.iter().collect(), seeds.clone())
                     .unwrap()
-                    .shot_average_with_stats(70)
+                    .shot_average_health(70, None)
                     .0
             });
             assert_eq!(base, got, "batch drifted at {threads} threads");
@@ -1845,7 +1663,7 @@ mod tests {
         }
         // shared-seed entry point: row i == probabilities(c_i, job_seed)
         let refs: Vec<&Circuit> = circuits.iter().collect();
-        let seeded = tb.probabilities_batch_seeded(&refs, 77).unwrap();
+        let seeded = tb.execute(&refs, &[77; 3]).unwrap().rows;
         for (i, c) in circuits.iter().enumerate() {
             assert_eq!(seeded[i], tb.probabilities(c, 77), "seeded row {i}");
         }
@@ -1864,23 +1682,8 @@ mod tests {
         let wide = candidate_circuits(1).remove(0);
         let err = tb.probabilities_batch(&[wide, narrow]).unwrap_err();
         assert!(err.contains("uniform width"), "got: {err}");
-    }
-
-    #[test]
-    fn batch_reset_counter_advances() {
-        let cal = ourense().induced(&[0, 1, 2]);
-        let model = NoiseModel::from_calibration(cal);
-        let circuits = candidate_circuits(2);
-        let programs: Vec<FusedProgram> = circuits
-            .iter()
-            .map(|c| FusedProgram::compile(c, &model))
-            .collect();
-        let before = batch_reset_total();
-        TrajectoryBatch::new(programs.iter().collect(), vec![1, 2])
-            .unwrap()
-            .shot_average_with_stats(25);
-        // other tests may batch concurrently, so the delta is a lower bound
-        assert!(batch_reset_total() >= before + 25);
+        let err = tb.execute(&[], &[]).unwrap_err();
+        assert!(err.contains("at least one"), "got: {err}");
     }
 
     #[test]
@@ -1889,7 +1692,8 @@ mod tests {
         let tb = TrajectoryBackend::with_shots(NoiseModel::from_calibration(cal), 32);
         let mut c = Circuit::new(2);
         c.h(0).cx(0, 1);
-        let (probs, health) = tb.probabilities_health(&c, 7);
+        let run = tb.execute(&[&c], &[7]).unwrap();
+        let health = run.health[0];
         assert_eq!(
             health,
             HealthReport {
@@ -1898,8 +1702,15 @@ mod tests {
             }
         );
         assert!(health.is_healthy());
-        // the health wrapper must not perturb the row
-        assert_eq!(probs, tb.probabilities(&c, 7));
+        assert_eq!(
+            run.stats,
+            BatchStats {
+                resets: 32,
+                groups: 1
+            }
+        );
+        // a solo job is exactly this batch of one
+        assert_eq!(run.rows[0], tb.probabilities(&c, 7));
     }
 
     #[test]
@@ -1910,86 +1721,13 @@ mod tests {
             .with_cancel(Arc::clone(&flag));
         let mut c = Circuit::new(2);
         c.h(0).cx(0, 1);
-        let (_probs, health) = tb.probabilities_health(&c, 0);
+        let health = tb.execute(&[&c], &[0]).unwrap().health[0];
         assert!(health.cancelled, "pre-set token must stop the run");
         assert_eq!(health.clean_shots, 0);
         // clearing the token restores a full clean run
         flag.store(false, Ordering::Relaxed);
-        let (_probs, health) = tb.probabilities_health(&c, 0);
+        let health = tb.execute(&[&c], &[0]).unwrap().health[0];
         assert!(health.is_healthy());
         assert_eq!(health.clean_shots, 64);
-    }
-
-    #[cfg(feature = "failpoints")]
-    #[test]
-    fn corrupt_shots_are_aborted_and_counted() {
-        let cal = ourense().induced(&[0, 1]);
-        let tb = TrajectoryBackend::with_shots(NoiseModel::from_calibration(cal), 16);
-        let mut c = Circuit::new(2);
-        c.h(0).cx(0, 1);
-        let clean = tb.probabilities(&c, 3);
-
-        // torn -> NaN amplitude on the fourth shot: aborted, counted, and
-        // the surviving 15 shots still average to a sane distribution
-        let guard = qaprox_fault::Scenario::setup("traj.corrupt=after:3->torn");
-        let (probs, health) = tb.probabilities_health(&c, 3);
-        drop(guard);
-        assert_eq!(health.aborted_shots, 1);
-        assert_eq!(health.nan_events, 1);
-        assert_eq!(health.clean_shots, 15);
-        assert!(!health.is_healthy());
-        assert!(probs.iter().all(|p| p.is_finite()));
-        assert!((probs.iter().sum::<f64>() - 1.0).abs() < 1e-9);
-
-        // error -> doubled amplitudes: norm drift, same abort accounting
-        let guard = qaprox_fault::Scenario::setup("traj.corrupt=after:0");
-        let (_probs, health) = tb.probabilities_health(&c, 3);
-        drop(guard);
-        assert_eq!(health.norm_drift_events, 1);
-        assert_eq!(health.aborted_shots, 1);
-
-        // with the scenario gone, the run is bit-identical to the baseline
-        assert_eq!(tb.probabilities(&c, 3), clean);
-    }
-
-    #[cfg(feature = "failpoints")]
-    #[test]
-    fn batch_health_isolates_the_corrupt_candidate() {
-        let cal = ourense().induced(&[0, 1]);
-        let tb = TrajectoryBackend::with_shots(NoiseModel::from_calibration(cal), 8);
-        let circuits: Vec<Circuit> = (0..3)
-            .map(|i| {
-                let mut c = Circuit::new(2);
-                c.h(0).rz(0.1 * i as f64, 0).cx(0, 1);
-                c
-            })
-            .collect();
-        let clean = tb.probabilities_batch(&circuits).unwrap();
-        // the batch walks candidates per shot, so eval #1 is (shot 0,
-        // candidate 1): exactly one candidate takes the NaN hit
-        let guard = qaprox_fault::Scenario::setup("traj.corrupt=after:1->torn");
-        let (rows, healths) = tb.probabilities_batch_health(&circuits).unwrap();
-        drop(guard);
-        assert_eq!(healths.len(), 3);
-        assert_eq!(healths[1].nan_events, 1);
-        assert_eq!(healths[1].clean_shots, 7);
-        assert!(healths[0].is_healthy() && healths[2].is_healthy());
-        // untouched candidates stay bit-identical to the clean batch
-        assert_eq!(rows[0], clean[0]);
-        assert_eq!(rows[2], clean[2]);
-        assert!(rows[1].iter().all(|p| p.is_finite()));
-    }
-
-    #[cfg(feature = "failpoints")]
-    #[test]
-    fn traj_shot_failpoint_evaluates_per_shot() {
-        let cal = ourense().induced(&[0, 1]);
-        let tb = TrajectoryBackend::with_shots(NoiseModel::from_calibration(cal), 8);
-        let mut c = Circuit::new(2);
-        c.h(0).cx(0, 1);
-        let _guard = qaprox_fault::Scenario::setup("traj.shot=never");
-        let before = qaprox_fault::evals("traj.shot");
-        tb.probabilities(&c, 0);
-        assert_eq!(qaprox_fault::evals("traj.shot"), before + 8);
     }
 }

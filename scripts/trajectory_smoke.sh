@@ -5,8 +5,8 @@
 # (a density matrix at that width would need 4^27 entries; one trajectory
 # shot is a single 2^27 statevector, ~2 GiB transient, minutes of CPU).
 # The wide run uses --steps 3 so the job scores >= 2 candidate truncations
-# and therefore lands on the shot-batched fast path (TrajectoryBatch: one
-# shared arena reset per shot across all candidates), not the solo loop.
+# in one trajectory request (TrajectoryBatch: one shared arena reset per
+# shot across all candidates) next to the reference's request of one.
 # Used by CI (trajectory-smoke job); runnable locally after
 # `cargo build --release -p qaprox-cli`.
 set -euo pipefail

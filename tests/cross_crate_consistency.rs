@@ -4,7 +4,7 @@
 use qaprox::prelude::*;
 use qaprox_linalg::random::haar_unitary;
 use qaprox_linalg::random::SplitMix64 as StdRng;
-use qaprox_sim::DensityMatrix;
+use qaprox_sim::{DensityMatrix, ReadoutError};
 
 /// Random-ish test circuit touching most of the gate set.
 fn mixed_circuit(n: usize) -> Circuit {
@@ -179,7 +179,18 @@ fn trajectory_simulation_tracks_density_matrix_on_approximations() {
     let cal = devices::rome().induced(&[0, 1]);
     let model = NoiseModel::from_calibration(cal);
     let dm = model.probabilities(&out.best.circuit);
-    let tj = qaprox_sim::trajectory_probabilities(&out.best.circuit, &model, 3000, 5);
+    // 3000 trajectories as a batch of one on the raw seed 5, then the same
+    // readout confusion the density path folds in
+    let program = qaprox_sim::FusedProgram::compile(&out.best.circuit, &model);
+    let batch = qaprox_sim::TrajectoryBatch::new(vec![&program], vec![5]).unwrap();
+    let mut tj = batch.shot_average_health(3000, None).0.remove(0);
+    let readout: Vec<ReadoutError> = model
+        .calibration()
+        .qubits
+        .iter()
+        .map(|q| ReadoutError::symmetric(q.readout_error))
+        .collect();
+    qaprox_sim::readout::apply_confusion(&mut tj, &readout);
     let tvd: f64 = 0.5 * dm.iter().zip(&tj).map(|(a, b)| (a - b).abs()).sum::<f64>();
     assert!(tvd < 0.03, "trajectory vs density matrix TVD {tvd}");
 }
