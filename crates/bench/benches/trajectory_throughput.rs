@@ -20,6 +20,11 @@
 //!   shot-batched pass (`TrajectoryBackend::probabilities_batch`), vs
 //! * `solo_jobs_{n}q/cands=K` — the same K candidates scored one at a
 //!   time; the ratio is the wide-run batching win.
+//! * `wide_job_16q/shots=16` (full mode only) — the `qaprox serve` wide
+//!   job: a 16q TFIM reference on toronto plus its 3 step-count
+//!   truncations, 16 shots each, in ONE `TrajectoryBackend::execute`
+//!   request seeded `[job_seed, 0, 1, 2]`, built from a serve `RunSpec`
+//!   exactly as the server's wide path builds it.
 //!
 //! Commentary lines record the selected amplitude kernel (`simd` on AVX2
 //! hosts, `scalar` under `QAPROX_SIMD=0` or on other ISAs), the fusion
@@ -34,7 +39,8 @@ use qaprox_bench::timing::{bench, header};
 use qaprox_device::devices::toronto;
 use qaprox_linalg::random::SplitMix64;
 use qaprox_linalg::Complex64;
-use qaprox_sim::{FusedProgram, NoiseModel, TrajectoryBackend};
+use qaprox_serve::{RunSpec, SynthSpec};
+use qaprox_sim::{Backend, FusedProgram, NoiseModel, TrajectoryBackend};
 
 fn main() {
     header("trajectory_throughput");
@@ -113,4 +119,40 @@ fn main() {
             });
         }
     }
+
+    if !quick {
+        wide_job_16q();
+    }
+}
+
+/// The serve wide path's request: reference plus ranked truncations, one
+/// `execute`, row 0 seeded with the job seed and row `i + 1` with `i`.
+fn wide_job_16q() {
+    let spec = RunSpec {
+        synth: SynthSpec {
+            workload: "tfim".into(),
+            qubits: 16,
+            steps: 4,
+            ..Default::default()
+        },
+        device: "toronto".into(),
+        backend: Some("trajectory".into()),
+        shots: Some(16),
+        job_seed: 7,
+        ..Default::default()
+    };
+    let reference = spec.reference_circuit().expect("16q tfim is a wide spec");
+    let cal = spec.calibration().expect("toronto has 16 qubits");
+    let candidates = spec.synth.wide_population_circuits().expect("steps >= 2");
+    let ranked = qaprox_synth::rank_by_predicted(&candidates, &cal);
+    let Ok(Backend::Trajectory(tb)) = spec.backend() else {
+        panic!("a wide spec builds a trajectory backend");
+    };
+    let mut circuits = vec![&reference];
+    circuits.extend(ranked.iter().map(|(ap, _)| &ap.circuit));
+    let mut seeds = vec![spec.job_seed];
+    seeds.extend(0..ranked.len() as u64);
+    bench("wide_job_16q/shots=16", || {
+        tb.execute(&circuits, &seeds).unwrap()
+    });
 }
