@@ -130,11 +130,6 @@ pub struct RunOutcome {
     /// shots (NaN / norm drift). Fully-aborted candidates are degraded to
     /// the worst score instead of emitting corrupt rows.
     pub health: Option<Json>,
-    /// The candidates' shot-loop counters when a trajectory backend scored
-    /// them (`None` on cache and certified hits and for exact backends).
-    /// Not part of the payload, so payloads and store keys do not depend
-    /// on it.
-    pub batch: Option<qaprox_sim::BatchStats>,
 }
 
 fn ignore_corruption<T>(r: Result<Option<T>, StoreError>) -> Result<Option<T>, String> {
@@ -332,7 +327,6 @@ pub fn obtain_run(
                 certified: None,
                 population: None,
                 health: None,
-                batch: None,
             });
         }
         // the certified fast path needs dense-unitary equivalence checking,
@@ -353,7 +347,6 @@ pub fn obtain_run(
                     certified: Some((source, bound)),
                     population: None,
                     health: None,
-                    batch: None,
                 });
             }
         }
@@ -427,9 +420,10 @@ pub fn obtain_run(
     // backend execution goes through the per-backend circuit breaker: a
     // backend that keeps failing rejects fast instead of absorbing every
     // worker's full retry budget
-    let run = ctl
-        .breakers
-        .call(&spec.backend_fingerprint(), || backend.execute(&undecided))?;
+    let seeds: Vec<u64> = (0..undecided.len() as u64).collect();
+    let run = ctl.breakers.call(&spec.backend_fingerprint(), || {
+        backend.execute(&undecided, &seeds)
+    })?;
     // interrupted mid-execution (watchdog cancel, deadline): suspend
     // without persisting rows averaged over a truncated shot loop
     ctl.backend_gate()?;
@@ -486,7 +480,6 @@ pub fn obtain_run(
         certified: None,
         population: Some(pop),
         health: health_summary(&run.health),
-        batch: trajectory_stats(&backend, &run),
     })
 }
 
@@ -497,12 +490,12 @@ pub fn obtain_run(
 /// TFIM evolution Trotterized with every shallower step count (the paper's
 /// depth/accuracy trade-off in its rawest form), pre-ranked by the same
 /// O(gates) analyzer, and scored on the trajectory backend against the
-/// ideal statevector. The candidates go to the backend as one
-/// [`Backend::execute`] request, which runs them through the trajectory
-/// shot loop together ([`qaprox_sim::TrajectoryBatch`]) with one shared
-/// state reset per shot, bit-identical to scoring them one at a time; the
-/// counters land in [`RunOutcome::batch`]. Results cache under the spec's
-/// own key exactly like narrow runs.
+/// ideal statevector. The reference and the candidates go to the backend
+/// as one [`Backend::execute`] request — row 0 is the reference under the
+/// spec's job seed, row `i + 1` candidate `i` under job seed `i` — whose
+/// (candidate, chunk) work items share the cores
+/// ([`qaprox_sim::TrajectoryBatch`]), bit-identical to scoring each row
+/// alone. Results cache under the spec's own key exactly like narrow runs.
 fn obtain_run_wide(
     store: Option<&Store>,
     spec: &RunSpec,
@@ -517,7 +510,10 @@ fn obtain_run_wide(
     let cal = spec.calibration()?;
     let candidates = spec.synth.wide_population_circuits()?;
     let ranked = qaprox_synth::rank_by_predicted(&candidates, &cal);
-    let batch: Vec<Circuit> = ranked.iter().map(|(ap, _)| ap.circuit.clone()).collect();
+    let mut batch = vec![reference];
+    batch.extend(ranked.iter().map(|(ap, _)| ap.circuit.clone()));
+    let mut seeds = vec![spec.job_seed];
+    seeds.extend(0..ranked.len() as u64);
 
     // same gate, same placement as the narrow path: a cancelled or expired
     // job reaches neither the counting failpoint nor the backend
@@ -528,16 +524,15 @@ fn obtain_run_wide(
         Err(qaprox_fault::injected_error("serve.backend"))
     });
 
-    let ideal = qaprox_sim::statevector::probabilities(&reference);
-    let ref_probs = backend.probabilities(&reference, spec.job_seed);
-    let ref_score = qaprox_metrics::total_variation(&ref_probs, &ideal);
-    let run = ctl
-        .breakers
-        .call(&spec.backend_fingerprint(), || backend.execute(&batch))?;
+    let ideal = qaprox_sim::statevector::probabilities(&batch[0]);
+    let run = ctl.breakers.call(&spec.backend_fingerprint(), || {
+        backend.execute(&batch, &seeds)
+    })?;
     ctl.backend_gate()?;
+    let ref_score = qaprox_metrics::total_variation(&run.rows[0], &ideal);
     let rows: Vec<ResultRow> = ranked
         .iter()
-        .zip(run.rows.iter().zip(&run.health))
+        .zip(run.rows[1..].iter().zip(&run.health[1..]))
         .map(|((ap, predicted), (p, h))| ResultRow {
             cnots: ap.cnots,
             hs_distance: ap.hs_distance,
@@ -568,22 +563,13 @@ fn obtain_run_wide(
         cached: false,
         certified: None,
         population: None,
-        health: health_summary(&run.health),
-        batch: trajectory_stats(&backend, &run),
+        health: health_summary(&run.health[1..]),
     })
 }
 
 // An error-channel marker for "the synthesis stage suspended" inside
 // obtain_run, folded back into ExecResult::Suspended by run_spec.
 const SUSPENDED_SENTINEL: &str = "__qaprox_serve_suspended__";
-
-/// The shot-loop counters of a run, for trajectory backends only.
-fn trajectory_stats(
-    backend: &Backend,
-    run: &qaprox_sim::BatchRun,
-) -> Option<qaprox_sim::BatchStats> {
-    matches!(backend, Backend::Trajectory(_)).then_some(run.stats)
-}
 
 /// A candidate whose every shot aborted has no usable probability row.
 fn degraded_candidate(h: &qaprox_sim::HealthReport) -> bool {

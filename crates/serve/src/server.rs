@@ -17,14 +17,17 @@
 //! Errors are `{ok: false, error: "..."}`; a full queue additionally sets
 //! `backpressure: true` so clients know to retry rather than give up, and
 //! an admission-control rejection sets `overloaded: true` plus a
-//! `retry_after_ms` backoff hint.
+//! `retry_after_ms` backoff hint. A request line longer than
+//! [`MAX_REQUEST_LINE_BYTES`] gets `too_long: true` and the server then
+//! closes the connection; JSON nested deeper than
+//! [`qaprox_store::json::MAX_DEPTH`] is a plain `bad request json` error.
 //! See `docs/SERVE.md` for the full protocol description.
 
 use crate::scheduler::{Scheduler, SchedulerConfig, Submitted};
 use crate::spec::JobSpec;
 use qaprox_store::json::{parse, Json};
 use qaprox_store::Store;
-use std::io::{BufRead, BufReader, Write};
+use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -156,14 +159,63 @@ fn err_response(msg: &str) -> Json {
     ])
 }
 
+/// Longest request line the server reads, in bytes. Job specs serialize to
+/// well under a kilobyte; without a cap one endless line would grow the
+/// connection's buffer until memory runs out.
+pub const MAX_REQUEST_LINE_BYTES: usize = 1 << 20;
+
+/// One request line off the wire.
+enum WireLine {
+    /// A complete line, without its `\n`.
+    Line(String),
+    /// A line longer than [`MAX_REQUEST_LINE_BYTES`], read and discarded
+    /// through its `\n`.
+    TooLong,
+    /// The peer closed the connection, the read failed, or the line was
+    /// not UTF-8.
+    Closed,
+}
+
+/// Reads the next line while buffering at most [`MAX_REQUEST_LINE_BYTES`]
+/// of it, however long it is.
+fn read_line_capped(reader: &mut impl BufRead) -> WireLine {
+    let mut line = Vec::new();
+    let cap = MAX_REQUEST_LINE_BYTES as u64 + 1;
+    match reader.by_ref().take(cap).read_until(b'\n', &mut line) {
+        Ok(0) | Err(_) => return WireLine::Closed,
+        Ok(_) => {}
+    }
+    if line.last() == Some(&b'\n') {
+        line.pop();
+    } else if line.len() > MAX_REQUEST_LINE_BYTES {
+        // consume the rest, so closing the socket does not reset it with
+        // unread data before the client reads the reply
+        let _ = reader.skip_until(b'\n');
+        return WireLine::TooLong;
+    }
+    String::from_utf8(line).map_or(WireLine::Closed, WireLine::Line)
+}
+
 fn handle_connection(stream: TcpStream, scheduler: &Scheduler, stop: &Arc<AtomicBool>) {
     let Ok(read_half) = stream.try_clone() else {
         return;
     };
-    let reader = BufReader::new(read_half);
+    let mut reader = BufReader::new(read_half);
     let mut writer = stream;
-    for line in reader.lines() {
-        let Ok(line) = line else { break };
+    loop {
+        let line = match read_line_capped(&mut reader) {
+            WireLine::Line(line) => line,
+            WireLine::TooLong => {
+                // answer, then drop the connection: a peer that sends such
+                // lines is not speaking the protocol
+                let mut text = too_long_response().to_string();
+                text.push('\n');
+                let _ = writer.write_all(text.as_bytes());
+                let _ = writer.flush();
+                break;
+            }
+            WireLine::Closed => break,
+        };
         if line.trim().is_empty() {
             continue;
         }
@@ -189,6 +241,19 @@ fn handle_connection(stream: TcpStream, scheduler: &Scheduler, stop: &Arc<Atomic
             break;
         }
     }
+}
+
+fn too_long_response() -> Json {
+    Json::obj(vec![
+        ("ok", Json::Bool(false)),
+        (
+            "error",
+            Json::Str(format!(
+                "request line longer than {MAX_REQUEST_LINE_BYTES} bytes"
+            )),
+        ),
+        ("too_long", Json::Bool(true)),
+    ])
 }
 
 fn handle_request(request: &Json, scheduler: &Scheduler, stop: &Arc<AtomicBool>) -> Json {

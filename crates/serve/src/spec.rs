@@ -578,10 +578,10 @@ impl JobSpec {
 
     /// Peak state-arena bytes this job can pin at once — what the runaway
     /// watchdog's memory sentinel judges against its budget. Trajectory runs
-    /// pin up to one `2^qubits` complex state per candidate in the batch
-    /// arena (the `TrajectoryBatch` cap may split groups further, but the
-    /// sentinel prices the uncapped ask); exact paths pin the `4^qubits`
-    /// density matrix / dense unitary.
+    /// are priced at one `2^qubits` complex state per candidate (the shot
+    /// loop holds one per worker, fewer when its `QAPROX_BATCH_BYTES` cap
+    /// binds, but the sentinel prices the uncapped ask); exact paths pin
+    /// the `4^qubits` density matrix / dense unitary.
     pub fn estimated_arena_bytes(&self) -> u64 {
         let per_amp = std::mem::size_of::<qaprox_linalg::Complex64>() as u64;
         match self {

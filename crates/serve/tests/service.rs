@@ -291,3 +291,45 @@ fn shutdown_op_stops_the_accept_loop() {
     // joins promptly because the handler wakes the accept loop
     server.wait_for_shutdown();
 }
+
+#[test]
+fn oversized_and_deeply_nested_lines_get_errors_and_the_server_lives_on() {
+    use qaprox_serve::server::MAX_REQUEST_LINE_BYTES;
+    use qaprox_store::json::{parse, Json};
+    use std::io::{BufRead, BufReader, Write};
+    use std::net::TcpStream;
+
+    let server = Server::start(ServerConfig::default(), None).unwrap();
+    let addr = server.local_addr();
+    // one raw request line on a fresh connection: the parsed reply, plus
+    // the connection to read on from
+    let send = |line: &[u8]| -> (Json, BufReader<TcpStream>) {
+        let mut stream = TcpStream::connect(addr).unwrap();
+        stream
+            .set_read_timeout(Some(Duration::from_secs(30)))
+            .unwrap();
+        stream.write_all(line).unwrap();
+        stream.write_all(b"\n").unwrap();
+        let mut reader = BufReader::new(stream);
+        let mut reply = String::new();
+        reader.read_line(&mut reply).unwrap();
+        (parse(&reply).unwrap(), reader)
+    };
+
+    // one byte over the cap: a typed error, then the connection closes
+    let (reply, mut rest) = send(&vec![b' '; MAX_REQUEST_LINE_BYTES + 1]);
+    assert_eq!(reply.get_bool("ok"), Some(false));
+    assert_eq!(reply.get_bool("too_long"), Some(true), "{reply:?}");
+    assert_eq!(rest.read_line(&mut String::new()).unwrap(), 0, "not closed");
+
+    // 100k nested arrays: a parse error, not a stack overflow
+    let (reply, _) = send("[".repeat(100_000).as_bytes());
+    assert_eq!(reply.get_bool("ok"), Some(false));
+    let error = reply.get_str("error").unwrap();
+    assert!(error.contains("nesting deeper"), "{error}");
+
+    // the server still answers the next client
+    let mut client = Client::connect(&addr.to_string()).unwrap();
+    assert_eq!(client.stats().unwrap().get_bool("ok"), Some(true));
+    server.shutdown();
+}

@@ -7,7 +7,7 @@
 use crate::hardware::HardwareBackend;
 use crate::noise_model::NoiseModel;
 use crate::statevector;
-use crate::trajectory::{BatchRun, BatchStats, HealthReport, TrajectoryBackend};
+use crate::trajectory::{BatchRun, HealthReport, TrajectoryBackend};
 use qaprox_circuit::Circuit;
 use qaprox_linalg::parallel::par_map_indexed;
 use std::sync::atomic::AtomicBool;
@@ -80,8 +80,9 @@ impl Backend {
         par_map_indexed(circuits, |i, c| f(c, self.probabilities(c, i as u64)))
     }
 
-    /// Runs `circuits` as one request; row `i` uses job seed `i`, as in
-    /// [`Backend::run_batch`], and results keep input order exactly.
+    /// Runs `circuits` as one request; row `i` uses job seed
+    /// `job_seeds[i]`, and results keep input order exactly. A seed-count
+    /// mismatch is an error.
     ///
     /// Every circuit is statically validated first: a deny-lint circuit
     /// turns the whole batch into an error naming the offending index, so a
@@ -90,10 +91,16 @@ impl Backend {
     /// reported by index rather than poisoning the worker pool.
     ///
     /// Trajectory rows carry real shot-level health accounting (aborted
-    /// corrupt shots, cooperative cancellation) and the shot loop's arena
-    /// counters; exact backends never abort shots and report a default
-    /// (healthy, zero-shot) record per row and zero counters.
-    pub fn execute(&self, circuits: &[Circuit]) -> Result<BatchRun, String> {
+    /// corrupt shots, cooperative cancellation); exact backends never abort
+    /// shots and report a default (healthy, zero-shot) record per row.
+    pub fn execute(&self, circuits: &[Circuit], job_seeds: &[u64]) -> Result<BatchRun, String> {
+        if circuits.len() != job_seeds.len() {
+            return Err(format!(
+                "execute got {} circuits but {} job seeds",
+                circuits.len(),
+                job_seeds.len()
+            ));
+        }
         // Failpoint `hardware.shot`: the emulated analogue of a physical
         // backend rejecting or dropping a submitted job. `error` fails the
         // whole batch with a transient (retryable) message, `panic` emulates
@@ -104,10 +111,10 @@ impl Backend {
         for (i, c) in circuits.iter().enumerate() {
             Backend::validate(c).map_err(|e| format!("circuit {i} of {}: {e}", circuits.len()))?;
         }
-        // Trajectory: score the whole batch in one shot-batched request (a
-        // single arena reset per shot instead of one per candidate),
-        // bit-identical to the per-candidate loop below. Mixed widths, an
-        // injected `traj.batch` fault, or a mid-batch panic fall through to
+        // Trajectory: score the whole batch in one request, whose
+        // (candidate, chunk) work items share the cores, bit-identical to
+        // the per-candidate loop below. Mixed widths, an injected
+        // `traj.batch` fault, or a mid-batch panic fall through to
         // per-candidate requests rather than failing the job.
         if let Backend::Trajectory(tb) = self {
             let attempt = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
@@ -115,8 +122,7 @@ impl Backend {
                     Err(qaprox_fault::injected_error("traj.batch"))
                 });
                 let refs: Vec<&Circuit> = circuits.iter().collect();
-                let seeds: Vec<u64> = (0..circuits.len() as u64).collect();
-                tb.execute(&refs, &seeds)
+                tb.execute(&refs, job_seeds)
             }));
             if let Ok(Ok(run)) = attempt {
                 return Ok(run);
@@ -125,11 +131,10 @@ impl Backend {
         let runs: Vec<std::thread::Result<Result<BatchRun, String>>> =
             par_map_indexed(circuits, |i, c| {
                 std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| match self {
-                    Backend::Trajectory(tb) => tb.execute(&[c], &[i as u64]),
+                    Backend::Trajectory(tb) => tb.execute(&[c], &[job_seeds[i]]),
                     other => Ok(BatchRun {
-                        rows: vec![other.probabilities(c, i as u64)],
+                        rows: vec![other.probabilities(c, job_seeds[i])],
                         health: vec![HealthReport::default()],
-                        stats: BatchStats::default(),
                     }),
                 }))
             });
@@ -145,18 +150,18 @@ impl Backend {
             })??;
             out.rows.extend(run.rows);
             out.health.extend(run.health);
-            out.stats.resets += run.stats.resets;
-            out.stats.groups += run.stats.groups;
         }
         Ok(out)
     }
 
-    /// [`Backend::execute`]'s rows and health reports.
+    /// [`Backend::execute`]'s rows and health reports, row `i` seeded `i`
+    /// as in [`Backend::run_batch`].
     pub fn probabilities_batch_health(
         &self,
         circuits: &[Circuit],
     ) -> Result<(Vec<Vec<f64>>, Vec<HealthReport>), String> {
-        let run = self.execute(circuits)?;
+        let seeds: Vec<u64> = (0..circuits.len() as u64).collect();
+        let run = self.execute(circuits, &seeds)?;
         Ok((run.rows, run.health))
     }
 
@@ -266,17 +271,17 @@ mod tests {
         let tb = TrajectoryBackend::with_shots(NoiseModel::from_calibration(cal), 16);
         let backend = Backend::Trajectory(tb);
         let circuits = some_circuits(4);
-        let run = backend.execute(&circuits).unwrap();
+        let run = backend.execute(&circuits, &[0, 1, 2, 3]).unwrap();
         assert_eq!(run.rows, backend.run_batch(&circuits));
-        // one request: one arena group, one shared reset per shot
-        assert_eq!(
-            run.stats,
-            BatchStats {
-                resets: 16,
-                groups: 1
-            }
-        );
         assert!(run.health.iter().all(HealthReport::is_healthy));
+        // row i uses job seed job_seeds[i], whatever else shares the request
+        let seeds = [40, 3, 0, 7];
+        let run = backend.execute(&circuits, &seeds).unwrap();
+        for (i, c) in circuits.iter().enumerate() {
+            assert_eq!(run.rows[i], backend.probabilities(c, seeds[i]), "row {i}");
+        }
+        let err = backend.execute(&circuits, &[0, 1]).unwrap_err();
+        assert!(err.contains("4 circuits but 2 job seeds"), "{err}");
     }
 
     #[test]
@@ -289,7 +294,7 @@ mod tests {
     fn probabilities_batch_preserves_input_order() {
         let circuits = some_circuits(8);
         let backend = Backend::Ideal;
-        let batch = backend.execute(&circuits).unwrap().rows;
+        let batch = backend.execute(&circuits, &[0; 8]).unwrap().rows;
         assert_eq!(batch.len(), circuits.len());
         for (i, c) in circuits.iter().enumerate() {
             let solo = statevector::probabilities(c);
@@ -298,18 +303,18 @@ mod tests {
                 assert!((a - b).abs() < 1e-14, "row {i} out of order");
             }
         }
-        assert_eq!(backend.execute(&[]).unwrap(), BatchRun::default());
+        assert_eq!(backend.execute(&[], &[]).unwrap(), BatchRun::default());
     }
 
     #[test]
     fn probabilities_batch_names_the_offending_circuit() {
         let mut circuits = some_circuits(3);
         circuits[1].rz(f64::NAN, 0); // non-finite parameter is a deny lint
-        let err = Backend::Ideal.execute(&circuits).unwrap_err();
+        let err = Backend::Ideal.execute(&circuits, &[0, 1, 2]).unwrap_err();
         assert!(err.contains("circuit 1 of 3"), "{err}");
         assert!(err.contains("validation"), "{err}");
         // the clean prefix/suffix did not mask the failure into a partial batch
-        assert!(Backend::Ideal.execute(&circuits[..1]).is_ok());
+        assert!(Backend::Ideal.execute(&circuits[..1], &[0]).is_ok());
     }
 
     #[test]
@@ -320,7 +325,7 @@ mod tests {
         let backend = Backend::Hardware(hw);
         let circuits = some_circuits(4);
         assert_eq!(
-            backend.execute(&circuits).unwrap().rows,
+            backend.execute(&circuits, &[0, 1, 2, 3]).unwrap().rows,
             backend.run_batch(&circuits)
         );
     }

@@ -38,6 +38,6 @@ pub use noise_model::NoiseModel;
 pub use readout::ReadoutError;
 pub use sampler::{counts_to_probs, sample_counts, DEFAULT_SHOTS};
 pub use trajectory::{
-    BatchRun, BatchStats, FusedProgram, HealthReport, TrajectoryBackend, TrajectoryBatch,
+    BatchRun, FusedProgram, HealthReport, TrajectoryBackend, TrajectoryBatch,
     DEFAULT_TRAJECTORY_SHOTS, NORM_DRIFT_TOL,
 };

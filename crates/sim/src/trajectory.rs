@@ -30,9 +30,10 @@
 //!
 //! Shot-level parallelism is **bit-for-bit thread-count invariant**: shots
 //! are grouped into structural chunks (a function of circuit width only),
-//! each shot draws from its own [`SplitMix64`] stream derived from
-//! `(seed, shot index)` — never from thread identity — and chunk partials
-//! are reduced sequentially in index order.
+//! each (candidate, chunk) pair is one work item with its own state and
+//! accumulator, each shot draws from its own [`SplitMix64`] stream derived
+//! from `(seed, shot index)` — never from thread identity — and a
+//! candidate's chunk partials are reduced sequentially in index order.
 //!
 //! [`SplitMix64`]: qaprox_linalg::random::SplitMix64
 
@@ -43,10 +44,11 @@ use qaprox_linalg::kernels::{
     norm_sqr_2q,
 };
 use qaprox_linalg::matrix::Matrix;
-use qaprox_linalg::parallel::par_map_range;
+use qaprox_linalg::parallel::{par_map_range, thread_budget, with_thread_budget};
 use qaprox_linalg::random::Rng;
 use qaprox_linalg::random::SplitMix64 as StdRng;
 use qaprox_linalg::Complex64;
+use std::cmp::Reverse;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
@@ -58,10 +60,13 @@ pub const DEFAULT_TRAJECTORY_SHOTS: usize = 512;
 
 /// Structural shot-chunk size: a deterministic function of circuit width
 /// only (never of the thread count), so the floating-point reduction tree is
-/// identical for any worker pool. Wide states use one big chunk to bound the
-/// number of `2^n`-sized accumulators alive at once: beyond 20 qubits each
-/// partial is ≥ 8 MiB and memory, not parallelism, is the binding
-/// constraint (a 27q chunk needs ~3 GiB of state + accumulator).
+/// identical for any worker pool. Each chunk of each candidate is one work
+/// item of [`TrajectoryBatch::shot_average_health`], so a batch of several
+/// candidates spreads over the workers even when each fits in one chunk.
+/// Wide states use one big chunk to bound the number of `2^n`-sized
+/// accumulators alive at once: beyond 20 qubits each partial is ≥ 8 MiB and
+/// memory, not parallelism, is the binding constraint (a 27q chunk needs
+/// ~3 GiB of state + accumulator).
 fn shot_chunk(num_qubits: usize) -> usize {
     if num_qubits <= 20 {
         16
@@ -548,14 +553,6 @@ impl FusedProgram {
         debug_assert_eq!(state.len(), 1usize << self.num_qubits);
         state.fill(Complex64::ZERO);
         state[0] = Complex64::ONE;
-        self.run_ops(state, rng);
-    }
-
-    /// The ops-only inner loop of [`run_shot`](Self::run_shot): assumes
-    /// `state` is already zeroed with `state[0] = 1`. Split out so
-    /// [`TrajectoryBatch`] can share **one** arena-wide reset across all
-    /// candidates of a shot instead of one fill per candidate.
-    fn run_ops<R: Rng>(&self, state: &mut [Complex64], rng: &mut R) {
         for op in &self.ops {
             match op {
                 FusedOp::One { q, u, events } => {
@@ -874,15 +871,11 @@ impl TrajectoryBackend {
             .collect();
         let seeds = job_seeds.iter().map(|s| self.seed ^ s).collect();
         let batch = TrajectoryBatch::new(programs.iter().collect(), seeds)?;
-        let (mut rows, health, stats) = batch.shot_average_health(self.shots, self.cancel_flag());
+        let (mut rows, health) = batch.shot_average_health(self.shots, self.cancel_flag());
         for (row, prog) in rows.iter_mut().zip(&programs) {
             prog.fold_readout(row);
         }
-        Ok(BatchRun {
-            rows,
-            health,
-            stats,
-        })
+        Ok(BatchRun { rows, health })
     }
 
     /// One full "job": [`execute`](Self::execute) on a batch of one.
@@ -906,23 +899,12 @@ impl TrajectoryBackend {
 // shot-batched multi-candidate evaluation
 // ---------------------------------------------------------------------------
 
-/// Default cap (bytes) on one batch group's state arena. Candidates beyond
-/// the cap are evaluated in successive groups, so a 27q batch (2 GiB per
-/// state) degenerates gracefully to per-candidate groups while the paper's
-/// 3-16q candidate populations share one cache-friendly arena. Override
-/// with `QAPROX_BATCH_BYTES`.
-const DEFAULT_BATCH_ARENA_BYTES: usize = 256 << 20;
-
-/// Counters from one [`TrajectoryBatch::shot_average_health`] call.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct BatchStats {
-    /// Arena resets performed: `groups * shots`. With a single group this
-    /// is exactly one reset per shot, however many candidates share it.
-    pub resets: u64,
-    /// Candidate groups the arena was split into (1 unless the memory cap
-    /// forced splitting).
-    pub groups: usize,
-}
+/// Default cap (bytes) on the shot states a batch keeps live at once: one
+/// `2^n` state per worker, so the cap bounds the worker count. A 27q state
+/// is 2 GiB, so wide batches run on one worker while the paper's 3-16q
+/// candidate populations use every core. Override with
+/// `QAPROX_BATCH_BYTES`.
+const DEFAULT_BATCH_STATE_BYTES: usize = 256 << 20;
 
 /// What one trajectory request ([`TrajectoryBackend::execute`] or the
 /// executor's [`Backend::execute`](crate::Backend::execute)) returns.
@@ -932,24 +914,22 @@ pub struct BatchRun {
     pub rows: Vec<Vec<f64>>,
     /// One health report per row.
     pub health: Vec<HealthReport>,
-    /// The shot loop's arena counters (zero for exact backends).
-    pub stats: BatchStats,
 }
 
-/// Evaluates N candidate [`FusedProgram`]s in one pass per shot.
+/// Evaluates N candidate [`FusedProgram`]s in one parallel pass.
 ///
-/// Instead of running candidates one after another (one full shot loop and
-/// one state reset per candidate per shot index), the batch walks the shot
-/// range once: per shot, the whole candidate arena is zeroed with a single
-/// contiguous fill — the *shared reset* — and every candidate's trajectory
-/// then runs against its own slice of the interleaved arena.
+/// The shot range is split into structural chunks, and every (candidate,
+/// chunk) pair is an independent work item with its own state and
+/// accumulator, so a batch keeps every core busy even when each candidate
+/// fits in one chunk (a 16-shot call at 16q). Workers claim items longest
+/// program first, which keeps the last item to finish short.
 ///
 /// This is the only shot loop: a solo run is a batch of one. Results are
 /// **bit-for-bit identical** to N independent batches of one at any thread
 /// count, because each (candidate, shot) pair draws from the same
-/// [`SplitMix64`] stream it would solo (`shot_rng(seed_g, shot)`),
-/// per-candidate accumulation stays in shot order, and chunk partials
-/// reduce in index order.
+/// [`SplitMix64`] stream it would solo (`shot_rng(seed_g, shot)`), each
+/// accumulator sees its chunk's shots in index order, and a candidate's
+/// chunk partials reduce in chunk order.
 ///
 /// All candidates must share one circuit width; mixed widths are an error
 /// (the executor degrades to per-candidate evaluation for those).
@@ -993,142 +973,137 @@ impl<'a> TrajectoryBatch<'a> {
         })
     }
 
-    /// Caps the arena at `bytes` instead of `QAPROX_BATCH_BYTES` / the
-    /// default — forces deterministic group splitting (grouping changes
-    /// memory layout only, never results).
+    /// Caps the live shot states at `bytes` instead of
+    /// `QAPROX_BATCH_BYTES` / the default. A cap of one state forces a
+    /// single worker; the worker count never changes results.
     pub fn with_arena_budget(mut self, bytes: usize) -> Self {
         self.budget_override = Some(bytes);
         self
     }
 
-    /// Candidates per arena group under the memory cap (minimum 1).
-    fn group_capacity(&self) -> usize {
+    /// Workers the shot loop may use: the thread budget, capped by how many
+    /// `2^n` states fit the memory budget (minimum 1).
+    fn workers(&self) -> usize {
         let state_bytes = (1usize << self.num_qubits) * std::mem::size_of::<Complex64>();
         let budget = self.budget_override.unwrap_or_else(|| {
             std::env::var("QAPROX_BATCH_BYTES")
                 .ok()
                 .and_then(|v| v.trim().parse::<usize>().ok())
-                .unwrap_or(DEFAULT_BATCH_ARENA_BYTES)
+                .unwrap_or(DEFAULT_BATCH_STATE_BYTES)
         });
-        (budget / state_bytes.max(1)).clamp(1, self.programs.len())
+        thread_budget().min(budget / state_bytes).max(1)
     }
 
     /// Averages `shots` trajectories per candidate into outcome
     /// distributions (before readout confusion), one row and one
-    /// [`HealthReport`] per candidate in input order, plus the reset/group
-    /// counters. See the type docs for the bit-identity contract.
+    /// [`HealthReport`] per candidate in input order. See the type docs for
+    /// the bit-identity contract.
     ///
-    /// Shots are partitioned into structural chunks keyed by shot index;
-    /// each chunk reuses one arena and one accumulator per candidate. Every
-    /// finished shot is vetted before it reaches the accumulator: a
+    /// Every finished shot is vetted before it reaches the accumulator: a
     /// non-finite amplitude ([`HealthReport::nan_events`]) or a state norm
     /// drifted beyond [`NORM_DRIFT_TOL`] ([`HealthReport::norm_drift_events`])
     /// aborts that candidate's shot, so corrupt trajectories never
     /// contaminate its row. Rows are averaged over each candidate's
     /// clean-shot count, which equals `shots` on a healthy run.
     ///
-    /// `cancel` is checked once per shot: once it reads `true` the remaining
-    /// shots are skipped, [`HealthReport::cancelled`] is set, and the
-    /// (partial) rows should be discarded by the caller.
+    /// `cancel` is checked once per candidate-shot: once it reads `true` the
+    /// remaining shots are skipped, [`HealthReport::cancelled`] is set, and
+    /// the (partial) rows should be discarded by the caller.
     ///
-    /// Failpoint `traj.shot` evaluates once per shot per group (sleep
+    /// Failpoint `traj.shot` evaluates once per candidate-shot (sleep
     /// actions emulate a stalled kernel; the serve watchdog quarantines jobs
     /// stuck here).
     pub fn shot_average_health(
         &self,
         shots: usize,
         cancel: Option<&AtomicBool>,
-    ) -> (Vec<Vec<f64>>, Vec<HealthReport>, BatchStats) {
-        let dim = 1usize << self.num_qubits;
+    ) -> (Vec<Vec<f64>>, Vec<HealthReport>) {
         let n_cand = self.programs.len();
         if shots == 0 {
+            let dim = 1usize << self.num_qubits;
             return (
                 vec![vec![0.0; dim]; n_cand],
                 vec![HealthReport::default(); n_cand],
-                BatchStats::default(),
             );
         }
-        let cap = self.group_capacity();
         let chunk = shot_chunk(self.num_qubits);
         let chunks = shots.div_ceil(chunk);
-        let mut rows: Vec<Vec<f64>> = Vec::with_capacity(n_cand);
-        let mut reports: Vec<HealthReport> = Vec::with_capacity(n_cand);
-        let mut groups = 0usize;
-        let mut resets = 0u64;
-        let mut g0 = 0usize;
-        while g0 < n_cand {
-            let g1 = (g0 + cap).min(n_cand);
-            let group = &self.programs[g0..g1];
-            let group_seeds = &self.seeds[g0..g1];
-            let glen = group.len();
-            // Per chunk: one interleaved arena, one accumulator per
-            // candidate. Each shot zeroes the arena once (the shared
-            // reset), then every candidate runs from its own slice.
-            let partials: Vec<(Vec<Vec<f64>>, Vec<HealthReport>)> = par_map_range(chunks, |c| {
-                let lo = c * chunk;
-                let hi = (lo + chunk).min(shots);
-                let mut arena = vec![Complex64::ZERO; glen * dim];
-                let mut accs = vec![vec![0.0f64; dim]; glen];
-                let mut healths = vec![HealthReport::default(); glen];
-                for shot in lo..hi {
-                    if cancel.is_some_and(|f| f.load(Ordering::Relaxed)) {
-                        for h in healths.iter_mut() {
-                            h.cancelled = true;
-                        }
-                        break;
-                    }
-                    qaprox_fault::fail_point!("traj.shot");
-                    arena.fill(Complex64::ZERO);
-                    for (g, prog) in group.iter().enumerate() {
-                        let state = &mut arena[g * dim..(g + 1) * dim];
-                        state[0] = Complex64::ONE;
-                        let mut rng = shot_rng(group_seeds[g], shot as u64);
-                        prog.run_ops(state, &mut rng);
-                        inject_shot_corruption(state);
-                        match shot_verdict(state) {
-                            ShotVerdict::Clean => {
-                                healths[g].clean_shots += 1;
-                                for (a, z) in accs[g].iter_mut().zip(state.iter()) {
-                                    *a += z.norm_sqr();
-                                }
-                            }
-                            ShotVerdict::Nan => {
-                                healths[g].aborted_shots += 1;
-                                healths[g].nan_events += 1;
-                            }
-                            ShotVerdict::Drift => {
-                                healths[g].aborted_shots += 1;
-                                healths[g].norm_drift_events += 1;
-                            }
-                        }
-                    }
+        // item `k` is candidate `k / chunks`, chunk `k % chunks`; claim the
+        // longest programs first, ties in (candidate, chunk) order
+        let mut order: Vec<usize> = (0..n_cand * chunks).collect();
+        order.sort_by_key(|&k| (Reverse(self.programs[k / chunks].len()), k));
+        let partials = with_thread_budget(self.workers(), || {
+            par_map_range(order.len(), |i| {
+                let k = order[i];
+                let lo = (k % chunks) * chunk;
+                self.run_chunk(k / chunks, lo..(lo + chunk).min(shots), cancel)
+            })
+        });
+        let mut partials: Vec<_> = order.into_iter().zip(partials).collect();
+        partials.sort_unstable_by_key(|&(k, _)| k);
+        let mut partials = partials.into_iter().map(|(_, partial)| partial);
+        // a candidate's chunk partials reduce in chunk order; the first one
+        // becomes the row itself (`0.0 + x == x` for the non-negative sums)
+        let mut rows = Vec::with_capacity(n_cand);
+        let mut reports = Vec::with_capacity(n_cand);
+        for _ in 0..n_cand {
+            let (mut probs, mut health) = partials.next().expect("one item per chunk");
+            for (p, h) in partials.by_ref().take(chunks - 1) {
+                for (dst, &x) in probs.iter_mut().zip(&p) {
+                    *dst += x;
                 }
-                (accs, healths)
-            });
-            // chunk partials reduce in index order
-            for g in 0..glen {
-                let mut probs = vec![0.0f64; dim];
-                let mut health = HealthReport::default();
-                for (p, h) in &partials {
-                    for (dst, &x) in probs.iter_mut().zip(&p[g]) {
-                        *dst += x;
-                    }
-                    health.merge(&h[g]);
-                }
-                if health.clean_shots > 0 {
-                    let inv = 1.0 / health.clean_shots as f64;
-                    for x in probs.iter_mut() {
-                        *x *= inv;
-                    }
-                }
-                rows.push(probs);
-                reports.push(health);
+                health.merge(&h);
             }
-            groups += 1;
-            resets += shots as u64;
-            g0 = g1;
+            if health.clean_shots > 0 {
+                let inv = 1.0 / health.clean_shots as f64;
+                for x in probs.iter_mut() {
+                    *x *= inv;
+                }
+            }
+            rows.push(probs);
+            reports.push(health);
         }
-        (rows, reports, BatchStats { resets, groups })
+        (rows, reports)
+    }
+
+    /// One work item: candidate `g`'s `shots`, in index order, in a state
+    /// of their own, summed into a fresh accumulator.
+    fn run_chunk(
+        &self,
+        g: usize,
+        shots: std::ops::Range<usize>,
+        cancel: Option<&AtomicBool>,
+    ) -> (Vec<f64>, HealthReport) {
+        let dim = 1usize << self.num_qubits;
+        let mut state = vec![Complex64::ZERO; dim];
+        let mut acc = vec![0.0f64; dim];
+        let mut health = HealthReport::default();
+        for shot in shots {
+            if cancel.is_some_and(|f| f.load(Ordering::Relaxed)) {
+                health.cancelled = true;
+                break;
+            }
+            qaprox_fault::fail_point!("traj.shot");
+            self.programs[g].run_shot(&mut state, &mut shot_rng(self.seeds[g], shot as u64));
+            inject_shot_corruption(&mut state);
+            match shot_verdict(&state) {
+                ShotVerdict::Clean => {
+                    health.clean_shots += 1;
+                    for (a, z) in acc.iter_mut().zip(&state) {
+                        *a += z.norm_sqr();
+                    }
+                }
+                ShotVerdict::Nan => {
+                    health.aborted_shots += 1;
+                    health.nan_events += 1;
+                }
+                ShotVerdict::Drift => {
+                    health.aborted_shots += 1;
+                    health.norm_drift_events += 1;
+                }
+            }
+        }
+        (acc, health)
     }
 }
 
@@ -1552,12 +1527,7 @@ mod tests {
         let seeds: Vec<u64> = (0..4u64).map(|i| 0xB00 ^ i).collect();
         let shots = 70; // uneven chunk split: 5 structural chunks of 16
         let batch = TrajectoryBatch::new(programs.iter().collect(), seeds.clone()).unwrap();
-        let (rows, _health, stats) = batch.shot_average_health(shots, None);
-        assert_eq!(stats.groups, 1, "4 small candidates share one arena");
-        assert_eq!(
-            stats.resets, shots as u64,
-            "one shared reset per shot, not one per candidate"
-        );
+        let (rows, _health) = batch.shot_average_health(shots, None);
         for (g, prog) in programs.iter().enumerate() {
             let solo = solo_average(prog, shots, seeds[g]);
             assert_eq!(rows[g], solo, "candidate {g} drifted from its solo run");
@@ -1565,40 +1535,53 @@ mod tests {
     }
 
     #[test]
-    fn batch_group_splitting_preserves_results() {
-        // cap the arena at exactly one 3q state: every candidate lands in
-        // its own group, and the rows must not change by a single bit
-        let cal = ourense().induced(&[0, 1, 2]);
+    fn batch_work_items_match_solo_runs() {
+        // candidates of unequal fused length, so the longest-first claim
+        // order differs from input order, and 70 shots, so every candidate
+        // spans 5 chunks: rows and health must equal batches of one at any
+        // thread budget and under a one-state cap (a single worker)
+        use qaprox_linalg::parallel::with_thread_budget;
+        let cal = ourense().induced(&[0, 1, 2]).with_uniform_cx_error(0.05);
         let model = NoiseModel::from_calibration(cal);
-        let circuits = candidate_circuits(3);
+        let mut circuits = candidate_circuits(3);
+        circuits[1].cx(0, 1).rx(0.4, 0).cx(1, 2).ry(0.2, 2);
+        circuits[2].cx(0, 1);
         let programs: Vec<FusedProgram> = circuits
             .iter()
             .map(|c| FusedProgram::compile(c, &model))
             .collect();
+        let lens: Vec<usize> = programs.iter().map(FusedProgram::len).collect();
+        assert!(lens[1] > lens[2] && lens[2] > lens[0], "lengths {lens:?}");
         let seeds = vec![7u64, 8, 9];
-        let shots = 40;
-        let shared = TrajectoryBatch::new(programs.iter().collect(), seeds.clone())
-            .unwrap()
-            .shot_average_health(shots, None);
-        let split = TrajectoryBatch::new(programs.iter().collect(), seeds)
-            .unwrap()
-            .with_arena_budget((1 << 3) * std::mem::size_of::<Complex64>())
-            .shot_average_health(shots, None);
-        assert_eq!(
-            shared.2,
-            BatchStats {
-                resets: shots as u64,
-                groups: 1
+        let shots = 70;
+        let solo: Vec<(Vec<f64>, HealthReport)> = programs
+            .iter()
+            .zip(&seeds)
+            .map(|(p, &seed)| {
+                let (mut rows, mut health) = TrajectoryBatch::new(vec![p], vec![seed])
+                    .unwrap()
+                    .shot_average_health(shots, None);
+                (rows.remove(0), health.remove(0))
+            })
+            .collect();
+        let one_state = (1 << 3) * std::mem::size_of::<Complex64>();
+        for threads in [1usize, 2, 8] {
+            for cap in [None, Some(one_state)] {
+                let (rows, health) = with_thread_budget(threads, || {
+                    let batch =
+                        TrajectoryBatch::new(programs.iter().collect(), seeds.clone()).unwrap();
+                    match cap {
+                        Some(bytes) => batch.with_arena_budget(bytes),
+                        None => batch,
+                    }
+                    .shot_average_health(shots, None)
+                });
+                for (g, (row, h)) in solo.iter().enumerate() {
+                    assert_eq!(&rows[g], row, "row {g} at {threads} threads, cap {cap:?}");
+                    assert_eq!(&health[g], h, "health {g} at {threads} threads");
+                }
             }
-        );
-        assert_eq!(
-            split.2,
-            BatchStats {
-                resets: 3 * shots as u64,
-                groups: 3
-            }
-        );
-        assert_eq!(shared.0, split.0, "grouping must never change results");
+        }
     }
 
     #[test]
@@ -1702,13 +1685,6 @@ mod tests {
             }
         );
         assert!(health.is_healthy());
-        assert_eq!(
-            run.stats,
-            BatchStats {
-                resets: 32,
-                groups: 1
-            }
-        );
         // a solo job is exactly this batch of one
         assert_eq!(run.rows[0], tb.probabilities(&c, 7));
     }

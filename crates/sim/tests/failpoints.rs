@@ -14,7 +14,8 @@
 use qaprox_circuit::Circuit;
 use qaprox_device::devices::ourense;
 use qaprox_fault::Scenario;
-use qaprox_sim::{Backend, BatchStats, NoiseModel, TrajectoryBackend};
+use qaprox_linalg::parallel::with_thread_budget;
+use qaprox_sim::{Backend, NoiseModel, TrajectoryBackend};
 
 fn bell() -> Circuit {
     let mut c = Circuit::new(2);
@@ -88,18 +89,26 @@ fn batch_health_isolates_the_corrupt_candidate() {
         .collect();
     let refs: Vec<&Circuit> = circuits.iter().collect();
     let clean = tb.probabilities_batch(&circuits).unwrap();
-    // the batch walks candidates per shot, so eval #1 is (shot 0,
-    // candidate 1): exactly one candidate takes the NaN hit
+    // one worker claims the (candidate, chunk) items in a fixed order, so
+    // eval #1 is deterministic: exactly one candidate takes the NaN hit
     scenario.rearm("traj.corrupt=after:1->torn");
-    let run = tb.execute(&refs, &[0, 1, 2]).unwrap();
+    let run = with_thread_budget(1, || tb.execute(&refs, &[0, 1, 2]).unwrap());
     assert_eq!(run.health.len(), 3);
-    assert_eq!(run.health[1].nan_events, 1);
-    assert_eq!(run.health[1].clean_shots, 7);
-    assert!(run.health[0].is_healthy() && run.health[2].is_healthy());
+    let hit: Vec<usize> = (0..3).filter(|&i| !run.health[i].is_healthy()).collect();
+    assert_eq!(
+        hit.len(),
+        1,
+        "one candidate takes the hit: {:?}",
+        run.health
+    );
+    let hit = hit[0];
+    assert_eq!(run.health[hit].nan_events, 1);
+    assert_eq!(run.health[hit].clean_shots, 7);
+    assert!(run.rows[hit].iter().all(|p| p.is_finite()));
     // untouched candidates stay bit-identical to the clean batch
-    assert_eq!(run.rows[0], clean[0]);
-    assert_eq!(run.rows[2], clean[2]);
-    assert!(run.rows[1].iter().all(|p| p.is_finite()));
+    for i in (0..3).filter(|&i| i != hit) {
+        assert_eq!(run.rows[i], clean[i], "sibling {i} moved");
+    }
 }
 
 #[test]
@@ -109,19 +118,12 @@ fn traj_shot_failpoint_evaluates_per_shot() {
     let before = qaprox_fault::evals("traj.shot");
     tb.probabilities(&bell(), 0);
     assert_eq!(qaprox_fault::evals("traj.shot"), before + 8);
-    // a batch sharing one arena group evaluates it once per shot, not once
-    // per candidate
+    // a batch evaluates it once per candidate-shot: every (candidate,
+    // chunk) work item runs its own shots
     let backend = trajectory_3q(8);
     let before = qaprox_fault::evals("traj.shot");
-    let run = backend.execute(&some_circuits(3)).unwrap();
-    assert_eq!(
-        run.stats,
-        BatchStats {
-            resets: 8,
-            groups: 1
-        }
-    );
-    assert_eq!(qaprox_fault::evals("traj.shot"), before + 8);
+    backend.execute(&some_circuits(3), &[0, 1, 2]).unwrap();
+    assert_eq!(qaprox_fault::evals("traj.shot"), before + 24);
 }
 
 #[test]
@@ -129,10 +131,10 @@ fn injected_shot_fault_fails_the_batch_transiently() {
     let _scenario = Scenario::setup("hardware.shot=after:0");
     let backend = Backend::Ideal;
     let circuits = some_circuits(2);
-    let err = backend.execute(&circuits).unwrap_err();
+    let err = backend.execute(&circuits, &[0, 1]).unwrap_err();
     assert!(qaprox_fault::is_transient(&err), "{err}");
     // after:N disarms once fired: the retry succeeds
-    assert_eq!(backend.execute(&circuits).unwrap().rows.len(), 2);
+    assert_eq!(backend.execute(&circuits, &[0, 1]).unwrap().rows.len(), 2);
 }
 
 #[test]
@@ -144,19 +146,11 @@ fn injected_batch_fault_degrades_to_per_candidate() {
     let scenario = Scenario::setup("");
     let backend = trajectory_3q(16);
     let circuits = some_circuits(3);
-    let clean = backend.execute(&circuits).unwrap();
+    let clean = backend.execute(&circuits, &[0, 1, 2]).unwrap();
     scenario.rearm("traj.batch=always");
-    let degraded = backend.execute(&circuits).unwrap();
+    let degraded = backend.execute(&circuits, &[0, 1, 2]).unwrap();
     assert_eq!(clean.rows, degraded.rows, "degraded rows must match");
     assert_eq!(clean.health, degraded.health);
-    // three batches of one: one group and one reset per shot each
-    assert_eq!(
-        degraded.stats,
-        BatchStats {
-            resets: 3 * 16,
-            groups: 3
-        }
-    );
 }
 
 #[test]
@@ -167,11 +161,11 @@ fn traj_batch_is_evaluated_only_by_the_batched_attempt() {
     // solo calls never reach the batched attempt
     backend.probabilities(&circuits[0], 0);
     assert_eq!(qaprox_fault::evals("traj.batch"), 0);
-    backend.execute(&circuits).unwrap();
+    backend.execute(&circuits, &[0, 1, 2]).unwrap();
     assert_eq!(qaprox_fault::evals("traj.batch"), 1);
     // a fired fault degrades to per-candidate requests, which do not
     // evaluate it again
     scenario.rearm("traj.batch=always");
-    backend.execute(&circuits).unwrap();
+    backend.execute(&circuits, &[0, 1, 2]).unwrap();
     assert_eq!(qaprox_fault::evals("traj.batch"), 1);
 }

@@ -19,7 +19,7 @@ use qaprox_device::devices::ourense;
 use qaprox_linalg::hashing::Hash128;
 use qaprox_linalg::parallel::with_thread_budget;
 use qaprox_sim::{
-    Backend, BatchStats, FusedProgram, HealthReport, NoiseModel, TrajectoryBackend, TrajectoryBatch,
+    Backend, FusedProgram, HealthReport, NoiseModel, TrajectoryBackend, TrajectoryBatch,
 };
 
 const SHOTS: usize = 70;
@@ -126,7 +126,7 @@ fn index_seeded_batch_is_pinned() {
 }
 
 /// A batch whose candidates all share one seed, straight through the shot
-/// loop (rows before readout confusion, plus the batch counters).
+/// loop (rows before readout confusion).
 #[test]
 fn shared_seed_batch_is_pinned() {
     let model = model();
@@ -137,14 +137,7 @@ fn shared_seed_batch_is_pinned() {
         .collect();
     assert_pinned("shared-seed batch", SHARED_SEED_BATCH_DIGEST, || {
         let batch = TrajectoryBatch::new(programs.iter().collect(), vec![0x5EED; 4]).unwrap();
-        let (rows, health, stats) = batch.shot_average_health(SHOTS, None);
-        assert_eq!(
-            stats,
-            BatchStats {
-                resets: SHOTS as u64,
-                groups: 1
-            }
-        );
+        let (rows, health) = batch.shot_average_health(SHOTS, None);
         let mut h = Hash128::new();
         hash_rows(&mut h, &rows);
         hash_health(&mut h, &health);

@@ -194,12 +194,19 @@ impl std::fmt::Display for JsonError {
 
 impl std::error::Error for JsonError {}
 
+/// Deepest array/object nesting [`parse`] accepts. The parser recurses once
+/// per level, so without a cap a line of `[[[[…` overflows the stack and
+/// aborts the process; the workspace's own documents nest a handful of
+/// levels deep.
+pub const MAX_DEPTH: usize = 128;
+
 /// Parses one JSON value from `text` (trailing whitespace allowed, trailing
-/// garbage rejected).
+/// garbage rejected, nesting capped at [`MAX_DEPTH`]).
 pub fn parse(text: &str) -> Result<Json, JsonError> {
     let mut p = Parser {
         bytes: text.as_bytes(),
         pos: 0,
+        depth: 0,
     };
     p.skip_ws();
     let v = p.value()?;
@@ -213,6 +220,8 @@ pub fn parse(text: &str) -> Result<Json, JsonError> {
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects currently open.
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -253,8 +262,19 @@ impl<'a> Parser<'a> {
 
     fn value(&mut self) -> Result<Json, JsonError> {
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(open @ (b'{' | b'[')) => {
+                if self.depth == MAX_DEPTH {
+                    return Err(self.err(format!("nesting deeper than {MAX_DEPTH} levels")));
+                }
+                self.depth += 1;
+                let v = if open == b'{' {
+                    self.object()
+                } else {
+                    self.array()
+                };
+                self.depth -= 1;
+                v
+            }
             Some(b'"') => Ok(Json::Str(self.string()?)),
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
@@ -496,6 +516,23 @@ mod tests {
             "\"\\q\"",
         ] {
             assert!(parse(bad).is_err(), "should reject {bad:?}");
+        }
+    }
+
+    #[test]
+    fn nesting_is_capped_before_the_stack_overflows() {
+        let nest = |open: &str, close: &str, levels: usize| {
+            format!("{}1{}", open.repeat(levels), close.repeat(levels))
+        };
+        assert!(parse(&nest("[", "]", MAX_DEPTH)).is_ok());
+        assert!(parse(&nest("{\"a\":", "}", MAX_DEPTH)).is_ok());
+        for deep in [
+            nest("[", "]", MAX_DEPTH + 1),
+            nest("{\"a\":", "}", MAX_DEPTH + 1),
+            "[".repeat(100_000),
+        ] {
+            let err = parse(&deep).unwrap_err();
+            assert!(err.message.contains("nesting deeper"), "{err}");
         }
     }
 

@@ -4,9 +4,9 @@
 # the backend exists for — a noisy 27-qubit TFIM on the Toronto heavy-hex
 # (a density matrix at that width would need 4^27 entries; one trajectory
 # shot is a single 2^27 statevector, ~2 GiB transient, minutes of CPU).
-# The wide run uses --steps 3 so the job scores >= 2 candidate truncations
-# in one trajectory request (TrajectoryBatch: one shared arena reset per
-# shot across all candidates) next to the reference's request of one.
+# The wide run uses --steps 3 so the job scores the reference and >= 2
+# candidate truncations in one trajectory request (TrajectoryBatch: one
+# work item per circuit and shot chunk).
 # Used by CI (trajectory-smoke job); runnable locally after
 # `cargo build --release -p qaprox-cli`.
 set -euo pipefail
