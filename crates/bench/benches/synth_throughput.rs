@@ -10,21 +10,18 @@
 //! host's physical cores — the snapshot records the host core count in a
 //! comment so flat curves on small machines read as what they are.
 //!
-//! Satellite note (allocation behavior this PR changed):
-//! * `DensityMatrix::apply_kraus_{1q,2q}` previously cloned the full `rho`
-//!   once per Kraus operator (4 clones per depolarizing channel, 32x32
-//!   complex each at 5 qubits); they now fill a single scratch accumulator
-//!   via `accum_conj_{1q,2q}` — exactly one allocation per channel
-//!   application.
-//! * `HsObjective` evaluations now reuse a thread-local
-//!   `InstantiateWorkspace` (prefix/suffix product chains) — zero heap
-//!   allocation per objective evaluation after warmup.
+//! The `hs_eval_{3,4}q/blocks={4,6}` rows time one `HsObjective::eval_into`
+//! (objective plus analytic gradient, the call every L-BFGS step makes) on
+//! a fixed ladder structure against a Haar target, in ns per evaluation.
+//! They run in quick mode too and record the selected kernel table, since
+//! the evaluation runs through it.
 
-use qaprox_bench::timing::header;
+use qaprox_bench::timing::{bench, header};
 use qaprox_device::Topology;
 use qaprox_linalg::parallel::with_thread_budget;
-use qaprox_linalg::random::{haar_unitary, SplitMix64};
-use qaprox_synth::{qsearch, QSearchConfig};
+use qaprox_linalg::random::{haar_unitary, Rng, SplitMix64};
+use qaprox_opt::GradObjective;
+use qaprox_synth::{qsearch, HsObjective, QSearchConfig, Structure};
 use std::time::Instant;
 
 fn main() {
@@ -35,6 +32,16 @@ fn main() {
         .map(|n| n.get())
         .unwrap_or(1);
     println!("# host_cores={host_cores} (thread scaling is bounded by this)");
+    println!(
+        "# kernel={} (runtime dispatch; QAPROX_SIMD=0 forces scalar)",
+        qaprox_linalg::selected_kernel()
+    );
+
+    for n in [3usize, 4] {
+        for blocks in [4usize, 6] {
+            hs_eval(n, blocks);
+        }
+    }
 
     let sizes: &[usize] = if quick { &[3] } else { &[3, 4] };
     let threads: &[usize] = if quick { &[1, 2] } else { &[1, 2, 4, 8] };
@@ -84,4 +91,24 @@ fn main() {
             out.stats.memo_hits, out.stats.memo_misses
         );
     }
+}
+
+/// ns per objective+gradient evaluation on an `n`-qubit ladder of `blocks`
+/// CX blocks (`(0,1), (1,2), ...` wrapping along the chain).
+fn hs_eval(n: usize, blocks: usize) {
+    let mut rng = SplitMix64::seed_from_u64(0x45 + n as u64);
+    let target = haar_unitary(1 << n, &mut rng);
+    let mut s = Structure::root(n);
+    for b in 0..blocks {
+        let c = b % (n - 1);
+        s = s.extended(c, c + 1);
+    }
+    let obj = HsObjective::new(&s, &target);
+    let x: Vec<f64> = (0..s.num_params())
+        .map(|_| rng.gen_range(-3.2..3.2))
+        .collect();
+    let mut g = vec![0.0; x.len()];
+    bench(&format!("hs_eval_{n}q/blocks={blocks}"), || {
+        obj.eval_into(&x, &mut g)
+    });
 }
