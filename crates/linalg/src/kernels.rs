@@ -352,8 +352,18 @@ pub fn apply_2q_mat_left(mat: &mut Matrix, a: usize, b: usize, u: &[Complex64; 1
 
 /// Right-multiplies a matrix by the adjoint of an embedded one-qubit gate:
 /// `M <- M * U_embed^dagger`. Combined with [`apply_1q_mat_left`] this gives
-/// the density-matrix conjugation `rho <- U rho U^dagger`.
+/// the density-matrix conjugation `rho <- U rho U^dagger`; it is also the
+/// suffix-chain update of the instantiation objective.
+///
+/// Dispatched like [`apply_1q_vec_blocked`], with
+/// [`apply_1q_mat_right_dag_scalar`] as the portable fallback; each entry is
+/// written independently, so the two are bit-identical.
 pub fn apply_1q_mat_right_dag(mat: &mut Matrix, q: usize, u: &[Complex64; 4]) {
+    (crate::simd::kernel_dispatch().apply_1q_mat_right_dag)(mat, q, u)
+}
+
+/// Portable [`apply_1q_mat_right_dag`] implementation.
+pub fn apply_1q_mat_right_dag_scalar(mat: &mut Matrix, q: usize, u: &[Complex64; 4]) {
     let rows = mat.rows();
     let cols = mat.cols();
     debug_assert!(cols.is_power_of_two());
@@ -409,7 +419,16 @@ pub fn apply_2q_mat_right_dag(mat: &mut Matrix, a: usize, b: usize, u: &[Complex
 /// leaving `src` untouched. Shapes must match. Used by the allocation-free
 /// instantiation workspace, where prefix products must stay readable while
 /// the next product is formed.
+///
+/// Dispatched like [`apply_1q_vec_blocked`], with
+/// [`apply_1q_mat_left_into_scalar`] as the portable fallback; each entry is
+/// written independently, so the two are bit-identical.
 pub fn apply_1q_mat_left_into(dst: &mut Matrix, src: &Matrix, q: usize, u: &[Complex64; 4]) {
+    (crate::simd::kernel_dispatch().apply_1q_mat_left_into)(dst, src, q, u)
+}
+
+/// Portable [`apply_1q_mat_left_into`] implementation.
+pub fn apply_1q_mat_left_into_scalar(dst: &mut Matrix, src: &Matrix, q: usize, u: &[Complex64; 4]) {
     let rows = src.rows();
     let cols = src.cols();
     debug_assert_eq!((dst.rows(), dst.cols()), (rows, cols));
@@ -426,6 +445,64 @@ pub fn apply_1q_mat_left_into(dst: &mut Matrix, src: &Matrix, q: usize, u: &[Com
             d[r1 + j] = a * u[2] + b * u[3];
         }
     }
+}
+
+/// The three U3 gradient traces `Tr(L * dG_embed * A)` of one instantiation
+/// gate on qubit `q`, for `dg = [dG/dtheta, dG/dphi, dG/dlambda]` (row-major
+/// 2x2 each), in one pass over `(i, j)` with no scratch matrix.
+///
+/// Entry `(j, i)` of `dG_embed * A` is formed on the fly with the expression
+/// [`apply_1q_mat_left_into`] uses and folded with `L[i, j]` into that
+/// partial's accumulator by [`Complex64::mul_add`], in i-then-j order, as a
+/// scratch-then-trace pass does. The U3 partials' structural zeros are
+/// skipped, and their entries are never read: `dG/dphi`'s first row is zero,
+/// so it adds nothing at `j` with bit `q` clear, and `dG/dlambda`'s first
+/// column is zero, so each of its entries is a single product. Dropping
+/// those terms is exact for finite values: every accumulator starts at
+/// `+0.0`, so it never holds `-0.0`, and adding a product that is zero
+/// leaves it unchanged.
+///
+/// Dispatched like [`apply_1q_vec_blocked`], with
+/// [`u3_partial_traces_scalar`] as the portable fallback. The vector kernel
+/// forms the products across lanes but keeps each accumulator's chain in
+/// this order, so the two are bit-identical.
+pub fn u3_partial_traces(
+    l: &Matrix,
+    a: &Matrix,
+    q: usize,
+    dg: &[[Complex64; 4]; 3],
+) -> [Complex64; 3] {
+    (crate::simd::kernel_dispatch().u3_partial_traces)(l, a, q, dg)
+}
+
+/// Portable [`u3_partial_traces`] implementation.
+pub fn u3_partial_traces_scalar(
+    l: &Matrix,
+    a: &Matrix,
+    q: usize,
+    dg: &[[Complex64; 4]; 3],
+) -> [Complex64; 3] {
+    let n = l.rows();
+    debug_assert_eq!((l.cols(), a.rows(), a.cols()), (n, n, n));
+    let mask = 1usize << q;
+    let [dt, dp, dl] = dg;
+    let (mut at, mut ap, mut al) = (Complex64::ZERO, Complex64::ZERO, Complex64::ZERO);
+    for i in 0..n {
+        for j in 0..n {
+            let lij = l[(i, j)];
+            if j & mask == 0 {
+                let (x, y) = (a[(j, i)], a[(j | mask, i)]);
+                at = at.mul_add(lij, x * dt[0] + y * dt[1]);
+                al = al.mul_add(lij, y * dl[1]);
+            } else {
+                let (x, y) = (a[(j ^ mask, i)], a[(j, i)]);
+                at = at.mul_add(lij, x * dt[2] + y * dt[3]);
+                ap = ap.mul_add(lij, x * dp[2] + y * dp[3]);
+                al = al.mul_add(lij, y * dl[3]);
+            }
+        }
+    }
+    [at, ap, al]
 }
 
 /// Accumulates the conjugation of `src` by an embedded one-qubit gate:

@@ -1,14 +1,21 @@
-//! Runtime-dispatched SIMD amplitude kernels.
+//! Runtime-dispatched SIMD kernels.
 //!
-//! The trajectory and statevector hot loops spend nearly all their time in
-//! four kernels: the blocked 1q/2q gate applications and their read-only
-//! `||K psi||^2` norm sweeps. This module provides hand-vectorized AVX2
-//! implementations of those four, selected **once per process** into a
-//! [`KernelDispatch`] table:
+//! Two hot paths run through one [`KernelDispatch`] table of hand-vectorized
+//! AVX2 kernels, selected **once per process**:
+//!
+//! * the trajectory and statevector shot loops: the blocked 1q/2q gate
+//!   applications, their read-only `||K psi||^2` norm sweeps and the
+//!   renormalization scale;
+//! * the Hilbert-Schmidt instantiation objective: the prefix-chain update
+//!   `U_embed * A`, the suffix-chain update `M * U_embed^dagger` (which the
+//!   density-matrix simulator and QFactor share) and the fused pass that
+//!   forms one U3's three gradient traces.
+//!
+//! Selection:
 //!
 //! * detection is at runtime via `is_x86_feature_detected!("avx2")` (and
 //!   `"fma"`), so a portable build runs everywhere and non-AVX2 hosts fall
-//!   back to the scalar blocked kernels automatically;
+//!   back to the scalar kernels automatically;
 //! * `QAPROX_SIMD=0` forces the scalar path (paired benchmarking, debugging);
 //! * zero external dependencies — everything is `std::arch`.
 //!
@@ -28,20 +35,26 @@
 //! * the norm sweeps accumulate into **four structural lanes** with a fixed
 //!   final reduction tree `(acc0 + acc2) + (acc1 + acc3)`; the scalar
 //!   [`kernels::norm_sqr_1q_scalar`]/[`kernels::norm_sqr_2q_scalar`] use the
-//!   identical lane structure, so the sums associate identically.
+//!   identical lane structure, so the sums associate identically;
+//! * the U3 gradient traces run their products across lanes but never a
+//!   sum: each trace keeps one accumulator whose chain of `mul_add` steps is
+//!   the scalar [`kernels::u3_partial_traces_scalar`]'s, term for term and
+//!   in the same order, with two of the three accumulators side by side in
+//!   one register.
 //!
 //! The property suite in `tests/simd_kernels.rs` pins the contract across
 //! all qubit positions and block boundaries.
 
 use crate::complex::Complex64;
 use crate::kernels;
+use crate::matrix::Matrix;
 use std::sync::OnceLock;
 
-/// The four hot amplitude kernels behind one function-pointer table.
+/// The hot shot-loop and instantiation kernels behind one function-pointer
+/// table.
 ///
 /// Resolved once per process by [`kernel_dispatch`]; the public kernels in
-/// [`crate::kernels`] (`apply_1q_vec_blocked`, `apply_2q_vec_blocked`,
-/// `norm_sqr_1q`, `norm_sqr_2q`) route through the selected entries.
+/// [`crate::kernels`] of the same names route through the selected entries.
 pub struct KernelDispatch {
     /// Implementation name: `"simd"` (AVX2) or `"scalar"`. Recorded by the
     /// throughput benches so published numbers say which path they measured.
@@ -57,7 +70,17 @@ pub struct KernelDispatch {
     /// Elementwise scale of every amplitude by a real factor (the
     /// renormalization sweep after a stochastic Kraus selection).
     pub scale: fn(&mut [Complex64], f64),
+    /// Out-of-place `dst <- U_embed * src` (instantiation prefix chain).
+    pub apply_1q_mat_left_into: fn(&mut Matrix, &Matrix, usize, &[Complex64; 4]),
+    /// In-place `M <- M * U_embed^dagger` (instantiation suffix chain).
+    pub apply_1q_mat_right_dag: fn(&mut Matrix, usize, &[Complex64; 4]),
+    /// One U3's three gradient traces `Tr(L * dG_embed * A)`.
+    pub u3_partial_traces: U3PartialTracesFn,
 }
+
+/// Signature of [`KernelDispatch::u3_partial_traces`]: `(L, A, qubit,
+/// [dG/dtheta, dG/dphi, dG/dlambda])`.
+pub type U3PartialTracesFn = fn(&Matrix, &Matrix, usize, &[[Complex64; 4]; 3]) -> [Complex64; 3];
 
 static SCALAR: KernelDispatch = KernelDispatch {
     name: "scalar",
@@ -66,6 +89,9 @@ static SCALAR: KernelDispatch = KernelDispatch {
     norm_sqr_1q: kernels::norm_sqr_1q_scalar,
     norm_sqr_2q: kernels::norm_sqr_2q_scalar,
     scale: kernels::scale_scalar,
+    apply_1q_mat_left_into: kernels::apply_1q_mat_left_into_scalar,
+    apply_1q_mat_right_dag: kernels::apply_1q_mat_right_dag_scalar,
+    u3_partial_traces: kernels::u3_partial_traces_scalar,
 };
 
 #[cfg(target_arch = "x86_64")]
@@ -76,7 +102,29 @@ static SIMD: KernelDispatch = KernelDispatch {
     norm_sqr_1q: avx2::norm_sqr_1q,
     norm_sqr_2q: avx2::norm_sqr_2q,
     scale: avx2::scale,
+    apply_1q_mat_left_into: avx2::apply_1q_mat_left_into,
+    apply_1q_mat_right_dag: avx2::apply_1q_mat_right_dag,
+    u3_partial_traces: avx2::u3_partial_traces,
 };
+
+impl KernelDispatch {
+    /// The portable scalar table, the reference every other table matches
+    /// bit for bit.
+    pub fn scalar() -> &'static KernelDispatch {
+        &SCALAR
+    }
+
+    /// The AVX2 table, when it is compiled in and the host supports it
+    /// ([`simd_available`]); `None` otherwise. Independent of
+    /// `QAPROX_SIMD`, so tests can run both tables in one process.
+    pub fn simd() -> Option<&'static KernelDispatch> {
+        #[cfg(target_arch = "x86_64")]
+        if simd_available() {
+            return Some(&SIMD);
+        }
+        None
+    }
+}
 
 static SELECTED: OnceLock<&'static KernelDispatch> = OnceLock::new();
 
@@ -101,11 +149,10 @@ pub fn simd_available() -> bool {
 pub fn kernel_dispatch() -> &'static KernelDispatch {
     SELECTED.get_or_init(|| {
         let forced_off = std::env::var("QAPROX_SIMD").is_ok_and(|v| v.trim() == "0");
-        if !forced_off && simd_available() {
-            #[cfg(target_arch = "x86_64")]
-            return &SIMD;
+        match KernelDispatch::simd() {
+            Some(simd) if !forced_off => simd,
+            _ => KernelDispatch::scalar(),
         }
-        &SCALAR
     })
 }
 
@@ -122,6 +169,7 @@ pub fn selected_kernel() -> &'static str {
 #[cfg(target_arch = "x86_64")]
 pub mod avx2 {
     use crate::complex::Complex64;
+    use crate::matrix::Matrix;
     use std::arch::x86_64::*;
 
     /// Swap (re, im) within each 128-bit half: `[a, b, c, d] -> [b, a, d, c]`.
@@ -157,6 +205,33 @@ pub mod avx2 {
         (_mm256_set1_pd(w.re), _mm256_set1_pd(w.im))
     }
 
+    /// Two coefficients side by side: `lo` for the low complex lane, `hi`
+    /// for the high one, as (re-splat, im-splat) vectors.
+    #[inline(always)]
+    unsafe fn pair(lo: Complex64, hi: Complex64) -> (__m256d, __m256d) {
+        (
+            _mm256_setr_pd(lo.re, lo.re, hi.re, hi.re),
+            _mm256_setr_pd(lo.im, lo.im, hi.im, hi.im),
+        )
+    }
+
+    /// The 128-bit [`cmul`]: one complex `v = [re, im]` times `w`.
+    #[inline(always)]
+    unsafe fn cmul128(v: __m128d, wr: __m128d, wi: __m128d) -> __m128d {
+        let t1 = _mm_mul_pd(v, wr);
+        let t2 = _mm_mul_pd(_mm_permute_pd(v, 0b01), wi);
+        _mm_addsub_pd(t1, t2)
+    }
+
+    /// The 128-bit [`cmul_acc`]: `acc + v * w`, bitwise equal to the scalar
+    /// `Complex64::mul_add`.
+    #[inline(always)]
+    unsafe fn cmul_acc128(acc: __m128d, v: __m128d, wr: __m128d, wi: __m128d) -> __m128d {
+        let s1 = _mm_add_pd(acc, _mm_mul_pd(v, wr));
+        let t2 = _mm_mul_pd(_mm_permute_pd(v, 0b01), wi);
+        _mm_addsub_pd(s1, t2)
+    }
+
     /// Structural four-lane reduction `(acc0 + acc2) + (acc1 + acc3)` —
     /// mirrored exactly by the scalar norm kernels.
     #[inline(always)]
@@ -167,26 +242,32 @@ pub mod avx2 {
         _mm_cvtsd_f64(s) + _mm_cvtsd_f64(_mm_unpackhi_pd(s, s))
     }
 
-    #[target_feature(enable = "avx2", enable = "fma")]
-    unsafe fn apply_1q_inner(state: &mut [Complex64], q: usize, u: &[Complex64; 4]) {
-        let dim = state.len();
-        let mask = 1usize << q;
-        let p = state.as_mut_ptr() as *mut f64;
+    /// `dst[i0], dst[i1] <- u * (src[i0], src[i1])` for every pair
+    /// `i1 = i0 | mask` of a `len`-amplitude array laid out like a
+    /// statevector (`mask` a power of two, `len` a multiple of `2 * mask`).
+    /// `dst` may equal `src`: each pair is read in full before it is written.
+    /// Each output is `a * u[r0] + b * u[r1]`, bit for bit the scalar form.
+    #[inline(always)]
+    unsafe fn apply_1q_pairs(
+        src: *const f64,
+        dst: *mut f64,
+        len: usize,
+        mask: usize,
+        u: &[Complex64; 4],
+    ) {
         if mask == 1 {
             // Each vector is one (a, b) pair: [a.re, a.im, b.re, b.im].
             // Row coefficients carry u0/u1 in the low half (producing the
             // new a) and u2/u3 in the high half (producing the new b).
-            let c0r = _mm256_setr_pd(u[0].re, u[0].re, u[2].re, u[2].re);
-            let c0i = _mm256_setr_pd(u[0].im, u[0].im, u[2].im, u[2].im);
-            let c1r = _mm256_setr_pd(u[1].re, u[1].re, u[3].re, u[3].re);
-            let c1i = _mm256_setr_pd(u[1].im, u[1].im, u[3].im, u[3].im);
+            let (c0r, c0i) = pair(u[0], u[2]);
+            let (c1r, c1i) = pair(u[1], u[3]);
             let mut i = 0usize;
-            while i < dim {
-                let v = _mm256_loadu_pd(p.add(2 * i));
+            while i < len {
+                let v = _mm256_loadu_pd(src.add(2 * i));
                 let aa = _mm256_permute2f128_pd(v, v, 0x00);
                 let bb = _mm256_permute2f128_pd(v, v, 0x11);
                 let out = _mm256_add_pd(cmul(aa, c0r, c0i), cmul(bb, c1r, c1i));
-                _mm256_storeu_pd(p.add(2 * i), out);
+                _mm256_storeu_pd(dst.add(2 * i), out);
                 i += 2;
             }
         } else {
@@ -197,22 +278,28 @@ pub mod avx2 {
             let (u3r, u3i) = splat(u[3]);
             let stride = mask << 1;
             let mut base = 0usize;
-            while base < dim {
+            while base < len {
                 let mut off = 0usize;
                 while off < mask {
                     let i0 = 2 * (base + off);
                     let i1 = 2 * (base + off + mask);
-                    let va = _mm256_loadu_pd(p.add(i0));
-                    let vb = _mm256_loadu_pd(p.add(i1));
+                    let va = _mm256_loadu_pd(src.add(i0));
+                    let vb = _mm256_loadu_pd(src.add(i1));
                     let o0 = _mm256_add_pd(cmul(va, u0r, u0i), cmul(vb, u1r, u1i));
                     let o1 = _mm256_add_pd(cmul(va, u2r, u2i), cmul(vb, u3r, u3i));
-                    _mm256_storeu_pd(p.add(i0), o0);
-                    _mm256_storeu_pd(p.add(i1), o1);
+                    _mm256_storeu_pd(dst.add(i0), o0);
+                    _mm256_storeu_pd(dst.add(i1), o1);
                     off += 2;
                 }
                 base += stride;
             }
         }
+    }
+
+    #[target_feature(enable = "avx2", enable = "fma")]
+    unsafe fn apply_1q_inner(state: &mut [Complex64], q: usize, u: &[Complex64; 4]) {
+        let p = state.as_mut_ptr() as *mut f64;
+        apply_1q_pairs(p, p, state.len(), 1 << q, u)
     }
 
     #[target_feature(enable = "avx2", enable = "fma")]
@@ -222,10 +309,8 @@ pub mod avx2 {
         let p = state.as_ptr() as *const f64;
         let mut acc = _mm256_setzero_pd();
         if mask == 1 {
-            let c0r = _mm256_setr_pd(u[0].re, u[0].re, u[2].re, u[2].re);
-            let c0i = _mm256_setr_pd(u[0].im, u[0].im, u[2].im, u[2].im);
-            let c1r = _mm256_setr_pd(u[1].re, u[1].re, u[3].re, u[3].re);
-            let c1i = _mm256_setr_pd(u[1].im, u[1].im, u[3].im, u[3].im);
+            let (c0r, c0i) = pair(u[0], u[2]);
+            let (c1r, c1i) = pair(u[1], u[3]);
             let mut i = 0usize;
             while i < dim {
                 let v = _mm256_loadu_pd(p.add(2 * i));
@@ -345,10 +430,8 @@ pub mod avx2 {
                 let wl1 = u[ms[1] * 4 + c];
                 let wh0 = u[ms[2] * 4 + c];
                 let wh1 = u[ms[3] * 4 + c];
-                clr[c] = _mm256_setr_pd(wl0.re, wl0.re, wl1.re, wl1.re);
-                cli[c] = _mm256_setr_pd(wl0.im, wl0.im, wl1.im, wl1.im);
-                chr[c] = _mm256_setr_pd(wh0.re, wh0.re, wh1.re, wh1.re);
-                chi[c] = _mm256_setr_pd(wh0.im, wh0.im, wh1.im, wh1.im);
+                (clr[c], cli[c]) = pair(wl0, wl1);
+                (chr[c], chi[c]) = pair(wh0, wh1);
             }
             let mut base_hi = 0usize;
             while base_hi < dim {
@@ -446,10 +529,8 @@ pub mod avx2 {
                 let wl1 = u[ms[1] * 4 + c];
                 let wh0 = u[ms[2] * 4 + c];
                 let wh1 = u[ms[3] * 4 + c];
-                clr[c] = _mm256_setr_pd(wl0.re, wl0.re, wl1.re, wl1.re);
-                cli[c] = _mm256_setr_pd(wl0.im, wl0.im, wl1.im, wl1.im);
-                chr[c] = _mm256_setr_pd(wh0.re, wh0.re, wh1.re, wh1.re);
-                chi[c] = _mm256_setr_pd(wh0.im, wh0.im, wh1.im, wh1.im);
+                (clr[c], cli[c]) = pair(wl0, wl1);
+                (chr[c], chi[c]) = pair(wh0, wh1);
             }
             let mut base_hi = 0usize;
             while base_hi < dim {
@@ -516,6 +597,146 @@ pub mod avx2 {
         debug_assert!((1 << a) < state.len() && (1 << b) < state.len());
         debug_assert!(super::simd_available());
         unsafe { norm_sqr_2q_inner(state, a, b, u) }
+    }
+
+    #[target_feature(enable = "avx2", enable = "fma")]
+    unsafe fn mat_left_into_inner(dst: &mut Matrix, src: &Matrix, q: usize, u: &[Complex64; 4]) {
+        // rows r and r | 2^q pair up, so in the flat row-major data entry
+        // k pairs with k + 2^q * cols: the statevector pattern
+        let len = src.data().len();
+        let s = src.data().as_ptr() as *const f64;
+        let d = dst.data_mut().as_mut_ptr() as *mut f64;
+        apply_1q_pairs(s, d, len, (1 << q) * src.cols(), u)
+    }
+
+    #[target_feature(enable = "avx2", enable = "fma")]
+    unsafe fn mat_right_dag_inner(mat: &mut Matrix, q: usize, u: &[Complex64; 4]) {
+        // columns c and c | 2^q pair up within each row; with a
+        // power-of-two row length the flat data is the statevector pattern
+        // at qubit q, with coefficients conj(u) as the scalar kernel uses
+        let uc = u.map(Complex64::conj);
+        let len = mat.data().len();
+        let p = mat.data_mut().as_mut_ptr() as *mut f64;
+        apply_1q_pairs(p, p, len, 1 << q, &uc)
+    }
+
+    #[target_feature(enable = "avx2", enable = "fma")]
+    unsafe fn u3_partial_traces_inner(
+        l: &Matrix,
+        a: &Matrix,
+        q: usize,
+        dg: &[[Complex64; 4]; 3],
+    ) -> [Complex64; 3] {
+        let n = l.rows();
+        let mask = 1usize << q;
+        let [dt, dp, dl] = dg;
+        let lp = l.data().as_ptr() as *const f64;
+        let ap = a.data().as_ptr() as *const f64;
+        // Columns j with bit q clear: (theta | lambda) entries are
+        // [x, y] * (dt0 | dl1) + [y, y] * dt1 with the sum's high half
+        // dropped, since lambda's entry there is the single product y * dl1.
+        let (c0r, c0i) = pair(dt[0], dl[1]);
+        let (d0r, d0i) = splat(dt[1]);
+        // Columns with bit q set: (theta | phi) entries are
+        // [x, x] * (dt2 | dp2) + [y, y] * (dt3 | dp3); lambda's is y * dl3.
+        let (c1r, c1i) = pair(dt[2], dp[2]);
+        let (d1r, d1i) = pair(dt[3], dp[3]);
+        let (l3r, l3i) = (_mm_set1_pd(dl[3].re), _mm_set1_pd(dl[3].im));
+        // accumulators: [theta, lambda] side by side, phi alone; each lane
+        // pair runs the scalar kernel's chain of mul_add steps in its order
+        let mut acc_tl = _mm256_setzero_pd();
+        let mut acc_p = _mm_setzero_pd();
+        for i in 0..n {
+            let lrow = lp.add(2 * i * n);
+            // a[(j, i)] as f64 offset
+            let at = |j: usize| ap.add(2 * (j * n + i));
+            // the step at column j with bit q clear / set, given the pair
+            // x = a[(j & !mask, i)], y = a[(j | mask, i)]
+            macro_rules! clear_step {
+                ($j:expr, $x:expr, $y:expr) => {{
+                    let p = cmul(_mm256_set_m128d($y, $x), c0r, c0i);
+                    let s = _mm256_add_pd(p, cmul(_mm256_set_m128d($y, $y), d0r, d0i));
+                    let e = _mm256_blend_pd(s, p, 0b1100);
+                    let lre = _mm256_broadcast_sd(&*lrow.add(2 * $j));
+                    let lim = _mm256_broadcast_sd(&*lrow.add(2 * $j + 1));
+                    acc_tl = cmul_acc(acc_tl, e, lre, lim);
+                }};
+            }
+            macro_rules! set_step {
+                ($j:expr, $x:expr, $y:expr) => {{
+                    let tp = _mm256_add_pd(
+                        cmul(_mm256_set_m128d($x, $x), c1r, c1i),
+                        cmul(_mm256_set_m128d($y, $y), d1r, d1i),
+                    );
+                    let e = _mm256_insertf128_pd(tp, cmul128($y, l3r, l3i), 1);
+                    let lre = _mm256_broadcast_sd(&*lrow.add(2 * $j));
+                    let lim = _mm256_broadcast_sd(&*lrow.add(2 * $j + 1));
+                    acc_tl = cmul_acc(acc_tl, e, lre, lim);
+                    acc_p = cmul_acc128(
+                        acc_p,
+                        _mm256_extractf128_pd(tp, 1),
+                        _mm256_castpd256_pd128(lre),
+                        _mm256_castpd256_pd128(lim),
+                    );
+                }};
+            }
+            if mask == 1 {
+                // columns j and j + 1 share their pair: load it once
+                for j in (0..n).step_by(2) {
+                    let x = _mm_loadu_pd(at(j));
+                    let y = _mm_loadu_pd(at(j + 1));
+                    clear_step!(j, x, y);
+                    set_step!(j + 1, x, y);
+                }
+            } else {
+                for blk in (0..n).step_by(2 * mask) {
+                    for j in blk..blk + mask {
+                        clear_step!(j, _mm_loadu_pd(at(j)), _mm_loadu_pd(at(j | mask)));
+                    }
+                    for j in blk + mask..blk + 2 * mask {
+                        set_step!(j, _mm_loadu_pd(at(j ^ mask)), _mm_loadu_pd(at(j)));
+                    }
+                }
+            }
+        }
+        let mut out = [Complex64::ZERO; 3];
+        let o = out.as_mut_ptr() as *mut f64;
+        _mm_storeu_pd(o, _mm256_castpd256_pd128(acc_tl));
+        _mm_storeu_pd(o.add(2), acc_p);
+        _mm_storeu_pd(o.add(4), _mm256_extractf128_pd(acc_tl, 1));
+        out
+    }
+
+    /// AVX2 [`crate::kernels::apply_1q_mat_left_into`]. Caller must ensure
+    /// the host supports AVX2+FMA.
+    pub fn apply_1q_mat_left_into(dst: &mut Matrix, src: &Matrix, q: usize, u: &[Complex64; 4]) {
+        assert_eq!((dst.rows(), dst.cols()), (src.rows(), src.cols()));
+        assert!(src.rows().is_power_of_two() && 1 << q < src.rows());
+        debug_assert!(super::simd_available());
+        unsafe { mat_left_into_inner(dst, src, q, u) }
+    }
+
+    /// AVX2 [`crate::kernels::apply_1q_mat_right_dag`]. Caller must ensure
+    /// the host supports AVX2+FMA.
+    pub fn apply_1q_mat_right_dag(mat: &mut Matrix, q: usize, u: &[Complex64; 4]) {
+        assert!(mat.cols().is_power_of_two() && 1 << q < mat.cols());
+        debug_assert!(super::simd_available());
+        unsafe { mat_right_dag_inner(mat, q, u) }
+    }
+
+    /// AVX2 [`crate::kernels::u3_partial_traces`]. Caller must ensure the
+    /// host supports AVX2+FMA.
+    pub fn u3_partial_traces(
+        l: &Matrix,
+        a: &Matrix,
+        q: usize,
+        dg: &[[Complex64; 4]; 3],
+    ) -> [Complex64; 3] {
+        let n = l.rows();
+        assert!(n.is_power_of_two() && 1 << q < n);
+        assert_eq!((l.cols(), a.rows(), a.cols()), (n, n, n));
+        debug_assert!(super::simd_available());
+        unsafe { u3_partial_traces_inner(l, a, q, dg) }
     }
 
     #[target_feature(enable = "avx2", enable = "fma")]

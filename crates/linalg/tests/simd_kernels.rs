@@ -4,15 +4,24 @@
 //! particular the block-boundary cases (qubit 0, qubit 1, the top qubit,
 //! and adjacent pairs) where the vector lane layout changes shape.
 //!
+//! The instantiation kernels (the two chain updates and the fused U3
+//! gradient traces) are held to the same contract on matrices of dimension
+//! 2 to 16, at every qubit position, on inputs seeded with exact and signed
+//! zeros.
+//!
 //! Run twice in CI: once with detection on (exercises AVX2 on x86 runners)
 //! and once with `QAPROX_SIMD=0` (pins the forced-scalar dispatch).
 
 use qaprox_linalg::kernels::{
-    apply_1q_vec_blocked, apply_1q_vec_blocked_scalar, apply_2q_vec_blocked,
-    apply_2q_vec_blocked_scalar, norm_sqr_1q, norm_sqr_1q_scalar, norm_sqr_2q, norm_sqr_2q_scalar,
-    scale, scale_scalar,
+    apply_1q_mat_left_into_scalar, apply_1q_mat_right_dag_scalar, apply_1q_vec_blocked,
+    apply_1q_vec_blocked_scalar, apply_2q_vec_blocked, apply_2q_vec_blocked_scalar, norm_sqr_1q,
+    norm_sqr_1q_scalar, norm_sqr_2q, norm_sqr_2q_scalar, scale, scale_scalar,
+    u3_partial_traces_scalar,
 };
-use qaprox_linalg::{c64, selected_kernel, simd_available, Complex64, Rng, SplitMix64};
+use qaprox_linalg::{
+    c64, kernel_dispatch, selected_kernel, simd_available, Complex64, KernelDispatch, Matrix, Rng,
+    SplitMix64,
+};
 
 fn random_state(n: usize, rng: &mut SplitMix64) -> Vec<Complex64> {
     (0..1usize << n)
@@ -224,5 +233,125 @@ fn norm_kernels_still_match_apply_then_sum() {
         let expect: f64 = applied.iter().map(|z| z.norm_sqr()).sum();
         let got = norm_sqr_2q(&state, a, b, &u2);
         assert!((got - expect).abs() <= 1e-11 * expect.abs().max(1.0));
+    }
+}
+
+/// A random complex whose parts are, one time in three each, `+0.0` or
+/// `-0.0`, so exact zeros of both signs flow through every product and sum.
+fn sparse_c64(rng: &mut SplitMix64) -> Complex64 {
+    let mut part = || match rng.gen_range(0..6usize) {
+        0 => 0.0,
+        1 => -0.0,
+        _ => rng.gen_range(-1.0..1.0),
+    };
+    c64(part(), part())
+}
+
+fn sparse_matrix(rows: usize, cols: usize, rng: &mut SplitMix64) -> Matrix {
+    Matrix::from_vec(
+        rows,
+        cols,
+        (0..rows * cols).map(|_| sparse_c64(rng)).collect(),
+    )
+}
+
+/// U3-shaped partials `[dG/dtheta, dG/dphi, dG/dlambda]` with sparse entries;
+/// the structural zeros (first row of `dG/dphi`, first column of
+/// `dG/dlambda`) are NaN, so a kernel that read them would show it.
+fn sparse_partials(rng: &mut SplitMix64) -> [[Complex64; 4]; 3] {
+    let nan = c64(f64::NAN, f64::NAN);
+    let mut dg: [[Complex64; 4]; 3] =
+        std::array::from_fn(|_| std::array::from_fn(|_| sparse_c64(rng)));
+    dg[1][0] = nan;
+    dg[1][1] = nan;
+    dg[2][0] = nan;
+    dg[2][2] = nan;
+    dg
+}
+
+/// Holds `kernels`' instantiation entries to the scalar references by
+/// `to_bits` at dimensions 2 to 16 and every qubit position.
+fn check_instantiation_kernels(kernels: &KernelDispatch, seed: u64) {
+    let mut rng = SplitMix64::seed_from_u64(seed);
+    let name = kernels.name;
+    for n in 1..=4usize {
+        let dim = 1usize << n;
+        for rep in 0..6 {
+            let src = sparse_matrix(dim, dim, &mut rng);
+            let l = sparse_matrix(dim, dim, &mut rng);
+            let u = std::array::from_fn(|_| sparse_c64(&mut rng));
+            let dg = sparse_partials(&mut rng);
+            for q in 0..n {
+                let ctx = format!("{name} dim={dim} q={q} rep={rep}");
+                let mut via = Matrix::zeros(dim, dim);
+                let mut sc = Matrix::zeros(dim, dim);
+                (kernels.apply_1q_mat_left_into)(&mut via, &src, q, &u);
+                apply_1q_mat_left_into_scalar(&mut sc, &src, q, &u);
+                assert_bits_eq(via.data(), sc.data(), &format!("left_into {ctx}"));
+
+                // the suffix chain is square; the density and QFactor
+                // callers may pass any row count
+                for rows in [dim, 3] {
+                    let m = sparse_matrix(rows, dim, &mut rng);
+                    let mut via = m.clone();
+                    let mut sc = m;
+                    (kernels.apply_1q_mat_right_dag)(&mut via, q, &u);
+                    apply_1q_mat_right_dag_scalar(&mut sc, q, &u);
+                    assert_bits_eq(
+                        via.data(),
+                        sc.data(),
+                        &format!("right_dag rows={rows} {ctx}"),
+                    );
+                }
+
+                let via = (kernels.u3_partial_traces)(&l, &src, q, &dg);
+                let sc = u3_partial_traces_scalar(&l, &src, q, &dg);
+                assert_bits_eq(&via, &sc, &format!("u3_partial_traces {ctx}"));
+                assert!(
+                    sc.iter().all(|z| z.is_finite()),
+                    "a structural zero was read: {ctx}"
+                );
+            }
+        }
+    }
+}
+
+#[test]
+fn dispatched_instantiation_kernels_are_bit_identical_to_scalar() {
+    check_instantiation_kernels(kernel_dispatch(), 0x51D0_0007);
+}
+
+#[test]
+fn avx2_instantiation_kernels_bit_identical_when_available() {
+    // the AVX2 table directly, so this leg is meaningful under QAPROX_SIMD=0
+    if let Some(simd) = KernelDispatch::simd() {
+        check_instantiation_kernels(simd, 0x51D0_0008);
+    }
+}
+
+#[test]
+fn fused_partial_traces_match_the_traces_of_formed_products() {
+    // sanity anchor: each fused trace agrees (to rounding) with forming
+    // dG_embed * A in full and tracing L against it
+    let mut rng = SplitMix64::seed_from_u64(0x51D0_0009);
+    let dim = 8;
+    let l = sparse_matrix(dim, dim, &mut rng);
+    let a = sparse_matrix(dim, dim, &mut rng);
+    let mut dg = sparse_partials(&mut rng);
+    for (k, e) in [(1, 0), (1, 1), (2, 0), (2, 2)] {
+        dg[k][e] = Complex64::ZERO;
+    }
+    for q in 0..3 {
+        let got = u3_partial_traces_scalar(&l, &a, q, &dg);
+        for (which, u) in dg.iter().enumerate() {
+            let mut formed = Matrix::zeros(dim, dim);
+            apply_1q_mat_left_into_scalar(&mut formed, &a, q, u);
+            let expect = l.matmul(&formed).trace();
+            assert!(
+                (got[which] - expect).abs() < 1e-12,
+                "q={q} partial {which}: {:?} vs {expect:?}",
+                got[which]
+            );
+        }
     }
 }

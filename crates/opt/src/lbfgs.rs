@@ -65,27 +65,118 @@ fn inf_norm(a: &[f64]) -> f64 {
     a.iter().fold(0.0f64, |m, &x| m.max(x.abs()))
 }
 
-/// Evaluates through [`GradObjective::eval_into`] so objectives with an
-/// internal workspace stay allocation-free; only the O(n) gradient vector
-/// the optimizer keeps is allocated here.
-fn eval_owned<O: GradObjective>(obj: &O, x: &[f64]) -> (f64, Vec<f64>) {
-    let mut g = vec![0.0; x.len()];
-    let f = obj.eval_into(x, &mut g);
-    (f, g)
+/// The curvature pairs `(s_i, y_i, rho_i)`, oldest first, in a ring of
+/// `memory` slots over two flat buffers: a full ring overwrites its oldest
+/// pair in place instead of shifting the others down.
+struct History {
+    n: usize,
+    memory: usize,
+    s: Vec<f64>,
+    y: Vec<f64>,
+    rho: Vec<f64>,
+    /// Slot of the oldest pair.
+    head: usize,
+    len: usize,
+}
+
+impl History {
+    fn new(n: usize, memory: usize) -> Self {
+        History {
+            n,
+            memory,
+            s: vec![0.0; n * memory],
+            y: vec![0.0; n * memory],
+            rho: vec![0.0; memory],
+            head: 0,
+            len: 0,
+        }
+    }
+
+    fn slot(&self, i: usize) -> usize {
+        (self.head + i) % self.memory
+    }
+
+    /// `(s_i, y_i, rho_i)` of the `i`-th oldest pair.
+    fn pair(&self, i: usize) -> (&[f64], &[f64], f64) {
+        let k = self.slot(i);
+        let r = k * self.n..(k + 1) * self.n;
+        (&self.s[r.clone()], &self.y[r], self.rho[k])
+    }
+
+    /// Appends a pair, dropping the oldest when all `memory` slots are full.
+    fn push(&mut self, s: &[f64], y: &[f64], rho: f64) {
+        if self.memory == 0 {
+            return;
+        }
+        let k = if self.len == self.memory {
+            let k = self.head;
+            self.head = (self.head + 1) % self.memory;
+            k
+        } else {
+            self.len += 1;
+            self.slot(self.len - 1)
+        };
+        let r = k * self.n..(k + 1) * self.n;
+        self.s[r.clone()].copy_from_slice(s);
+        self.y[r].copy_from_slice(y);
+        self.rho[k] = rho;
+    }
+
+    fn clear(&mut self) {
+        self.head = 0;
+        self.len = 0;
+    }
+}
+
+/// The line search's trial point and the gradient there. After a successful
+/// search `g` holds the gradient at the accepted step: every accepting path
+/// returns right after the evaluation that produced it.
+struct Trial {
+    x: Vec<f64>,
+    g: Vec<f64>,
+}
+
+impl Trial {
+    /// Evaluates `obj` at `x + alpha * d`; returns `(f, g . d)`.
+    fn eval<O: GradObjective>(
+        &mut self,
+        obj: &O,
+        x: &[f64],
+        d: &[f64],
+        alpha: f64,
+        evals: &mut usize,
+    ) -> (f64, f64) {
+        for ((xt, xi), di) in self.x.iter_mut().zip(x).zip(d) {
+            *xt = xi + alpha * di;
+        }
+        *evals += 1;
+        let f = obj.eval_into(&self.x, &mut self.g);
+        (f, dot(&self.g, d))
+    }
 }
 
 /// Minimizes `obj` starting from `x0`.
+///
+/// Every buffer an iteration touches (the two-loop vectors, the curvature
+/// history and the line search's trial point and gradient) is allocated once
+/// per run, so iterations allocate nothing.
 pub fn lbfgs<O: GradObjective>(obj: &O, x0: &[f64], params: &LbfgsParams) -> LbfgsResult {
     let n = x0.len();
     let mut x = x0.to_vec();
-    let mut evals = 0usize;
-    let (mut f, mut g) = eval_owned(obj, &x);
-    evals += 1;
+    let mut g = vec![0.0; n];
+    let mut f = obj.eval_into(&x, &mut g);
+    let mut evals = 1usize;
 
-    // Curvature history.
-    let mut s_hist: Vec<Vec<f64>> = Vec::new();
-    let mut y_hist: Vec<Vec<f64>> = Vec::new();
-    let mut rho_hist: Vec<f64> = Vec::new();
+    let mut hist = History::new(n, params.memory);
+    let mut q = vec![0.0; n];
+    let mut alpha = vec![0.0; params.memory];
+    let mut d = vec![0.0; n];
+    let mut s = vec![0.0; n];
+    let mut y = vec![0.0; n];
+    let mut trial = Trial {
+        x: vec![0.0; n],
+        g: vec![0.0; n],
+    };
 
     let mut converged = false;
     let mut iters = 0usize;
@@ -98,73 +189,65 @@ pub fn lbfgs<O: GradObjective>(obj: &O, x0: &[f64], params: &LbfgsParams) -> Lbf
         }
 
         // Two-loop recursion: d = -H g
-        let mut q = g.clone();
-        let m = s_hist.len();
-        let mut alpha = vec![0.0; m];
+        q.copy_from_slice(&g);
+        let m = hist.len;
         for i in (0..m).rev() {
-            alpha[i] = rho_hist[i] * dot(&s_hist[i], &q);
-            for (qj, yj) in q.iter_mut().zip(&y_hist[i]) {
+            let (si, yi, rho) = hist.pair(i);
+            alpha[i] = rho * dot(si, &q);
+            for (qj, yj) in q.iter_mut().zip(yi) {
                 *qj -= alpha[i] * yj;
             }
         }
         // Initial Hessian scaling gamma = s.y / y.y from the newest pair.
-        if let (Some(s), Some(y)) = (s_hist.last(), y_hist.last()) {
-            let gamma = dot(s, y) / dot(y, y).max(1e-300);
+        if m > 0 {
+            let (sn, yn, _) = hist.pair(m - 1);
+            let gamma = dot(sn, yn) / dot(yn, yn).max(1e-300);
             for qj in q.iter_mut() {
                 *qj *= gamma;
             }
         }
-        for i in 0..m {
-            let beta = rho_hist[i] * dot(&y_hist[i], &q);
-            for (qj, sj) in q.iter_mut().zip(&s_hist[i]) {
-                *qj += (alpha[i] - beta) * sj;
+        for (i, &ai) in alpha[..m].iter().enumerate() {
+            let (si, yi, rho) = hist.pair(i);
+            let beta = rho * dot(yi, &q);
+            for (qj, sj) in q.iter_mut().zip(si) {
+                *qj += (ai - beta) * sj;
             }
         }
-        let mut d: Vec<f64> = q.iter().map(|&v| -v).collect();
+        for (dj, &qj) in d.iter_mut().zip(&q) {
+            *dj = -qj;
+        }
 
         // Ensure a descent direction; fall back to steepest descent.
         let mut dg = dot(&d, &g);
         if !dg.is_finite() || dg >= 0.0 {
-            d = g.iter().map(|&v| -v).collect();
+            for (dj, &gj) in d.iter_mut().zip(&g) {
+                *dj = -gj;
+            }
             dg = -dot(&g, &g);
-            s_hist.clear();
-            y_hist.clear();
-            rho_hist.clear();
+            hist.clear();
         }
 
-        // Strong-Wolfe line search.
-        let ls = wolfe_search(obj, &x, f, &g, &d, dg, params, &mut evals);
-        let (step, f_new, g_new) = match ls {
-            Some(t) => t,
-            None => {
-                // Line search failed — gradient is numerically flat.
-                converged = inf_norm(&g) < 1e-6;
-                break;
-            }
+        // Strong-Wolfe line search; the accepted gradient lands in trial.g.
+        let Some((step, f_new)) = wolfe_search(obj, &x, f, &d, dg, params, &mut trial, &mut evals)
+        else {
+            // Line search failed — gradient is numerically flat.
+            converged = inf_norm(&g) < 1e-6;
+            break;
         };
 
-        let mut s = vec![0.0; n];
-        let mut y = vec![0.0; n];
         for i in 0..n {
             s[i] = step * d[i];
             x[i] += s[i];
-            y[i] = g_new[i] - g[i];
+            y[i] = trial.g[i] - g[i];
         }
         let sy = dot(&s, &y);
         if sy > 1e-12 * dot(&y, &y).sqrt() * dot(&s, &s).sqrt() && sy > 0.0 {
-            if s_hist.len() == params.memory {
-                s_hist.remove(0);
-                y_hist.remove(0);
-                rho_hist.remove(0);
-            }
-            rho_hist.push(1.0 / sy);
-            s_hist.push(s);
-            y_hist.push(y);
+            hist.push(&s, &y, 1.0 / sy);
         }
 
         let f_prev = f;
         f = f_new;
-        g = g_new;
+        std::mem::swap(&mut g, &mut trial.g);
         if (f_prev - f).abs() < params.f_tol * (1.0 + f.abs()) {
             converged = true;
             break;
@@ -182,51 +265,44 @@ pub fn lbfgs<O: GradObjective>(obj: &O, x0: &[f64], params: &LbfgsParams) -> Lbf
     }
 }
 
-/// Strong-Wolfe bracketing line search. Returns `(alpha, f(x+ad), grad)`.
+/// Strong-Wolfe bracketing line search. Returns `(alpha, f(x+ad))`, with
+/// the gradient at `x + alpha d` left in `trial.g`.
 #[allow(clippy::too_many_arguments)]
 fn wolfe_search<O: GradObjective>(
     obj: &O,
     x: &[f64],
     f0: f64,
-    _g0: &[f64],
     d: &[f64],
     dg0: f64,
     params: &LbfgsParams,
+    trial: &mut Trial,
     evals: &mut usize,
-) -> Option<(f64, f64, Vec<f64>)> {
-    let eval_at = |alpha: f64, evals: &mut usize| {
-        let xt: Vec<f64> = x.iter().zip(d).map(|(xi, di)| xi + alpha * di).collect();
-        *evals += 1;
-        let (f, g) = eval_owned(obj, &xt);
-        let dg = dot(&g, d);
-        (f, g, dg)
-    };
-
+) -> Option<(f64, f64)> {
     let mut alpha_prev = 0.0;
     let mut f_prev = f0;
     let mut dg_prev = dg0;
     let mut alpha = 1.0;
-    let mut best: Option<(f64, f64, Vec<f64>)> = None;
+    let mut best: Option<(f64, f64)> = None;
 
     for i in 0..params.max_ls {
-        let (f_a, g_a, dg_a) = eval_at(alpha, evals);
+        let (f_a, dg_a) = trial.eval(obj, x, d, alpha, evals);
         if !f_a.is_finite() {
             alpha *= 0.5;
             continue;
         }
         if f_a > f0 + params.c1 * alpha * dg0 || (i > 0 && f_a >= f_prev) {
             best = zoom(
-                obj, x, f0, d, dg0, alpha_prev, f_prev, dg_prev, alpha, f_a, params, evals,
+                obj, x, f0, d, dg0, alpha_prev, f_prev, dg_prev, alpha, f_a, params, trial, evals,
             );
             break;
         }
         if dg_a.abs() <= -params.c2 * dg0 {
-            best = Some((alpha, f_a, g_a));
+            best = Some((alpha, f_a));
             break;
         }
         if dg_a >= 0.0 {
             best = zoom(
-                obj, x, f0, d, dg0, alpha, f_a, dg_a, alpha_prev, f_prev, params, evals,
+                obj, x, f0, d, dg0, alpha, f_a, dg_a, alpha_prev, f_prev, params, trial, evals,
             );
             break;
         }
@@ -235,7 +311,7 @@ fn wolfe_search<O: GradObjective>(
         dg_prev = dg_a;
         alpha *= 2.0;
     }
-    best.filter(|(_, f_a, _)| *f_a <= f0)
+    best.filter(|(_, f_a)| *f_a <= f0)
 }
 
 /// Zoom phase: bisection with sufficient-decrease/curvature checks on the
@@ -253,23 +329,21 @@ fn zoom<O: GradObjective>(
     mut alpha_hi: f64,
     mut _f_hi: f64,
     params: &LbfgsParams,
+    trial: &mut Trial,
     evals: &mut usize,
-) -> Option<(f64, f64, Vec<f64>)> {
+) -> Option<(f64, f64)> {
     for _ in 0..params.max_ls {
         let alpha = 0.5 * (alpha_lo + alpha_hi);
         if (alpha_hi - alpha_lo).abs() < 1e-16 {
             break;
         }
-        let xt: Vec<f64> = x.iter().zip(d).map(|(xi, di)| xi + alpha * di).collect();
-        *evals += 1;
-        let (f_a, g_a) = eval_owned(obj, &xt);
-        let dg_a = dot(&g_a, d);
+        let (f_a, dg_a) = trial.eval(obj, x, d, alpha, evals);
         if f_a > f0 + params.c1 * alpha * dg0 || f_a >= f_lo {
             alpha_hi = alpha;
             _f_hi = f_a;
         } else {
             if dg_a.abs() <= -params.c2 * dg0 {
-                return Some((alpha, f_a, g_a));
+                return Some((alpha, f_a));
             }
             if dg_a * (alpha_hi - alpha_lo) >= 0.0 {
                 alpha_hi = alpha_lo;
@@ -282,10 +356,8 @@ fn zoom<O: GradObjective>(
     }
     // Fall back to the best bracketed low point if it improves on f0.
     if f_lo < f0 && alpha_lo > 0.0 {
-        let xt: Vec<f64> = x.iter().zip(d).map(|(xi, di)| xi + alpha_lo * di).collect();
-        *evals += 1;
-        let (f_a, g_a) = eval_owned(obj, &xt);
-        return Some((alpha_lo, f_a, g_a));
+        let (f_a, _) = trial.eval(obj, x, d, alpha_lo, evals);
+        return Some((alpha_lo, f_a));
     }
     None
 }

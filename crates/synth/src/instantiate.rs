@@ -41,9 +41,8 @@
 //! at `B = 4`. Trigonometric calls per U3 fall from 24 to 8.
 
 use crate::template::{AnsatzOp, Structure, U3Trig};
-use qaprox_linalg::kernels::{apply_1q_mat_left_into, apply_1q_mat_right_dag};
 use qaprox_linalg::matrix::Matrix;
-use qaprox_linalg::Complex64;
+use qaprox_linalg::{kernel_dispatch, KernelDispatch};
 use qaprox_opt::{multistart_minimize, GradObjective, LbfgsParams, MultistartParams};
 use std::cell::RefCell;
 
@@ -138,10 +137,23 @@ impl<'a> HsObjective<'a> {
         (1.0 - t.abs() / self.dim as f64).max(0.0)
     }
 
-    /// The full objective+gradient evaluation against an explicit workspace.
+    /// The full objective+gradient evaluation against an explicit workspace,
+    /// on the kernel table this process selected ([`kernel_dispatch`]).
     /// [`GradObjective::eval_into`] routes here through a thread-local one.
     pub fn eval_with_workspace(
         &self,
+        ws: &mut InstantiateWorkspace,
+        params: &[f64],
+        grad: &mut [f64],
+    ) -> f64 {
+        self.eval_with_kernels(kernel_dispatch(), ws, params, grad)
+    }
+
+    /// [`Self::eval_with_workspace`] on an explicit kernel table, so the
+    /// tests can hold every table to the oracle in one process.
+    fn eval_with_kernels(
+        &self,
+        kernels: &KernelDispatch,
         ws: &mut InstantiateWorkspace,
         params: &[f64],
         grad: &mut [f64],
@@ -161,7 +173,12 @@ impl<'a> HsObjective<'a> {
                 } => {
                     let p = &params[param_offset..param_offset + 3];
                     ws.trig[k] = U3Trig::new(p[0], p[1], p[2]);
-                    apply_1q_mat_left_into(&mut rest[0], &done[k], qubit, &ws.trig[k].gate());
+                    (kernels.apply_1q_mat_left_into)(
+                        &mut rest[0],
+                        &done[k],
+                        qubit,
+                        &ws.trig[k].gate(),
+                    );
                 }
                 AnsatzOp::Cx { control, target } => {
                     cx_rows_into(&mut rest[0], &done[k], control, target);
@@ -180,7 +197,7 @@ impl<'a> HsObjective<'a> {
                     // adjoint is G again, bit for bit)
                     let g = ws.trig[k].gate();
                     let gd = [g[0].conj(), g[2].conj(), g[1].conj(), g[3].conj()];
-                    apply_1q_mat_right_dag(&mut ws.cur, qubit, &gd);
+                    (kernels.apply_1q_mat_right_dag)(&mut ws.cur, qubit, &gd);
                 }
                 AnsatzOp::Cx { control, target } => cx_cols(&mut ws.cur, control, target),
             }
@@ -202,13 +219,8 @@ impl<'a> HsObjective<'a> {
                 param_offset,
             } = *op
             {
-                let [dt, dp, dl] = ws.trig[k].partials();
-                let (l, a) = (&ws.suffixes[k], &ws.prefixes[k]);
-                let dts = [
-                    partial_trace(l, a, qubit, Partial::Theta(&dt)),
-                    partial_trace(l, a, qubit, Partial::Phi(&dp)),
-                    partial_trace(l, a, qubit, Partial::Lambda(&dl)),
-                ];
+                let dg = ws.trig[k].partials();
+                let dts = (kernels.u3_partial_traces)(&ws.suffixes[k], &ws.prefixes[k], qubit, &dg);
                 for (which, dt) in dts.into_iter().enumerate() {
                     grad[param_offset + which] = -(scale * dt).re;
                 }
@@ -240,65 +252,6 @@ fn cx_cols(m: &mut Matrix, control: usize, target: usize) {
             row.swap(j, j | tmask);
         }
     }
-}
-
-/// One U3 partial, tagged by which structural zeros it has.
-enum Partial<'g> {
-    /// `dG/dtheta`: dense.
-    Theta(&'g [Complex64; 4]),
-    /// `dG/dphi`: first row zero, so rows of `dG A` with the qubit's bit clear
-    /// vanish.
-    Phi(&'g [Complex64; 4]),
-    /// `dG/dlambda`: first column zero, so each entry of `dG A` is a single
-    /// product.
-    Lambda(&'g [Complex64; 4]),
-}
-
-/// `Tr(L * dG_embed * A)` in one pass with no scratch matrix. Entry `(j, i)`
-/// of `dG_embed * A` is formed on the fly with the expression
-/// `apply_1q_mat_left_into` uses, and accumulated with `L[i, j]` in
-/// i-then-j order into one accumulator, as a scratch-then-trace pass does.
-/// Terms a structural zero of `dG` makes zero are skipped (see the module
-/// docs for why that is exact).
-fn partial_trace(l: &Matrix, a: &Matrix, qubit: usize, dg: Partial<'_>) -> Complex64 {
-    let n = l.rows();
-    let mask = 1usize << qubit;
-    let mut acc = Complex64::ZERO;
-    match dg {
-        Partial::Theta(u) => {
-            for i in 0..n {
-                for j in 0..n {
-                    let e = if j & mask == 0 {
-                        a[(j, i)] * u[0] + a[(j | mask, i)] * u[1]
-                    } else {
-                        a[(j ^ mask, i)] * u[2] + a[(j, i)] * u[3]
-                    };
-                    acc = acc.mul_add(l[(i, j)], e);
-                }
-            }
-        }
-        Partial::Phi(u) => {
-            for i in 0..n {
-                for j in (0..n).filter(|j| j & mask != 0) {
-                    let e = a[(j ^ mask, i)] * u[2] + a[(j, i)] * u[3];
-                    acc = acc.mul_add(l[(i, j)], e);
-                }
-            }
-        }
-        Partial::Lambda(u) => {
-            for i in 0..n {
-                for j in 0..n {
-                    let e = if j & mask == 0 {
-                        a[(j | mask, i)] * u[1]
-                    } else {
-                        a[(j, i)] * u[3]
-                    };
-                    acc = acc.mul_add(l[(i, j)], e);
-                }
-            }
-        }
-    }
-    acc
 }
 
 impl GradObjective for HsObjective<'_> {
@@ -381,12 +334,14 @@ mod tests {
     use qaprox_circuit::Circuit;
     use qaprox_circuit::Gate;
     use qaprox_linalg::kernels::{
-        apply_1q_mat_left, apply_2q_mat_left, apply_2q_mat_right_dag, mat4_to_array,
+        apply_1q_mat_left, apply_1q_mat_right_dag_scalar, apply_2q_mat_left,
+        apply_2q_mat_right_dag, mat4_to_array,
     };
     use qaprox_linalg::random::haar_unitary;
     use qaprox_linalg::random::Rng;
     use qaprox_linalg::random::SplitMix64 as StdRng;
     use qaprox_linalg::u3_array;
+    use qaprox_linalg::Complex64;
     use qaprox_metrics::hs_distance;
     use qaprox_opt::gradient::central_difference;
 
@@ -435,7 +390,7 @@ mod tests {
                 } => {
                     let g = u3(param_offset);
                     let gd = [g[0].conj(), g[2].conj(), g[1].conj(), g[3].conj()];
-                    apply_1q_mat_right_dag(&mut cur, qubit, &gd);
+                    apply_1q_mat_right_dag_scalar(&mut cur, qubit, &gd);
                 }
                 AnsatzOp::Cx { control, target } => {
                     apply_2q_mat_right_dag(&mut cur, control, target, &cx)
@@ -480,6 +435,11 @@ mod tests {
         s
     }
 
+    /// The scalar table, and the AVX2 one when the host supports it.
+    fn tables() -> impl Iterator<Item = &'static KernelDispatch> {
+        std::iter::once(KernelDispatch::scalar()).chain(KernelDispatch::simd())
+    }
+
     fn bits(v: &[f64]) -> Vec<u64> {
         v.iter().map(|x| x.to_bits()).collect()
     }
@@ -518,11 +478,20 @@ mod tests {
                             .collect(),
                     };
                     let (f_oracle, g_oracle) = oracle_eval(&obj, &params);
+                    let ctx = format!("n={n} blocks={blocks} rep={rep} {:?}", s.placements);
                     let mut g = vec![f64::NAN; params.len()];
                     let f = obj.eval_with_workspace(&mut ws, &params, &mut g);
-                    let ctx = format!("n={n} blocks={blocks} rep={rep} {:?}", s.placements);
                     assert_eq!(f.to_bits(), f_oracle.to_bits(), "f differs: {ctx}");
                     assert_eq!(bits(&g), bits(&g_oracle), "gradient differs: {ctx}");
+                    // every table the host can run, whichever one the
+                    // process selected
+                    for kernels in tables() {
+                        let mut g = vec![f64::NAN; params.len()];
+                        let f = obj.eval_with_kernels(kernels, &mut ws, &params, &mut g);
+                        let ctx = format!("{ctx} kernels={}", kernels.name);
+                        assert_eq!(f.to_bits(), f_oracle.to_bits(), "f differs: {ctx}");
+                        assert_eq!(bits(&g), bits(&g_oracle), "gradient differs: {ctx}");
+                    }
                     let u = s.unitary(&params);
                     let t = obj.target_dag.matmul(&u).trace();
                     let dist = (1.0 - t.abs() / obj.dim as f64).max(0.0);
