@@ -416,7 +416,8 @@ pub fn apply_2q_mat_right_dag(mat: &mut Matrix, a: usize, b: usize, u: &[Complex
 }
 
 /// Out-of-place variant of [`apply_1q_mat_left`]: `dst <- U_embed * src`,
-/// leaving `src` untouched. Shapes must match. Used by the allocation-free
+/// leaving `src` untouched. Shapes must match, with power-of-two row and
+/// column counts. Used by the allocation-free
 /// instantiation workspace, where prefix products must stay readable while
 /// the next product is formed.
 ///

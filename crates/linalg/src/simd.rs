@@ -207,6 +207,9 @@ pub mod avx2 {
 
     /// Two coefficients side by side: `lo` for the low complex lane, `hi`
     /// for the high one, as (re-splat, im-splat) vectors.
+    ///
+    /// # Safety
+    /// The host must support AVX.
     #[inline(always)]
     unsafe fn pair(lo: Complex64, hi: Complex64) -> (__m256d, __m256d) {
         (
@@ -216,6 +219,9 @@ pub mod avx2 {
     }
 
     /// The 128-bit [`cmul`]: one complex `v = [re, im]` times `w`.
+    ///
+    /// # Safety
+    /// The host must support AVX.
     #[inline(always)]
     unsafe fn cmul128(v: __m128d, wr: __m128d, wi: __m128d) -> __m128d {
         let t1 = _mm_mul_pd(v, wr);
@@ -225,6 +231,9 @@ pub mod avx2 {
 
     /// The 128-bit [`cmul_acc`]: `acc + v * w`, bitwise equal to the scalar
     /// `Complex64::mul_add`.
+    ///
+    /// # Safety
+    /// The host must support AVX.
     #[inline(always)]
     unsafe fn cmul_acc128(acc: __m128d, v: __m128d, wr: __m128d, wi: __m128d) -> __m128d {
         let s1 = _mm_add_pd(acc, _mm_mul_pd(v, wr));
@@ -247,6 +256,11 @@ pub mod avx2 {
     /// statevector (`mask` a power of two, `len` a multiple of `2 * mask`).
     /// `dst` may equal `src`: each pair is read in full before it is written.
     /// Each output is `a * u[r0] + b * u[r1]`, bit for bit the scalar form.
+    ///
+    /// # Safety
+    /// The host must support AVX2, and `src` and `dst` must each be valid
+    /// for `2 * len` `f64` reads (and writes, for `dst`), with `len` and
+    /// `mask` as above.
     #[inline(always)]
     unsafe fn apply_1q_pairs(
         src: *const f64,
@@ -599,6 +613,10 @@ pub mod avx2 {
         unsafe { norm_sqr_2q_inner(state, a, b, u) }
     }
 
+    /// # Safety
+    /// The host must support AVX2+FMA; `dst` and `src` must have the same
+    /// shape, with power-of-two row and column counts and `2^q` below the
+    /// row count.
     #[target_feature(enable = "avx2", enable = "fma")]
     unsafe fn mat_left_into_inner(dst: &mut Matrix, src: &Matrix, q: usize, u: &[Complex64; 4]) {
         // rows r and r | 2^q pair up, so in the flat row-major data entry
@@ -609,6 +627,9 @@ pub mod avx2 {
         apply_1q_pairs(s, d, len, (1 << q) * src.cols(), u)
     }
 
+    /// # Safety
+    /// The host must support AVX2+FMA; the column count must be a power of
+    /// two above `2^q`.
     #[target_feature(enable = "avx2", enable = "fma")]
     unsafe fn mat_right_dag_inner(mat: &mut Matrix, q: usize, u: &[Complex64; 4]) {
         // columns c and c | 2^q pair up within each row; with a
@@ -620,6 +641,9 @@ pub mod avx2 {
         apply_1q_pairs(p, p, len, 1 << q, &uc)
     }
 
+    /// # Safety
+    /// The host must support AVX2+FMA; `l` and `a` must both be `n x n`
+    /// with `n` a power of two above `2^q`.
     #[target_feature(enable = "avx2", enable = "fma")]
     unsafe fn u3_partial_traces_inner(
         l: &Matrix,
@@ -707,25 +731,28 @@ pub mod avx2 {
         out
     }
 
-    /// AVX2 [`crate::kernels::apply_1q_mat_left_into`]. Caller must ensure
-    /// the host supports AVX2+FMA.
+    /// AVX2 [`crate::kernels::apply_1q_mat_left_into`], for power-of-two
+    /// row and column counts. Panics on a host without AVX2+FMA.
     pub fn apply_1q_mat_left_into(dst: &mut Matrix, src: &Matrix, q: usize, u: &[Complex64; 4]) {
         assert_eq!((dst.rows(), dst.cols()), (src.rows(), src.cols()));
         assert!(src.rows().is_power_of_two() && 1 << q < src.rows());
-        debug_assert!(super::simd_available());
+        assert!(src.cols().is_power_of_two());
+        assert!(super::simd_available());
+        // SAFETY: the asserts above are mat_left_into_inner's requirements
         unsafe { mat_left_into_inner(dst, src, q, u) }
     }
 
-    /// AVX2 [`crate::kernels::apply_1q_mat_right_dag`]. Caller must ensure
-    /// the host supports AVX2+FMA.
+    /// AVX2 [`crate::kernels::apply_1q_mat_right_dag`]. Panics on a host
+    /// without AVX2+FMA.
     pub fn apply_1q_mat_right_dag(mat: &mut Matrix, q: usize, u: &[Complex64; 4]) {
         assert!(mat.cols().is_power_of_two() && 1 << q < mat.cols());
-        debug_assert!(super::simd_available());
+        assert!(super::simd_available());
+        // SAFETY: the asserts above are mat_right_dag_inner's requirements
         unsafe { mat_right_dag_inner(mat, q, u) }
     }
 
-    /// AVX2 [`crate::kernels::u3_partial_traces`]. Caller must ensure the
-    /// host supports AVX2+FMA.
+    /// AVX2 [`crate::kernels::u3_partial_traces`]. Panics on a host without
+    /// AVX2+FMA.
     pub fn u3_partial_traces(
         l: &Matrix,
         a: &Matrix,
@@ -735,7 +762,9 @@ pub mod avx2 {
         let n = l.rows();
         assert!(n.is_power_of_two() && 1 << q < n);
         assert_eq!((l.cols(), a.rows(), a.cols()), (n, n, n));
-        debug_assert!(super::simd_available());
+        assert!(super::simd_available());
+        // SAFETY: the asserts above are u3_partial_traces_inner's
+        // requirements
         unsafe { u3_partial_traces_inner(l, a, q, dg) }
     }
 

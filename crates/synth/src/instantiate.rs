@@ -22,7 +22,8 @@
 //!   prefix gate, the suffix gate and the three partials;
 //! * CX is a row permutation (prefix chain) or a column swap (suffix chain),
 //!   not a dense 4x4 multiply;
-//! * each partial's `Tr(L_k dG A_k)` is one fused pass that forms entries of
+//! * a U3's three partials `Tr(L_k dG A_k)` come from one fused pass
+//!   ([`qaprox_linalg::kernels::u3_partial_traces`]) that forms entries of
 //!   `dG A_k` on the fly, skipping the rows that `dG/dphi` zeroes and the
 //!   zero column of `dG/dlambda`.
 //!
@@ -33,12 +34,35 @@
 //! never reaches the output: the trace and each partial fold into an
 //! accumulator that starts at `+0.0` and so can never hold `-0.0`.
 //!
+//! # What runs across lanes
+//!
+//! The chain updates and the fused partial pass go through the kernel table
+//! [`qaprox_linalg::kernel_dispatch`] selected (AVX2 where the host has it;
+//! `QAPROX_SIMD=0` selects the scalar references):
+//! * the prefix update `U_embed * A` and the suffix update
+//!   `M * U_embed^dagger` write every entry independently, so computing two
+//!   entries per vector cannot change one;
+//! * the fused pass forms the entries `x * u0 + y * u1` of `dG A_k` across
+//!   lanes, but each partial's accumulate chain stays serial: one
+//!   accumulator per partial, adding the same terms in the same i-then-j
+//!   order. Splitting a sum across lanes would reassociate it and move bits.
+//!   The vector step is `addsub(acc + l.re * e, l.im * swap(e))`, which
+//!   rounds exactly as `acc.mul_add(l, e)` (`(acc.re + l.re e.re) - l.im
+//!   e.im`); it never uses FMA and never forms `l * e` first. The theta and
+//!   lambda accumulators share one 256-bit register, phi's is 128-bit.
+//!
+//! Every step of a chain is two dependent roundings, so a U3's partial pass
+//! is bounded below by `d^2` such step latencies, however wide the vectors.
+//!
 //! Computed cost of one 3-qubit evaluation (`d = 8`) with `B` blocks, in
 //! complex multiply-adds: the oracle spends `832` per U3 (`128` prefix,
 //! `128` suffix, `3 x 192` gradient) and `512` per CX, so `832 (3 + 2B) +
 //! 512 B`, which is `11200` at `B = 4`. This evaluation spends `672` per U3
-//! (`128 + 128 + 192 + 96 + 128`) and none per CX: `672 (3 + 2B)`, `7392`
-//! at `B = 4`. Trigonometric calls per U3 fall from 24 to 8.
+//! (`128 + 128` in the chains, `192 + 96 + 128` in the partials) and none
+//! per CX: `672 (3 + 2B)`, `7392` at `B = 4`. Trigonometric calls per U3
+//! fall from 24 to 8. Of the scalar evaluation's time at `B = 4`, about 40 %
+//! is the chains and 60 % the partials; `docs/PERF.md` has the measured
+//! per-evaluation times of both kernel tables.
 
 use crate::template::{AnsatzOp, Structure, U3Trig};
 use qaprox_linalg::matrix::Matrix;
