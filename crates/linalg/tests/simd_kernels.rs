@@ -328,30 +328,3 @@ fn avx2_instantiation_kernels_bit_identical_when_available() {
         check_instantiation_kernels(simd, 0x51D0_0008);
     }
 }
-
-#[test]
-fn fused_partial_traces_match_the_traces_of_formed_products() {
-    // sanity anchor: each fused trace agrees (to rounding) with forming
-    // dG_embed * A in full and tracing L against it
-    let mut rng = SplitMix64::seed_from_u64(0x51D0_0009);
-    let dim = 8;
-    let l = sparse_matrix(dim, dim, &mut rng);
-    let a = sparse_matrix(dim, dim, &mut rng);
-    let mut dg = sparse_partials(&mut rng);
-    for (k, e) in [(1, 0), (1, 1), (2, 0), (2, 2)] {
-        dg[k][e] = Complex64::ZERO;
-    }
-    for q in 0..3 {
-        let got = u3_partial_traces_scalar(&l, &a, q, &dg);
-        for (which, u) in dg.iter().enumerate() {
-            let mut formed = Matrix::zeros(dim, dim);
-            apply_1q_mat_left_into_scalar(&mut formed, &a, q, u);
-            let expect = l.matmul(&formed).trace();
-            assert!(
-                (got[which] - expect).abs() < 1e-12,
-                "q={q} partial {which}: {:?} vs {expect:?}",
-                got[which]
-            );
-        }
-    }
-}
