@@ -15,13 +15,23 @@
 //! a fixed ladder structure against a Haar target, in ns per evaluation.
 //! They run in quick mode too and record the selected kernel table, since
 //! the evaluation runs through it.
+//!
+//! The `qfast_4q/threads={1,2}` rows time one full QFast run on the 4q
+//! Toffoli with the paper pipeline's Toffoli configuration (4 blocks on a
+//! linear chain), and `generate_both_4q/threads=2` one
+//! `Workflow::generate` of that job's QSearch+QFast population, in ns per
+//! run (min, median, mean over the reps).
 
+use qaprox::toffoli_study::toffoli_target;
+use qaprox::workflow::{Engine, Workflow};
 use qaprox_bench::timing::{bench, header};
 use qaprox_device::Topology;
 use qaprox_linalg::parallel::with_thread_budget;
 use qaprox_linalg::random::{haar_unitary, Rng, SplitMix64};
-use qaprox_opt::GradObjective;
-use qaprox_synth::{qsearch, HsObjective, QSearchConfig, Structure};
+use qaprox_opt::{GradObjective, LbfgsParams};
+use qaprox_synth::{
+    qfast, qsearch, HsObjective, InstantiateConfig, QFastConfig, QSearchConfig, Structure,
+};
 use std::time::Instant;
 
 fn main() {
@@ -46,6 +56,8 @@ fn main() {
     let sizes: &[usize] = if quick { &[3] } else { &[3, 4] };
     let threads: &[usize] = if quick { &[1, 2] } else { &[1, 2, 4, 8] };
     let reps = if quick { 1 } else { 3 };
+
+    toffoli_rows(reps);
 
     for &n in sizes {
         let mut rng = SplitMix64::seed_from_u64(42 + n as u64);
@@ -110,5 +122,69 @@ fn hs_eval(n: usize, blocks: usize) {
     let mut g = vec![0.0; x.len()];
     bench(&format!("hs_eval_{n}q/blocks={blocks}"), || {
         obj.eval_into(&x, &mut g)
+    });
+}
+
+/// The paper pipeline's Toffoli job: QSearch (60 nodes, beam 2, one start)
+/// and QFast (4 blocks) on the 4q Toffoli over a linear chain, at a fixed
+/// instantiation seed.
+fn toffoli_workflow() -> Workflow {
+    const SEED: u64 = 7919;
+    let qs = QSearchConfig {
+        max_cnots: 6,
+        max_nodes: 60,
+        beam_width: 2,
+        instantiate: InstantiateConfig {
+            starts: 1,
+            seed: SEED,
+            lbfgs: LbfgsParams {
+                max_iters: 300,
+                ..Default::default()
+            },
+            ..Default::default()
+        },
+        ..Default::default()
+    };
+    let qf = QFastConfig {
+        max_blocks: 4,
+        seed: SEED ^ 0x51F7,
+        ..Default::default()
+    };
+    Workflow {
+        topology: Topology::linear(4),
+        engine: Engine::Both(qs, qf),
+        max_hs: 0.5,
+    }
+}
+
+/// Prints one `label,reps,min,median,mean` row of ns per call of `run`.
+fn time_row<R>(label: &str, reps: usize, mut run: impl FnMut() -> R) {
+    let mut runs: Vec<u128> = (0..reps)
+        .map(|_| {
+            let t0 = Instant::now();
+            std::hint::black_box(run());
+            t0.elapsed().as_nanos()
+        })
+        .collect();
+    runs.sort_unstable();
+    let mean = runs.iter().sum::<u128>() / runs.len() as u128;
+    println!("{label},{reps},{},{},{mean}", runs[0], runs[runs.len() / 2]);
+}
+
+/// QFast alone at budgets 1 and 2, then the whole QSearch+QFast generate at
+/// budget 2, on the Toffoli job.
+fn toffoli_rows(reps: usize) {
+    let wf = toffoli_workflow();
+    let target = toffoli_target(4);
+    let Engine::Both(_, qf) = &wf.engine else {
+        unreachable!("the Toffoli job runs both engines")
+    };
+    for t in [1usize, 2] {
+        time_row(&format!("qfast_4q/threads={t}"), reps, || {
+            with_thread_budget(t, || qfast(&target, &wf.topology, qf))
+        });
+    }
+    time_row("generate_both_4q/threads=2", reps, || {
+        with_thread_budget(2, || wf.generate(&target))
     });
 }
