@@ -8,14 +8,14 @@
 
 use qaprox_circuit::Circuit;
 use qaprox_device::Topology;
-use qaprox_linalg::parallel::{self, par_map, par_map_indexed};
+use qaprox_linalg::parallel::{par_map, par_map_indexed};
 use qaprox_linalg::Matrix;
 use qaprox_metrics::hs_distance;
 use qaprox_sim::Backend;
 use qaprox_synth::{
-    dedupe, qfast, qfast_with_hooks, qsearch, qsearch_resume, qsearch_with_hooks,
-    select_by_threshold, ApproxCircuit, ProgressFn, QFastConfig, QSearchConfig, SearchHooks,
-    SynthStats, SynthesisOutput,
+    dedupe, qfast_with_hooks, qsearch_resume, qsearch_with_hooks, select_by_threshold,
+    ApproxCircuit, ProgressFn, QFastConfig, QSearchConfig, SearchHooks, SynthStats,
+    SynthesisOutput,
 };
 
 /// Which synthesis engine generates the candidate stream.
@@ -25,7 +25,10 @@ pub enum Engine {
     QSearch(QSearchConfig),
     /// Greedy hierarchical blocks (scales further, coarser stream).
     QFast(QFastConfig),
-    /// Union of both streams (the paper uses both tools).
+    /// Union of both streams (the paper uses both tools). The engines run
+    /// one after the other, QSearch first, each with the whole thread
+    /// budget: each parallelizes its own waves, and QSearch's share of the
+    /// time is small next to QFast's on the paper's Toffoli.
     Both(QSearchConfig, QFastConfig),
 }
 
@@ -79,36 +82,13 @@ impl Workflow {
     }
 
     /// Steps 2-3: generate candidates and select by the HS threshold.
+    ///
+    /// The uncontrolled [`Workflow::generate_with`]: for [`Engine::Both`],
+    /// QSearch runs and then QFast, each with the calling thread's whole
+    /// thread budget.
     pub fn generate(&self, target: &Matrix) -> Population {
-        let outputs: Vec<SynthesisOutput> = match &self.engine {
-            Engine::QSearch(cfg) => vec![qsearch(target, &self.topology, cfg)],
-            Engine::QFast(cfg) => vec![qfast(target, &self.topology, cfg)],
-            Engine::Both(qs, qf) => {
-                let (a, b) = parallel::join(
-                    || qsearch(target, &self.topology, qs),
-                    || qfast(target, &self.topology, qf),
-                );
-                vec![a, b]
-            }
-        };
-        let explored = outputs.iter().map(|o| o.nodes_evaluated).sum();
-        let mut stats = SynthStats::default();
-        for o in &outputs {
-            stats.absorb(&o.stats);
-        }
-        let minimal_hs = outputs
-            .iter()
-            .map(|o| o.best.clone())
-            .min_by(|a, b| a.hs_distance.total_cmp(&b.hs_distance))
-            .expect("at least one engine ran");
-        let all: Vec<ApproxCircuit> = outputs.into_iter().flat_map(|o| o.intermediates).collect();
-        let circuits = dedupe(&select_by_threshold(&all, self.max_hs));
-        Population {
-            circuits,
-            minimal_hs,
-            explored,
-            stats,
-        }
+        self.generate_with(target, GenerateControl::default())
+            .population
     }
 
     /// Generates populations for a series of targets in parallel (e.g. the
@@ -118,10 +98,13 @@ impl Workflow {
     }
 
     /// [`Workflow::generate`] under external control: resume credit,
-    /// cooperative cancellation, and checkpoint streaming.
+    /// cooperative cancellation, and checkpoint streaming. With the default
+    /// [`GenerateControl`] (no prior, no credit, no hooks) this *is*
+    /// [`Workflow::generate`].
     ///
     /// Engines run **sequentially** (QSearch then QFast for
-    /// [`Engine::Both`]) so that resume maps onto a deterministic order.
+    /// [`Engine::Both`]), each with the calling thread's whole thread
+    /// budget, so resume maps onto a deterministic order.
     /// What a resumed run does with `prior`/`nodes_credit` depends on
     /// [`GenerateControl::resume`]:
     ///
@@ -205,7 +188,9 @@ impl Workflow {
                 adj.max_blocks = cfg.max_blocks.saturating_sub(qf_credit / edges);
                 adj.seed = adj.seed.wrapping_add(salt);
             }
-            let run_anyway = replaying || (prior.is_empty() && outputs.is_empty());
+            // a fresh run (no credit) runs every configured engine, as does
+            // a replay or a run with nothing else to show
+            let run_anyway = replaying || credit == 0 || (prior.is_empty() && outputs.is_empty());
             if (adj.max_blocks > 0 || run_anyway) && !cancelled() {
                 // checkpoints must carry everything from THIS invocation, so
                 // prepend the finished QSearch stream (QFast rounds are few)

@@ -292,62 +292,46 @@ pub fn apply_2q_vec_blocked_scalar(
     }
 }
 
+/// The qubit of a row-major matrix's flat data that row qubit `q` is:
+/// rows are `cols` entries apart, so row bit `q` is flat bit
+/// `q + log2(cols)`.
+///
+/// # Panics
+/// Panics unless the row and column counts are powers of two and `2^q` is
+/// below the row count.
+fn row_qubit(mat: &Matrix, q: usize) -> usize {
+    let (rows, cols) = (mat.rows(), mat.cols());
+    assert!(
+        rows.is_power_of_two() && cols.is_power_of_two(),
+        "matrix gate needs power-of-two rows and columns, got {rows}x{cols}"
+    );
+    assert!(q < rows.trailing_zeros() as usize, "qubit {q} out of range");
+    q + cols.trailing_zeros() as usize
+}
+
 /// Left-multiplies a matrix by an embedded one-qubit gate: `M <- U_embed * M`.
 ///
 /// The row index of `mat` is the quantum index; every column is transformed
 /// like a statevector. Used both for building circuit unitaries (starting
 /// from the identity) and for the `U rho` half of a density-matrix update.
+///
+/// The flat row-major data is a statevector whose qubit `q + log2(cols)`
+/// is the row qubit, so this is [`apply_1q_vec_blocked`] on it, through the
+/// dispatched kernel table: every entry is `a * u0 + b * u1` of its row
+/// pair, as in a row-by-row loop. Both counts must be powers of two.
 pub fn apply_1q_mat_left(mat: &mut Matrix, q: usize, u: &[Complex64; 4]) {
-    let rows = mat.rows();
-    let cols = mat.cols();
-    debug_assert!(rows.is_power_of_two());
-    let mask = 1usize << q;
-    let data = mat.data_mut();
-    for i in 0..rows / 2 {
-        let r0 = insert_zero_bit(i, q) * cols;
-        let r1 = r0 + mask * cols;
-        for j in 0..cols {
-            let a = data[r0 + j];
-            let b = data[r1 + j];
-            data[r0 + j] = a * u[0] + b * u[1];
-            data[r1 + j] = a * u[2] + b * u[3];
-        }
-    }
+    let bit = row_qubit(mat, q);
+    apply_1q_vec_blocked(mat.data_mut(), bit, u)
 }
 
 /// Left-multiplies a matrix by an embedded two-qubit gate: `M <- U_embed * M`.
+///
+/// [`apply_2q_vec_blocked`] on the flat data, as [`apply_1q_mat_left`] maps
+/// it; every entry keeps its four-term `mul_add` chain.
 pub fn apply_2q_mat_left(mat: &mut Matrix, a: usize, b: usize, u: &[Complex64; 16]) {
-    let rows = mat.rows();
-    let cols = mat.cols();
-    debug_assert!(a != b);
-    let (lo, hi) = if a < b { (a, b) } else { (b, a) };
-    let ma = 1usize << a;
-    let mb = 1usize << b;
-    let data = mat.data_mut();
-    for i in 0..rows / 4 {
-        let base = insert_zero_bit(insert_zero_bit(i, lo), hi);
-        let r = [
-            base * cols,
-            (base | mb) * cols,
-            (base | ma) * cols,
-            (base | ma | mb) * cols,
-        ];
-        for j in 0..cols {
-            let amp = [
-                data[r[0] + j],
-                data[r[1] + j],
-                data[r[2] + j],
-                data[r[3] + j],
-            ];
-            for (ri, &row_off) in r.iter().enumerate() {
-                let mut acc = Complex64::ZERO;
-                for (ci, &amp_c) in amp.iter().enumerate() {
-                    acc = acc.mul_add(u[ri * 4 + ci], amp_c);
-                }
-                data[row_off + j] = acc;
-            }
-        }
-    }
+    assert_ne!(a, b, "two-qubit gate needs distinct qubits");
+    let (fa, fb) = (row_qubit(mat, a), row_qubit(mat, b));
+    apply_2q_vec_blocked(mat.data_mut(), fa, fb, u)
 }
 
 /// Right-multiplies a matrix by the adjoint of an embedded one-qubit gate:
@@ -379,6 +363,45 @@ pub fn apply_1q_mat_right_dag_scalar(mat: &mut Matrix, q: usize, u: &[Complex64;
             // (M U^dag)[.,j0] = M[.,j0] conj(u00) + M[.,j1] conj(u01)
             data[off + j0] = a * u[0].conj() + b * u[1].conj();
             data[off + j1] = a * u[2].conj() + b * u[3].conj();
+        }
+    }
+}
+
+/// Out-of-place variant of [`apply_1q_mat_right_dag`]: `dst <- src *
+/// U_embed^dagger`, leaving `src` untouched. Shapes must match, with a
+/// power-of-two column count. The instantiation objective builds its suffix
+/// chain with it, each product written straight into the next slot.
+///
+/// Dispatched like [`apply_1q_vec_blocked`], with
+/// [`apply_1q_mat_right_dag_into_scalar`] as the portable fallback; each
+/// entry is written independently, so the two are bit-identical.
+pub fn apply_1q_mat_right_dag_into(dst: &mut Matrix, src: &Matrix, q: usize, u: &[Complex64; 4]) {
+    (crate::simd::kernel_dispatch().apply_1q_mat_right_dag_into)(dst, src, q, u)
+}
+
+/// Portable [`apply_1q_mat_right_dag_into`] implementation.
+pub fn apply_1q_mat_right_dag_into_scalar(
+    dst: &mut Matrix,
+    src: &Matrix,
+    q: usize,
+    u: &[Complex64; 4],
+) {
+    let rows = src.rows();
+    let cols = src.cols();
+    debug_assert_eq!((dst.rows(), dst.cols()), (rows, cols));
+    debug_assert!(cols.is_power_of_two());
+    let mask = 1usize << q;
+    let s = src.data();
+    let d = dst.data_mut();
+    for row in 0..rows {
+        let off = row * cols;
+        for j in 0..cols / 2 {
+            let j0 = insert_zero_bit(j, q);
+            let j1 = j0 | mask;
+            let a = s[off + j0];
+            let b = s[off + j1];
+            d[off + j0] = a * u[0].conj() + b * u[1].conj();
+            d[off + j1] = a * u[2].conj() + b * u[3].conj();
         }
     }
 }
@@ -504,6 +527,29 @@ pub fn u3_partial_traces_scalar(
         }
     }
     [at, ap, al]
+}
+
+/// Portable [`Matrix::matmul_trace`]: `Tr(L * R)` as one `mul_add` chain
+/// per diagonal entry `i` over `k`, skipping zero entries `L[i, k]`, then
+/// the entries summed in `i` order from zero. `L` is `n x m` and `R` is
+/// `m x n`.
+pub fn matmul_trace_scalar(l: &Matrix, r: &Matrix) -> Complex64 {
+    let (n, m) = (l.rows(), l.cols());
+    debug_assert_eq!((r.rows(), r.cols()), (m, n));
+    let (ld, rd) = (l.data(), r.data());
+    (0..n)
+        .map(|i| {
+            let mut acc = Complex64::ZERO;
+            for k in 0..m {
+                let a = ld[i * m + k];
+                if a == Complex64::ZERO {
+                    continue;
+                }
+                acc = acc.mul_add(a, rd[k * n + i]);
+            }
+            acc
+        })
+        .sum()
 }
 
 /// Accumulates the conjugation of `src` by an embedded one-qubit gate:
@@ -667,6 +713,154 @@ mod tests {
                 state[out_i] = acc;
             }
         }
+    }
+
+    /// The row-by-row loop [`apply_1q_mat_left`] ran before it moved onto
+    /// the blocked statevector kernels: the matrix-gate oracle.
+    fn apply_1q_mat_left_oracle(mat: &mut Matrix, q: usize, u: &[Complex64; 4]) {
+        let rows = mat.rows();
+        let cols = mat.cols();
+        let mask = 1usize << q;
+        let data = mat.data_mut();
+        for i in 0..rows / 2 {
+            let r0 = insert_zero_bit(i, q) * cols;
+            let r1 = r0 + mask * cols;
+            for j in 0..cols {
+                let a = data[r0 + j];
+                let b = data[r1 + j];
+                data[r0 + j] = a * u[0] + b * u[1];
+                data[r1 + j] = a * u[2] + b * u[3];
+            }
+        }
+    }
+
+    /// The row-by-row loop [`apply_2q_mat_left`] ran before it moved onto
+    /// the blocked statevector kernels: the matrix-gate oracle.
+    fn apply_2q_mat_left_oracle(mat: &mut Matrix, a: usize, b: usize, u: &[Complex64; 16]) {
+        let rows = mat.rows();
+        let cols = mat.cols();
+        let (lo, hi) = if a < b { (a, b) } else { (b, a) };
+        let ma = 1usize << a;
+        let mb = 1usize << b;
+        let data = mat.data_mut();
+        for i in 0..rows / 4 {
+            let base = insert_zero_bit(insert_zero_bit(i, lo), hi);
+            let r = [
+                base * cols,
+                (base | mb) * cols,
+                (base | ma) * cols,
+                (base | ma | mb) * cols,
+            ];
+            for j in 0..cols {
+                let amp = [
+                    data[r[0] + j],
+                    data[r[1] + j],
+                    data[r[2] + j],
+                    data[r[3] + j],
+                ];
+                for (ri, &row_off) in r.iter().enumerate() {
+                    let mut acc = Complex64::ZERO;
+                    for (ci, &amp_c) in amp.iter().enumerate() {
+                        acc = acc.mul_add(u[ri * 4 + ci], amp_c);
+                    }
+                    data[row_off + j] = acc;
+                }
+            }
+        }
+    }
+
+    fn assert_bits_eq(a: &Matrix, b: &Matrix, ctx: &str) {
+        for (e, (x, y)) in a.data().iter().zip(b.data()).enumerate() {
+            assert_eq!(
+                (x.re.to_bits(), x.im.to_bits()),
+                (y.re.to_bits(), y.im.to_bits()),
+                "entry {e} differs: {ctx}"
+            );
+        }
+    }
+
+    #[test]
+    fn matrix_gates_are_bit_identical_to_the_row_loop_oracles() {
+        use crate::random::{haar_unitary, Rng, SplitMix64};
+        use crate::simd::KernelDispatch;
+        let mut rng = SplitMix64::seed_from_u64(0x0A7E);
+        // entries with exact zeros of both signs one time in three
+        let sparse = |rng: &mut SplitMix64| {
+            let mut part = || match rng.gen_range(0..6u32) {
+                0 => 0.0,
+                1 => -0.0,
+                _ => rng.gen_range(-1.0..1.0),
+            };
+            c64(part(), part())
+        };
+        // a CX whose zeros carry both signs, so signed zeros meet the
+        // skipped-nothing mul_add chains
+        let mut cx_like = cnot_gate();
+        for (e, z) in cx_like.iter_mut().enumerate() {
+            if *z == Complex64::ZERO && e % 3 == 0 {
+                *z = c64(-0.0, if e % 2 == 0 { -0.0 } else { 0.0 });
+            }
+        }
+        let x_like = [
+            c64(-0.0, 0.0),
+            Complex64::ONE,
+            Complex64::ONE,
+            c64(0.0, -0.0),
+        ];
+        let tables: Vec<&KernelDispatch> = std::iter::once(KernelDispatch::scalar())
+            .chain(KernelDispatch::simd())
+            .collect();
+        for n in 1..=5usize {
+            let dim = 1usize << n;
+            let m: Vec<Complex64> = (0..dim * dim).map(|_| sparse(&mut rng)).collect();
+            let m = Matrix::from_vec(dim, dim, m);
+            let haar2 = mat2_to_array(&haar_unitary(2, &mut rng));
+            for q in 0..n {
+                for (name, u) in [("x-like", &x_like), ("haar", &haar2)] {
+                    let mut want = m.clone();
+                    apply_1q_mat_left_oracle(&mut want, q, u);
+                    let mut got = m.clone();
+                    apply_1q_mat_left(&mut got, q, u);
+                    assert_bits_eq(&got, &want, &format!("dispatched dim={dim} q={q} {name}"));
+                    for t in &tables {
+                        let mut got = m.clone();
+                        let bit = row_qubit(&got, q);
+                        (t.apply_1q_blocked)(got.data_mut(), bit, u);
+                        let ctx = format!("{} dim={dim} q={q} {name}", t.name);
+                        assert_bits_eq(&got, &want, &ctx);
+                    }
+                }
+            }
+            if n < 2 {
+                continue;
+            }
+            let haar4 = mat4_to_array(&haar_unitary(4, &mut rng));
+            for a in 0..n {
+                for b in (0..n).filter(|&b| b != a) {
+                    for (name, u) in [("cx-like", &cx_like), ("haar", &haar4)] {
+                        let mut want = m.clone();
+                        apply_2q_mat_left_oracle(&mut want, a, b, u);
+                        let mut got = m.clone();
+                        apply_2q_mat_left(&mut got, a, b, u);
+                        let ctx = format!("dispatched dim={dim} ({a},{b}) {name}");
+                        assert_bits_eq(&got, &want, &ctx);
+                        for t in &tables {
+                            let mut got = m.clone();
+                            let (fa, fb) = (row_qubit(&got, a), row_qubit(&got, b));
+                            (t.apply_2q_blocked)(got.data_mut(), fa, fb, u);
+                            let ctx = format!("{} dim={dim} ({a},{b}) {name}", t.name);
+                            assert_bits_eq(&got, &want, &ctx);
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "power-of-two rows and columns")]
+    fn matrix_gate_rejects_a_non_power_of_two_shape() {
+        apply_1q_mat_left(&mut Matrix::zeros(4, 3), 0, &h_gate());
     }
 
     fn h_gate() -> [Complex64; 4] {

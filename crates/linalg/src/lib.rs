@@ -8,7 +8,9 @@
 //! * [`kernels`] — gate-application kernels that never materialize `2^n x 2^n`
 //!   embeddings (the hot loops of every simulator and of synthesis);
 //! * [`solve`] — Gauss-Jordan inversion / linear solves;
-//! * [`expm`](crate::expm::expm) — Padé scaling-and-squaring matrix exponential;
+//! * [`expm`](crate::expm::expm) — Padé scaling-and-squaring matrix exponential,
+//!   with an allocation-free, bit-identical 4x4 form for QFast's blocks
+//!   ([`expm_i_su4`](crate::expm::expm_i_su4));
 //! * [`polar`](crate::polar::polar_unitary) — nearest-unitary projection
 //!   (Newton iteration), the core step of QFactor-style optimization;
 //! * [`decomp`](crate::decomp::zyz_decompose) — ZYZ/U3 Euler decomposition;
@@ -17,8 +19,8 @@
 //! * [`pauli`] — Pauli strings and the su(2^n) Hermitian basis;
 //! * [`random`] — a seedable in-repo RNG ([`random::SplitMix64`]),
 //!   Haar-distributed unitaries, and random states;
-//! * [`parallel`] — order-preserving parallel map / join over scoped
-//!   threads, serial at a thread budget of 1;
+//! * [`parallel`] — order-preserving parallel map over scoped threads,
+//!   serial at a thread budget of 1;
 //! * [`simd`] — runtime-dispatched AVX2 amplitude kernels, bit-identical to
 //!   the scalar fallback (`QAPROX_SIMD=0` forces scalar).
 
@@ -41,7 +43,7 @@ pub mod solve;
 pub use complex::{c64, Complex64};
 pub use decomp::{u3_array, u3_matrix, zyz_decompose, Zyz};
 pub use eigh::{eigh, expm_i_hermitian_spectral, von_neumann_entropy, Eigh};
-pub use expm::{expm, expm_i_hermitian};
+pub use expm::{expm, expm_i_hermitian, expm_i_su4};
 pub use hashing::{hash128, hash128_hex, Hash128};
 pub use matrix::Matrix;
 pub use polar::{nearest_unitary, polar_unitary};

@@ -228,22 +228,14 @@ impl Matrix {
     /// accumulates over `k` in [`Matrix::matmul_into`]'s order with its
     /// `mul_add` and its skipping of zero left-hand entries, and the diagonal
     /// is folded over `i` as [`Matrix::trace`] folds it.
+    ///
+    /// Runs on the kernel table this process selected
+    /// ([`crate::simd::kernel_dispatch`]), with
+    /// [`crate::kernels::matmul_trace_scalar`] as the portable reference.
     pub fn matmul_trace(&self, rhs: &Matrix) -> Complex64 {
         assert_eq!(self.cols, rhs.rows, "matmul dimension mismatch");
         assert_eq!(self.rows, rhs.cols, "trace of non-square matrix");
-        (0..self.rows)
-            .map(|i| {
-                let mut acc = Complex64::ZERO;
-                for k in 0..self.cols {
-                    let a = self.data[i * self.cols + k];
-                    if a == Complex64::ZERO {
-                        continue;
-                    }
-                    acc = acc.mul_add(a, rhs.data[k * rhs.cols + i]);
-                }
-                acc
-            })
-            .sum()
+        (crate::simd::kernel_dispatch().matmul_trace)(self, rhs)
     }
 
     /// `Tr(self^dagger * rhs)` computed without forming the product —

@@ -2,8 +2,8 @@
 //!
 //! The paper pipeline fans out over *populations* of circuits, not over
 //! individual amplitudes, so the only primitive the workspace needs is an
-//! order-preserving parallel map (plus a two-way `join`). Both run over
-//! `std::thread::scope`, so the workspace needs no dependency for them.
+//! order-preserving parallel map. It runs over `std::thread::scope`, so the
+//! workspace needs no dependency for it.
 //! Results are identical at every thread count: each result lands in its own
 //! index's slot, whichever worker computed it.
 //!
@@ -198,29 +198,6 @@ where
         .collect()
 }
 
-/// Runs two closures and returns both results: concurrently, `fb` on a
-/// spawned thread, when the calling thread's budget is at least 2; one after
-/// the other on the calling thread otherwise.
-pub fn join<A, B, FA, FB>(fa: FA, fb: FB) -> (A, B)
-where
-    A: Send,
-    B: Send,
-    FA: FnOnce() -> A + Send,
-    FB: FnOnce() -> B + Send,
-{
-    let budget = thread_budget();
-    if budget <= 1 {
-        return (fa(), fb());
-    }
-    std::thread::scope(|scope| {
-        let hb = scope.spawn(move || with_thread_budget(budget / 2, fb));
-        // `fa` runs on the calling thread under the other half of the budget
-        let a = with_thread_budget(budget - budget / 2, fa);
-        let b = hb.join().unwrap_or_else(|p| std::panic::resume_unwind(p));
-        (a, b)
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -248,13 +225,6 @@ mod tests {
     }
 
     #[test]
-    fn join_returns_both_results() {
-        let (a, b) = join(|| 2 + 2, || "ok");
-        assert_eq!(a, 4);
-        assert_eq!(b, "ok");
-    }
-
-    #[test]
     fn thread_budget_is_positive_and_capped() {
         assert!(thread_budget() >= 1);
         with_thread_budget(4, || {
@@ -264,8 +234,6 @@ mod tests {
             assert_eq!(par_map_range(2, |_| thread_budget()), vec![2; 2]);
             // and the calling thread gets its own budget back afterwards
             assert_eq!(thread_budget(), 4);
-            let (a, b) = join(thread_budget, thread_budget);
-            assert_eq!((a, b), (2, 2));
             with_thread_budget(0, || assert_eq!(thread_budget(), 1));
             assert_eq!(thread_budget(), 4);
         });
@@ -332,9 +300,6 @@ mod tests {
                 // nested waves: only the innermost items do work
                 let nested = par_map_range(3, |o| par_map_range(5, |i| leaf(o * 5 + i)));
                 assert_eq!(nested.concat(), (0..15).collect::<Vec<_>>());
-                // a join whose halves each fan out again
-                let (a, b) = join(|| par_map_range(6, leaf), || par_map_range(6, leaf));
-                assert_eq!((a.len(), b.len()), (6, 6));
             });
             let seen = peak.load(Ordering::SeqCst);
             assert!(
@@ -365,10 +330,6 @@ mod tests {
             // a panic out of a nested budget scope restores the outer one too
             let caught = std::panic::catch_unwind(|| with_thread_budget(7, || panic!("boom")));
             assert!(caught.is_err());
-            assert_eq!(thread_budget(), 3);
-            // and so does a panic on either side of a join
-            assert!(std::panic::catch_unwind(|| join(|| panic!("a"), || 1)).is_err());
-            assert!(std::panic::catch_unwind(|| join(|| 1, || panic!("b"))).is_err());
             assert_eq!(thread_budget(), 3);
         });
     }

@@ -120,6 +120,17 @@ pub fn su_basis(n: usize) -> Vec<Matrix> {
         .collect()
 }
 
+/// [`su_basis`]`(2)` as the fixed-size arrays [`crate::expm::expm_i_su4`]
+/// takes: the 15 non-identity two-qubit Pauli strings, row-major 4x4.
+pub fn su4_basis() -> [[Complex64; 16]; 15] {
+    let basis = su_basis(2);
+    std::array::from_fn(|j| {
+        let mut m = [Complex64::ZERO; 16];
+        m.copy_from_slice(basis[j].data());
+        m
+    })
+}
+
 /// Builds `H(t) = sum_j t_j B_j` over a precomputed basis.
 pub fn hermitian_from_coeffs(basis: &[Matrix], coeffs: &[f64]) -> Matrix {
     assert_eq!(basis.len(), coeffs.len(), "basis/coeff length mismatch");

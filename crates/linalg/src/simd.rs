@@ -6,10 +6,14 @@
 //! * the trajectory and statevector shot loops: the blocked 1q/2q gate
 //!   applications, their read-only `||K psi||^2` norm sweeps and the
 //!   renormalization scale;
+//!   The matrix gates `U_embed * M` (circuit unitaries, the density
+//!   simulator's `U rho`, QFast's blocks) run on the same two blocked
+//!   kernels, with the row qubit mapped to a bit of the flat data;
 //! * the Hilbert-Schmidt instantiation objective: the prefix-chain update
-//!   `U_embed * A`, the suffix-chain update `M * U_embed^dagger` (which the
-//!   density-matrix simulator and QFactor share) and the fused pass that
-//!   forms one U3's three gradient traces.
+//!   `U_embed * A`, the suffix-chain update `M * U_embed^dagger` (in place,
+//!   which the density-matrix simulator and QFactor share, and out of
+//!   place, which the objective itself uses) and the fused pass that forms
+//!   one U3's three gradient traces.
 //!
 //! Selection:
 //!
@@ -72,10 +76,19 @@ pub struct KernelDispatch {
     pub scale: fn(&mut [Complex64], f64),
     /// Out-of-place `dst <- U_embed * src` (instantiation prefix chain).
     pub apply_1q_mat_left_into: fn(&mut Matrix, &Matrix, usize, &[Complex64; 4]),
-    /// In-place `M <- M * U_embed^dagger` (instantiation suffix chain).
+    /// In-place `M <- M * U_embed^dagger` (density simulator, QFactor).
     pub apply_1q_mat_right_dag: fn(&mut Matrix, usize, &[Complex64; 4]),
+    /// Out-of-place `dst <- src * U_embed^dagger` (instantiation suffix
+    /// chain).
+    pub apply_1q_mat_right_dag_into: fn(&mut Matrix, &Matrix, usize, &[Complex64; 4]),
     /// One U3's three gradient traces `Tr(L * dG_embed * A)`.
     pub u3_partial_traces: U3PartialTracesFn,
+    /// `Tr(L * R)` from the diagonal of the product alone
+    /// ([`Matrix::matmul_trace`]).
+    pub matmul_trace: fn(&Matrix, &Matrix) -> Complex64,
+    /// QFast's block exponential `exp(i sum_j t_j P_j)` on 4x4 arrays
+    /// ([`crate::expm::expm_i_su4`]).
+    pub expm_i_su4: fn(&[[Complex64; 16]; 15], &[f64]) -> [Complex64; 16],
 }
 
 /// Signature of [`KernelDispatch::u3_partial_traces`]: `(L, A, qubit,
@@ -91,7 +104,10 @@ static SCALAR: KernelDispatch = KernelDispatch {
     scale: kernels::scale_scalar,
     apply_1q_mat_left_into: kernels::apply_1q_mat_left_into_scalar,
     apply_1q_mat_right_dag: kernels::apply_1q_mat_right_dag_scalar,
+    apply_1q_mat_right_dag_into: kernels::apply_1q_mat_right_dag_into_scalar,
     u3_partial_traces: kernels::u3_partial_traces_scalar,
+    matmul_trace: kernels::matmul_trace_scalar,
+    expm_i_su4: crate::expm::expm_i_su4_scalar,
 };
 
 #[cfg(target_arch = "x86_64")]
@@ -104,7 +120,10 @@ static SIMD: KernelDispatch = KernelDispatch {
     scale: avx2::scale,
     apply_1q_mat_left_into: avx2::apply_1q_mat_left_into,
     apply_1q_mat_right_dag: avx2::apply_1q_mat_right_dag,
+    apply_1q_mat_right_dag_into: avx2::apply_1q_mat_right_dag_into,
     u3_partial_traces: avx2::u3_partial_traces,
+    matmul_trace: avx2::matmul_trace,
+    expm_i_su4: avx2::expm_i_su4,
 };
 
 impl KernelDispatch {
@@ -169,6 +188,7 @@ pub fn selected_kernel() -> &'static str {
 #[cfg(target_arch = "x86_64")]
 pub mod avx2 {
     use crate::complex::Complex64;
+    use crate::expm::{expm_i_su4_with, Ops4, M4};
     use crate::matrix::Matrix;
     use std::arch::x86_64::*;
 
@@ -642,6 +662,24 @@ pub mod avx2 {
     }
 
     /// # Safety
+    /// The host must support AVX2+FMA; `dst` and `src` must have the same
+    /// shape, with a power-of-two column count above `2^q`.
+    #[target_feature(enable = "avx2", enable = "fma")]
+    unsafe fn mat_right_dag_into_inner(
+        dst: &mut Matrix,
+        src: &Matrix,
+        q: usize,
+        u: &[Complex64; 4],
+    ) {
+        // the pattern of mat_right_dag_inner, read from src, written to dst
+        let uc = u.map(Complex64::conj);
+        let len = src.data().len();
+        let s = src.data().as_ptr() as *const f64;
+        let d = dst.data_mut().as_mut_ptr() as *mut f64;
+        apply_1q_pairs(s, d, len, 1 << q, &uc)
+    }
+
+    /// # Safety
     /// The host must support AVX2+FMA; `l` and `a` must both be `n x n`
     /// with `n` a power of two above `2^q`.
     #[target_feature(enable = "avx2", enable = "fma")]
@@ -751,6 +789,22 @@ pub mod avx2 {
         unsafe { mat_right_dag_inner(mat, q, u) }
     }
 
+    /// AVX2 [`crate::kernels::apply_1q_mat_right_dag_into`]. Panics on a
+    /// host without AVX2+FMA.
+    pub fn apply_1q_mat_right_dag_into(
+        dst: &mut Matrix,
+        src: &Matrix,
+        q: usize,
+        u: &[Complex64; 4],
+    ) {
+        assert_eq!((dst.rows(), dst.cols()), (src.rows(), src.cols()));
+        assert!(src.cols().is_power_of_two() && 1 << q < src.cols());
+        assert!(super::simd_available());
+        // SAFETY: the asserts above are mat_right_dag_into_inner's
+        // requirements
+        unsafe { mat_right_dag_into_inner(dst, src, q, u) }
+    }
+
     /// AVX2 [`crate::kernels::u3_partial_traces`]. Panics on a host without
     /// AVX2+FMA.
     pub fn u3_partial_traces(
@@ -766,6 +820,202 @@ pub mod avx2 {
         // SAFETY: the asserts above are u3_partial_traces_inner's
         // requirements
         unsafe { u3_partial_traces_inner(l, a, q, dg) }
+    }
+
+    /// The diagonal entries `i0 .. i0 + 2W` of `L * R` as `W` vectors of two
+    /// chains each, lane pair `t` of vector `v` holding entry `i0 + 2v + t`.
+    /// Every chain steps over `k` in order with the scalar `mul_add`, and a
+    /// lane whose `L[i, k]` is zero keeps its accumulator (a blend, so the
+    /// skip is exact whatever `R` holds).
+    ///
+    /// # Safety
+    /// The host must support AVX2; `lp` and `rp` must point at the `n x m`
+    /// and `m x n` row-major data, with `i0 + 2W <= n`.
+    #[inline(always)]
+    unsafe fn trace_chains<const W: usize>(
+        lp: *const f64,
+        rp: *const f64,
+        n: usize,
+        m: usize,
+        i0: usize,
+    ) -> [__m256d; W] {
+        let zero = _mm256_setzero_pd();
+        let mut acc = [zero; W];
+        for k in 0..m {
+            for (v, acc) in acc.iter_mut().enumerate() {
+                let i = i0 + 2 * v;
+                // L[i, k] and L[i + 1, k] side by side, R[k, i..i + 2] loaded
+                let a0 = _mm_loadu_pd(lp.add(2 * (i * m + k)));
+                let a1 = _mm_loadu_pd(lp.add(2 * ((i + 1) * m + k)));
+                let a = _mm256_set_m128d(a1, a0);
+                let wr = _mm256_unpacklo_pd(a, a);
+                let wi = _mm256_unpackhi_pd(a, a);
+                let r = _mm256_loadu_pd(rp.add(2 * (k * n + i)));
+                let eq = _mm256_cmp_pd(a, zero, _CMP_EQ_OQ);
+                let skip = _mm256_and_pd(eq, swap_halves(eq));
+                *acc = _mm256_blendv_pd(cmul_acc(*acc, r, wr, wi), *acc, skip);
+            }
+        }
+        acc
+    }
+
+    /// # Safety
+    /// The host must support AVX2+FMA; `l` must be `n x m` and `r` `m x n`.
+    #[target_feature(enable = "avx2", enable = "fma")]
+    unsafe fn matmul_trace_inner(l: &Matrix, r: &Matrix) -> Complex64 {
+        let (n, m) = (l.rows(), l.cols());
+        let lp = l.data().as_ptr() as *const f64;
+        let rp = r.data().as_ptr() as *const f64;
+        let mut diag = [0.0f64; 4];
+        let mut total = Complex64::ZERO;
+        let mut fold = |vs: &[__m256d]| {
+            for &v in vs {
+                _mm256_storeu_pd(diag.as_mut_ptr(), v);
+                total += Complex64::new(diag[0], diag[1]);
+                total += Complex64::new(diag[2], diag[3]);
+            }
+        };
+        let mut i0 = 0;
+        // eight chains at a time keep the adder busy; pairs mop up the rest
+        while i0 + 8 <= n {
+            fold(&trace_chains::<4>(lp, rp, n, m, i0));
+            i0 += 8;
+        }
+        while i0 + 2 <= n {
+            fold(&trace_chains::<1>(lp, rp, n, m, i0));
+            i0 += 2;
+        }
+        if i0 < n {
+            let mut acc = Complex64::ZERO;
+            for k in 0..m {
+                let a = l.data()[i0 * m + k];
+                if a != Complex64::ZERO {
+                    acc = acc.mul_add(a, r.data()[k * n + i0]);
+                }
+            }
+            total += acc;
+        }
+        total
+    }
+
+    /// AVX2 [`crate::kernels::matmul_trace_scalar`]. Panics on a host
+    /// without AVX2+FMA.
+    pub fn matmul_trace(l: &Matrix, r: &Matrix) -> Complex64 {
+        assert_eq!((r.rows(), r.cols()), (l.cols(), l.rows()));
+        assert!(super::simd_available());
+        // SAFETY: the asserts above are matmul_trace_inner's requirements
+        unsafe { matmul_trace_inner(l, r) }
+    }
+
+    /// The block exponential's 4x4 operations on AVX2: a row of four
+    /// entries is two vectors, and every entry runs the scalar operation's
+    /// own sequence of roundings ([`cmul`] for products, [`cmul_acc`] for
+    /// `mul_add`).
+    struct Avx4;
+
+    /// Row `r` of a 4x4 array as two vectors.
+    ///
+    /// # Safety
+    /// The host must support AVX.
+    #[inline(always)]
+    unsafe fn load_row(m: &M4, r: usize) -> [__m256d; 2] {
+        let p = m.as_ptr().add(4 * r) as *const f64;
+        [_mm256_loadu_pd(p), _mm256_loadu_pd(p.add(4))]
+    }
+
+    /// Stores two vectors as row `r` of a 4x4 array.
+    ///
+    /// # Safety
+    /// The host must support AVX.
+    #[inline(always)]
+    unsafe fn store_row(m: &mut M4, r: usize, row: [__m256d; 2]) {
+        let p = m.as_mut_ptr().add(4 * r) as *mut f64;
+        _mm256_storeu_pd(p, row[0]);
+        _mm256_storeu_pd(p.add(4), row[1]);
+    }
+
+    impl Ops4 for Avx4 {
+        #[inline(always)]
+        unsafe fn matmul(a: &M4, b: &M4) -> M4 {
+            // k outermost: the sixteen chains advance together, each over
+            // k in order, skipping the k whose left entry is zero
+            let mut acc = [[_mm256_setzero_pd(); 2]; 4];
+            for k in 0..4 {
+                let brow = load_row(b, k);
+                for (i, acc) in acc.iter_mut().enumerate() {
+                    let aik = a[i * 4 + k];
+                    if aik == Complex64::ZERO {
+                        continue;
+                    }
+                    let (wr, wi) = splat(aik);
+                    acc[0] = cmul_acc(acc[0], brow[0], wr, wi);
+                    acc[1] = cmul_acc(acc[1], brow[1], wr, wi);
+                }
+            }
+            let mut out = [Complex64::ZERO; 16];
+            for (i, row) in acc.into_iter().enumerate() {
+                store_row(&mut out, i, row);
+            }
+            out
+        }
+
+        #[inline(always)]
+        unsafe fn scale(a: &M4, k: Complex64) -> M4 {
+            let (wr, wi) = splat(k);
+            let mut out = [Complex64::ZERO; 16];
+            for r in 0..4 {
+                let row = load_row(a, r);
+                store_row(&mut out, r, [cmul(row[0], wr, wi), cmul(row[1], wr, wi)]);
+            }
+            out
+        }
+
+        #[inline(always)]
+        unsafe fn axpy(y: &mut M4, k: Complex64, x: &M4) {
+            let (wr, wi) = splat(k);
+            for r in 0..4 {
+                let (yr, xr) = (load_row(y, r), load_row(x, r));
+                let out = [
+                    cmul_acc(yr[0], xr[0], wr, wi),
+                    cmul_acc(yr[1], xr[1], wr, wi),
+                ];
+                store_row(y, r, out);
+            }
+        }
+
+        #[inline(always)]
+        unsafe fn scale_row(m: &mut M4, r: usize, k: Complex64) {
+            let (wr, wi) = splat(k);
+            let row = load_row(m, r);
+            store_row(m, r, [cmul(row[0], wr, wi), cmul(row[1], wr, wi)]);
+        }
+
+        #[inline(always)]
+        unsafe fn sub_scaled_row(m: &mut M4, r: usize, f: Complex64, src: &[Complex64; 4]) {
+            let (wr, wi) = splat(f);
+            let p = src.as_ptr() as *const f64;
+            let s = [_mm256_loadu_pd(p), _mm256_loadu_pd(p.add(4))];
+            let row = load_row(m, r);
+            let out = [
+                _mm256_sub_pd(row[0], cmul(s[0], wr, wi)),
+                _mm256_sub_pd(row[1], cmul(s[1], wr, wi)),
+            ];
+            store_row(m, r, out);
+        }
+    }
+
+    /// # Safety
+    /// The host must support AVX2+FMA.
+    #[target_feature(enable = "avx2", enable = "fma")]
+    unsafe fn expm_i_su4_inner(basis: &[M4; 15], coeffs: &[f64]) -> M4 {
+        expm_i_su4_with::<Avx4>(basis, coeffs)
+    }
+
+    /// AVX2 [`crate::expm::expm_i_su4`]. Panics on a host without AVX2+FMA.
+    pub fn expm_i_su4(basis: &[[Complex64; 16]; 15], coeffs: &[f64]) -> [Complex64; 16] {
+        assert!(super::simd_available());
+        // SAFETY: the host supports AVX2+FMA (asserted above)
+        unsafe { expm_i_su4_inner(basis, coeffs) }
     }
 
     #[target_feature(enable = "avx2", enable = "fma")]

@@ -4,8 +4,8 @@
 //! particular the block-boundary cases (qubit 0, qubit 1, the top qubit,
 //! and adjacent pairs) where the vector lane layout changes shape.
 //!
-//! The instantiation kernels (the two chain updates and the fused U3
-//! gradient traces) are held to the same contract on matrices of dimension
+//! The instantiation kernels (the chain updates, in place and out of place,
+//! and the fused U3 gradient traces) are held to the same contract on matrices of dimension
 //! 2 to 16, at every qubit position, on inputs seeded with exact and signed
 //! zeros.
 //!
@@ -13,8 +13,9 @@
 //! and once with `QAPROX_SIMD=0` (pins the forced-scalar dispatch).
 
 use qaprox_linalg::kernels::{
-    apply_1q_mat_left_into_scalar, apply_1q_mat_right_dag_scalar, apply_1q_vec_blocked,
-    apply_1q_vec_blocked_scalar, apply_2q_vec_blocked, apply_2q_vec_blocked_scalar, norm_sqr_1q,
+    apply_1q_mat_left_into_scalar, apply_1q_mat_right_dag_into_scalar,
+    apply_1q_mat_right_dag_scalar, apply_1q_vec_blocked, apply_1q_vec_blocked_scalar,
+    apply_2q_vec_blocked, apply_2q_vec_blocked_scalar, matmul_trace_scalar, norm_sqr_1q,
     norm_sqr_1q_scalar, norm_sqr_2q, norm_sqr_2q_scalar, scale, scale_scalar,
     u3_partial_traces_scalar,
 };
@@ -294,7 +295,7 @@ fn check_instantiation_kernels(kernels: &KernelDispatch, seed: u64) {
                 for rows in [dim, 3] {
                     let m = sparse_matrix(rows, dim, &mut rng);
                     let mut via = m.clone();
-                    let mut sc = m;
+                    let mut sc = m.clone();
                     (kernels.apply_1q_mat_right_dag)(&mut via, q, &u);
                     apply_1q_mat_right_dag_scalar(&mut sc, q, &u);
                     assert_bits_eq(
@@ -302,6 +303,14 @@ fn check_instantiation_kernels(kernels: &KernelDispatch, seed: u64) {
                         sc.data(),
                         &format!("right_dag rows={rows} {ctx}"),
                     );
+                    // the out-of-place form writes the in-place result's bits
+                    let mut via = Matrix::zeros(rows, dim);
+                    let mut sc_into = Matrix::zeros(rows, dim);
+                    (kernels.apply_1q_mat_right_dag_into)(&mut via, &m, q, &u);
+                    apply_1q_mat_right_dag_into_scalar(&mut sc_into, &m, q, &u);
+                    let ctx = format!("right_dag_into rows={rows} {ctx}");
+                    assert_bits_eq(via.data(), sc_into.data(), &ctx);
+                    assert_bits_eq(sc_into.data(), sc.data(), &ctx);
                 }
 
                 let via = (kernels.u3_partial_traces)(&l, &src, q, &dg);
@@ -326,5 +335,47 @@ fn avx2_instantiation_kernels_bit_identical_when_available() {
     // the AVX2 table directly, so this leg is meaningful under QAPROX_SIMD=0
     if let Some(simd) = KernelDispatch::simd() {
         check_instantiation_kernels(simd, 0x51D0_0008);
+    }
+}
+
+/// Holds `kernels.matmul_trace` to the scalar reference by `to_bits` on
+/// sparse `n x m` by `m x n` products: every chain-block shape (eight, two
+/// and one chains) and the signed zeros the skipped entries must not touch.
+/// Infinite right-hand entries under zero left-hand ones would turn a
+/// product into NaN, so they show a skip that was not taken.
+fn check_trace_kernel(kernels: &KernelDispatch, seed: u64) {
+    let mut rng = SplitMix64::seed_from_u64(seed);
+    for n in [1usize, 2, 3, 4, 5, 7, 8, 9, 11, 16, 19, 32] {
+        for m in [1usize, 2, 3, 8, 16] {
+            for rep in 0..4 {
+                let l = sparse_matrix(n, m, &mut rng);
+                let mut r = sparse_matrix(m, n, &mut rng);
+                if rep == 3 {
+                    for i in 0..n {
+                        for k in 0..m {
+                            if l[(i, k)] == Complex64::ZERO {
+                                r[(k, i)] = c64(f64::INFINITY, f64::NEG_INFINITY);
+                            }
+                        }
+                    }
+                }
+                let via = (kernels.matmul_trace)(&l, &r);
+                let sc = matmul_trace_scalar(&l, &r);
+                let ctx = format!("{} matmul_trace n={n} m={m} rep={rep}", kernels.name);
+                assert_bits_eq(&[via], &[sc], &ctx);
+            }
+        }
+    }
+}
+
+#[test]
+fn dispatched_matmul_trace_is_bit_identical_to_scalar() {
+    check_trace_kernel(kernel_dispatch(), 0x7ACE_0001);
+}
+
+#[test]
+fn avx2_matmul_trace_bit_identical_when_available() {
+    if let Some(simd) = KernelDispatch::simd() {
+        check_trace_kernel(simd, 0x7ACE_0002);
     }
 }

@@ -20,8 +20,10 @@
 //! The evaluation does only the arithmetic whose result is used:
 //! * each U3's trigonometry is evaluated once ([`U3Trig`]) and shared by the
 //!   prefix gate, the suffix gate and the three partials;
-//! * CX is a row permutation (prefix chain) or a column swap (suffix chain),
-//!   not a dense 4x4 multiply;
+//! * CX is a row permutation (prefix chain) or a column permutation (suffix
+//!   chain), not a dense 4x4 multiply;
+//! * both chains are built out of place, each product written from its
+//!   predecessor's slot straight into its own, so no product is copied;
 //! * a U3's three partials `Tr(L_k dG A_k)` come from one fused pass
 //!   ([`qaprox_linalg::kernels::u3_partial_traces`]) that forms entries of
 //!   `dG A_k` on the fly, skipping the rows that `dG/dphi` zeroes and the
@@ -40,8 +42,8 @@
 //! [`qaprox_linalg::kernel_dispatch`] selected (AVX2 where the host has it;
 //! `QAPROX_SIMD=0` selects the scalar references):
 //! * the prefix update `U_embed * A` and the suffix update
-//!   `M * U_embed^dagger` write every entry independently, so computing two
-//!   entries per vector cannot change one;
+//!   `M * U_embed^dagger` (both out of place) write every entry
+//!   independently, so computing two entries per vector cannot change one;
 //! * the fused pass forms the entries `x * u0 + y * u1` of `dG A_k` across
 //!   lanes, but each partial's accumulate chain stays serial: one
 //!   accumulator per partial, adding the same terms in the same i-then-j
@@ -81,7 +83,7 @@ pub struct InstantiateWorkspace {
     prefixes: Vec<Matrix>,
     /// `suffixes[k] = V^dag G_{m-1} ... G_{k+1}`.
     suffixes: Vec<Matrix>,
-    /// Running suffix accumulator (ends as `V^dag U`).
+    /// The full product `V^dag U`.
     cur: Matrix,
     /// `trig[k]` for every U3 op `k` of this evaluation (unused at CX ops).
     trig: Vec<U3Trig>,
@@ -211,22 +213,31 @@ impl<'a> HsObjective<'a> {
         }
 
         // suffix products: l[k] = V^dag G_{m-1} ... G_{k+1} (l[m-1] = V^dag)
-        // built backward: l[k-1] = l[k] * G_k
-        ws.cur.copy_from(&self.target_dag);
+        // built backward out of place, l[k-1] = l[k] * G_k, and the last
+        // step l[0] * G_0 = V^dag U written to cur
+        if m == 0 {
+            ws.cur.copy_from(&self.target_dag);
+        } else {
+            ws.suffixes[m - 1].copy_from(&self.target_dag);
+        }
         for k in (0..m).rev() {
-            ws.suffixes[k].copy_from(&ws.cur);
+            let (head, tail) = ws.suffixes.split_at_mut(k);
+            let dst = match k {
+                0 => &mut ws.cur,
+                _ => &mut head[k - 1],
+            };
             match self.ops[k] {
                 AnsatzOp::U3 { qubit, .. } => {
                     // M * G through the right_dag kernel: pass G^dag (its
                     // adjoint is G again, bit for bit)
                     let g = ws.trig[k].gate();
                     let gd = [g[0].conj(), g[2].conj(), g[1].conj(), g[3].conj()];
-                    (kernels.apply_1q_mat_right_dag)(&mut ws.cur, qubit, &gd);
+                    (kernels.apply_1q_mat_right_dag_into)(dst, &tail[0], qubit, &gd);
                 }
-                AnsatzOp::Cx { control, target } => cx_cols(&mut ws.cur, control, target),
+                AnsatzOp::Cx { control, target } => cx_cols_into(dst, &tail[0], control, target),
             }
         }
-        // after the loop, cur = V^dag U; trace overlap:
+        // cur = V^dag U; trace overlap:
         let t = ws.cur.trace();
         let t_abs = t.abs();
         let f = (1.0 - t_abs / d).max(0.0);
@@ -266,14 +277,15 @@ fn cx_rows_into(dst: &mut Matrix, src: &Matrix, control: usize, target: usize) {
     }
 }
 
-/// `m <- m * CX_embed`: columns with the control bit set swap with the
-/// column whose target bit is flipped.
-fn cx_cols(m: &mut Matrix, control: usize, target: usize) {
-    let cols = m.cols();
+/// `dst <- src * CX_embed`: columns with the control bit set take the
+/// column with the target bit flipped; the rest are copied.
+fn cx_cols_into(dst: &mut Matrix, src: &Matrix, control: usize, target: usize) {
+    let cols = src.cols();
     let (cmask, tmask) = (1usize << control, 1usize << target);
-    for row in m.data_mut().chunks_exact_mut(cols) {
-        for j in (0..cols).filter(|j| j & cmask != 0 && j & tmask == 0) {
-            row.swap(j, j | tmask);
+    let rows = src.data().chunks_exact(cols);
+    for (out, row) in dst.data_mut().chunks_exact_mut(cols).zip(rows) {
+        for (j, z) in out.iter_mut().enumerate() {
+            *z = row[if j & cmask != 0 { j ^ tmask } else { j }];
         }
     }
 }

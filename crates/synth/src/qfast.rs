@@ -16,14 +16,15 @@ use crate::instantiate::{instantiate, InstantiateConfig};
 use crate::template::Structure;
 use qaprox_circuit::Circuit;
 use qaprox_device::Topology;
-use qaprox_linalg::expm::expm_i_hermitian;
+use qaprox_linalg::expm::expm_i_su4;
 use qaprox_linalg::hashing::hash128;
-use qaprox_linalg::kernels::{apply_2q_mat_left, mat4_to_array};
+use qaprox_linalg::kernels::apply_2q_mat_left;
 use qaprox_linalg::matrix::Matrix;
 use qaprox_linalg::parallel::par_map_range;
-use qaprox_linalg::pauli::{hermitian_from_coeffs, su_basis};
+use qaprox_linalg::pauli::su4_basis;
 use qaprox_linalg::Complex64;
-use qaprox_opt::{lbfgs, LbfgsParams};
+use qaprox_opt::{lbfgs, GradObjective, LbfgsParams};
+use std::cell::RefCell;
 use std::collections::HashMap;
 
 /// QFast configuration.
@@ -71,74 +72,102 @@ struct Block {
 /// Central-difference step of the coarse stage's gradient.
 const FD_STEP: f64 = 1e-6;
 
-/// The 4x4 unitary `exp(i sum_j t_j P_j)` a block's coefficients generate.
-fn block_unitary(coeffs: &[f64], basis: &[Matrix]) -> Matrix {
-    expm_i_hermitian(&hermitian_from_coeffs(basis, coeffs))
+/// The 15 two-qubit Pauli strings a block's coefficients weight.
+type Basis = [[Complex64; 16]; 15];
+
+/// The coarse objective over one block placement: the distance of the
+/// block product to the target and its central-difference gradient in the
+/// blocks' 15 coefficients each. It holds the buffers an evaluation needs,
+/// allocated once per L-BFGS run, so evaluations allocate nothing.
+struct CoarseObjective<'a> {
+    edges: &'a [(usize, usize)],
+    basis: &'a Basis,
+    target_dag: &'a Matrix,
+    ws: RefCell<CoarseWorkspace>,
 }
 
-/// The coarse objective and its central-difference gradient at `flat` (15
-/// coefficients per block on `edges`), bit for bit equal to evaluating the
-/// coarse distance at the point and at every probe from scratch. Every block
-/// is exponentiated once and the prefix products `B_{b-1} ... B_0` are kept,
-/// so a probe of block `b` re-exponentiates only that block, applies it to
-/// the cached prefix, then applies the cached later blocks; the distance
-/// needs only the diagonal of `V^dag U`.
-fn coarse_objective(
-    n: usize,
-    edges: &[(usize, usize)],
-    flat: &[f64],
-    basis: &[Matrix],
-    target_dag: &Matrix,
-) -> (f64, Vec<f64>) {
-    let dim = 1usize << n;
-    let distance = |u: &Matrix| (1.0 - target_dag.matmul_trace(u).abs() / dim as f64).max(0.0);
-    let blocks: Vec<[Complex64; 16]> = (0..edges.len())
-        .map(|b| mat4_to_array(&block_unitary(&flat[b * 15..(b + 1) * 15], basis)))
-        .collect();
-    // prefixes[b] = B_{b-1} ... B_0
-    let mut prefixes = vec![Matrix::identity(dim)];
-    for (b, &(hi, lo)) in edges.iter().enumerate() {
-        let mut next = prefixes[b].clone();
-        apply_2q_mat_left(&mut next, hi, lo, &blocks[b]);
-        prefixes.push(next);
-    }
-    let f = distance(&prefixes[edges.len()]);
+/// [`CoarseObjective`]'s buffers.
+struct CoarseWorkspace {
+    /// Every block's unitary at the evaluated point.
+    blocks: Vec<[Complex64; 16]>,
+    /// `prefixes[b] = B_{b-1} ... B_0` (so `prefixes[0] = I`).
+    prefixes: Vec<Matrix>,
+    /// The product one probe forms.
+    probe: Matrix,
+}
 
-    let mut grad = vec![0.0; flat.len()];
-    let mut u = Matrix::zeros(dim, dim);
-    for (b, &(hi, lo)) in edges.iter().enumerate() {
-        let mut coeffs = flat[b * 15..(b + 1) * 15].to_vec();
-        let mut probe = |coeffs: &[f64]| {
-            u.copy_from(&prefixes[b]);
-            apply_2q_mat_left(
-                &mut u,
-                hi,
-                lo,
-                &mat4_to_array(&block_unitary(coeffs, basis)),
-            );
-            for (later, &(h, l)) in edges.iter().enumerate().skip(b + 1) {
-                apply_2q_mat_left(&mut u, h, l, &blocks[later]);
-            }
-            distance(&u)
-        };
-        for j in 0..15 {
-            let orig = coeffs[j];
-            coeffs[j] = orig + FD_STEP;
-            let fp = probe(&coeffs);
-            coeffs[j] = orig - FD_STEP;
-            let fm = probe(&coeffs);
-            coeffs[j] = orig;
-            grad[b * 15 + j] = (fp - fm) / (2.0 * FD_STEP);
+impl<'a> CoarseObjective<'a> {
+    fn new(edges: &'a [(usize, usize)], basis: &'a Basis, target_dag: &'a Matrix) -> Self {
+        let dim = target_dag.rows();
+        let mut prefixes = vec![Matrix::zeros(dim, dim); edges.len() + 1];
+        prefixes[0].set_identity();
+        CoarseObjective {
+            edges,
+            basis,
+            target_dag,
+            ws: RefCell::new(CoarseWorkspace {
+                blocks: vec![[Complex64::ZERO; 16]; edges.len()],
+                prefixes,
+                probe: Matrix::zeros(dim, dim),
+            }),
         }
     }
-    (f, grad)
+
+    /// The coarse distance of the product `u`; it needs only the diagonal
+    /// of `V^dag U`.
+    fn distance(&self, u: &Matrix) -> f64 {
+        let dim = self.target_dag.rows() as f64;
+        (1.0 - self.target_dag.matmul_trace(u).abs() / dim).max(0.0)
+    }
+}
+
+impl GradObjective for CoarseObjective<'_> {
+    /// The objective and its central-difference gradient at `flat`, bit for
+    /// bit equal to evaluating the coarse distance at the point and at every
+    /// probe from scratch. Every block is exponentiated once and the prefix
+    /// products are kept, so a probe of block `b` re-exponentiates only that
+    /// block, applies it to the cached prefix, then applies the cached later
+    /// blocks.
+    fn eval_into(&self, flat: &[f64], grad: &mut [f64]) -> f64 {
+        let ws = &mut *self.ws.borrow_mut();
+        for (b, &(hi, lo)) in self.edges.iter().enumerate() {
+            ws.blocks[b] = expm_i_su4(self.basis, &flat[b * 15..(b + 1) * 15]);
+            let (done, rest) = ws.prefixes.split_at_mut(b + 1);
+            rest[0].copy_from(&done[b]);
+            apply_2q_mat_left(&mut rest[0], hi, lo, &ws.blocks[b]);
+        }
+        let f = self.distance(&ws.prefixes[self.edges.len()]);
+
+        for (b, &(hi, lo)) in self.edges.iter().enumerate() {
+            let mut coeffs = [0.0; 15];
+            coeffs.copy_from_slice(&flat[b * 15..(b + 1) * 15]);
+            let mut probe = |coeffs: &[f64]| {
+                let u = &mut ws.probe;
+                u.copy_from(&ws.prefixes[b]);
+                apply_2q_mat_left(u, hi, lo, &expm_i_su4(self.basis, coeffs));
+                for (later, &(h, l)) in self.edges.iter().enumerate().skip(b + 1) {
+                    apply_2q_mat_left(u, h, l, &ws.blocks[later]);
+                }
+                self.distance(u)
+            };
+            for j in 0..15 {
+                let orig = coeffs[j];
+                coeffs[j] = orig + FD_STEP;
+                let fp = probe(&coeffs);
+                coeffs[j] = orig - FD_STEP;
+                let fm = probe(&coeffs);
+                coeffs[j] = orig;
+                grad[b * 15 + j] = (fp - fm) / (2.0 * FD_STEP);
+            }
+        }
+        f
+    }
 }
 
 /// Optimizes every block's coefficients jointly (finite-difference L-BFGS).
 fn optimize_blocks(
-    n: usize,
     blocks: &mut [Block],
-    basis: &[Matrix],
+    basis: &Basis,
     target_dag: &Matrix,
     lb: &LbfgsParams,
 ) -> f64 {
@@ -147,8 +176,7 @@ fn optimize_blocks(
         .flat_map(|b| b.coeffs.iter().copied())
         .collect();
     let edges: Vec<(usize, usize)> = blocks.iter().map(|b| b.edge).collect();
-    let obj = |flat: &[f64]| coarse_objective(n, &edges, flat, basis, target_dag);
-    let r = lbfgs(&obj, &flat0, lb);
+    let r = lbfgs(&CoarseObjective::new(&edges, basis, target_dag), &flat0, lb);
     for (i, b) in blocks.iter_mut().enumerate() {
         b.coeffs.copy_from_slice(&r.x[i * 15..(i + 1) * 15]);
     }
@@ -218,7 +246,7 @@ enum RefineKind {
 fn assemble(
     n: usize,
     blocks: &[Block],
-    basis: &[Matrix],
+    basis: &Basis,
     cfg: &InstantiateConfig,
     memo: &mut RefineMemo,
 ) -> Circuit {
@@ -228,7 +256,7 @@ fn assemble(
     let mut keys: Vec<(u64, u64)> = Vec::with_capacity(blocks.len());
     let mut wave_seen: HashMap<(u64, u64), usize> = HashMap::new();
     for (i, b) in blocks.iter().enumerate() {
-        let u = block_unitary(&b.coeffs, basis);
+        let u = Matrix::from_vec(4, 4, expm_i_su4(basis, &b.coeffs).to_vec());
         let key = hash128(&u.canonical_bytes());
         let kind = if let Some(local) = memo.map.get(&key) {
             memo.hits += 1;
@@ -291,7 +319,7 @@ pub fn qfast_with_hooks(
 ) -> SynthesisOutput {
     let n = topology.num_qubits();
     assert_eq!(target.rows(), 1 << n, "target dimension mismatch");
-    let basis = su_basis(2);
+    let basis = su4_basis();
     let target_dag = target.adjoint();
 
     let mut blocks: Vec<Block> = Vec::new();
@@ -332,7 +360,7 @@ pub fn qfast_with_hooks(
                 edge: edges[ei],
                 coeffs,
             });
-            let dist = optimize_blocks(n, &mut trial, &basis, &target_dag, &cfg.coarse_lbfgs);
+            let dist = optimize_blocks(&mut trial, &basis, &target_dag, &cfg.coarse_lbfgs);
             (trial, dist)
         });
         // Per-edge reduce in start order with the serial driver's exact
@@ -396,16 +424,21 @@ pub fn qfast_with_hooks(
 mod tests {
     use super::*;
     use qaprox_circuit::Gate;
+    use qaprox_linalg::expm::expm_i_hermitian;
+    use qaprox_linalg::kernels::mat4_to_array;
+    use qaprox_linalg::pauli::{hermitian_from_coeffs, su_basis};
     use qaprox_linalg::random::haar_unitary;
     use qaprox_linalg::random::SplitMix64 as StdRng;
     use qaprox_metrics::hs_distance;
 
     /// The coarse distance evaluated from scratch: every block
-    /// exponentiated and applied, then the full product `V^dag U` formed.
-    fn coarse_distance(n: usize, blocks: &[Block], basis: &[Matrix], target_dag: &Matrix) -> f64 {
+    /// exponentiated on the heap and applied, then the full product
+    /// `V^dag U` formed.
+    fn coarse_distance(n: usize, blocks: &[Block], target_dag: &Matrix) -> f64 {
+        let basis = su_basis(2);
         let mut u = Matrix::identity(1 << n);
         for b in blocks {
-            let g = mat4_to_array(&block_unitary(&b.coeffs, basis));
+            let g = mat4_to_array(&expm_i_hermitian(&hermitian_from_coeffs(&basis, &b.coeffs)));
             apply_2q_mat_left(&mut u, b.edge.0, b.edge.1, &g);
         }
         let d = (1 << n) as f64;
@@ -416,7 +449,7 @@ mod tests {
     fn coarse_objective_is_bit_identical_to_from_scratch_probes() {
         use qaprox_linalg::random::Rng;
         use qaprox_opt::gradient::central_difference;
-        let basis = su_basis(2);
+        let basis = su4_basis();
         let mut rng = StdRng::seed_from_u64(0xC0A5);
         for n in 2..=4usize {
             let target_dag = haar_unitary(1 << n, &mut rng).adjoint();
@@ -425,9 +458,6 @@ mod tests {
             for num_blocks in 1..=4usize {
                 let edges: Vec<(usize, usize)> = (0..num_blocks)
                     .map(|_| all_edges[rng.gen_range(0..all_edges.len())])
-                    .collect();
-                let flat: Vec<f64> = (0..15 * num_blocks)
-                    .map(|_| rng.gen_range(-0.8..0.8))
                     .collect();
                 let value = |x: &[f64]| {
                     let blocks: Vec<Block> = edges
@@ -438,13 +468,20 @@ mod tests {
                             coeffs: x[i * 15..(i + 1) * 15].to_vec(),
                         })
                         .collect();
-                    coarse_distance(n, &blocks, &basis, &target_dag)
+                    coarse_distance(n, &blocks, &target_dag)
                 };
-                let (f, g) = coarse_objective(n, &edges, &flat, &basis, &target_dag);
-                let g_ref = central_difference(&value, &flat, FD_STEP);
-                assert_eq!(f.to_bits(), value(&flat).to_bits(), "n={n} {edges:?}");
-                let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-                assert_eq!(bits(&g), bits(&g_ref), "n={n} {edges:?}");
+                // one objective, so one workspace, across several points
+                let obj = CoarseObjective::new(&edges, &basis, &target_dag);
+                for _ in 0..3 {
+                    let flat: Vec<f64> = (0..15 * num_blocks)
+                        .map(|_| rng.gen_range(-0.8..0.8))
+                        .collect();
+                    let (f, g) = obj.eval(&flat);
+                    let g_ref = central_difference(&value, &flat, FD_STEP);
+                    assert_eq!(f.to_bits(), value(&flat).to_bits(), "n={n} {edges:?}");
+                    let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                    assert_eq!(bits(&g), bits(&g_ref), "n={n} {edges:?}");
+                }
             }
         }
     }
