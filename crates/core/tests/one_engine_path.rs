@@ -13,6 +13,7 @@ use qaprox_algos::mct::mct_unitary;
 use qaprox_algos::tfim::{tfim_circuit, TfimParams};
 use qaprox_device::Topology;
 use qaprox_linalg::parallel::with_thread_budget;
+use qaprox_linalg::random::{haar_unitary, SplitMix64};
 use qaprox_linalg::Matrix;
 use qaprox_synth::{
     dedupe, qfast, qsearch, select_by_threshold, ApproxCircuit, InstantiateConfig, QFastConfig,
@@ -99,7 +100,8 @@ fn assert_same(got: &Population, want: &Population, ctx: &str) {
 
 fn check(case: &str, target: &Matrix, n: usize, qs: QSearchConfig, qf: QFastConfig) {
     let topology = Topology::linear(n);
-    let max_hs = 0.5;
+    // keep every candidate admission passes, so a missing or extra one shows
+    let max_hs = 1.0;
     let (qs_out, qf_out) = with_thread_budget(1, || {
         (
             qsearch(target, &topology, &qs),
@@ -146,4 +148,31 @@ fn generate_is_generate_with_on_the_toffoli() {
 fn generate_is_generate_with_on_a_tfim_step() {
     let target = tfim_circuit(&TfimParams::paper_defaults(3), 3).unitary();
     check("tfim 3q step 3", &target, 3, qsearch_cfg(16), qfast_cfg());
+}
+
+#[test]
+fn both_with_no_qfast_blocks_keeps_the_depth_0_circuit() {
+    // a Haar target puts the empty circuit at a distance no QSearch
+    // candidate shares, so dropping QFast's stream would show
+    let target = haar_unitary(4, &mut SplitMix64::seed_from_u64(0x0B0));
+    let qf = QFastConfig {
+        max_blocks: 0,
+        ..qfast_cfg()
+    };
+    let topology = Topology::linear(2);
+    let qs = qsearch_cfg(4);
+    let want = union_of(
+        &[
+            qsearch(&target, &topology, &qs),
+            qfast(&target, &topology, &qf),
+        ],
+        1.0,
+    );
+    assert!(want.circuits.iter().any(|c| c.circuit.is_empty()));
+    let wf = Workflow {
+        topology,
+        engine: Engine::Both(qs, qf),
+        max_hs: 1.0,
+    };
+    assert_same(&wf.generate(&target), &want, "generate, no qfast blocks");
 }

@@ -484,11 +484,7 @@ mod tests {
         );
         // all-zero coefficients skip every basis term: exp(0) = I
         let zero = expm_i_su4(&fixed, &[0.0; 15]);
-        assert_eq!(zero, mat_data(&expm_i_hermitian(&Matrix::zeros(4, 4))));
-    }
-
-    fn mat_data(m: &Matrix) -> [Complex64; 16] {
-        std::array::from_fn(|e| m.data()[e])
+        assert_eq!(&zero[..], expm_i_hermitian(&Matrix::zeros(4, 4)).data());
     }
 
     #[test]

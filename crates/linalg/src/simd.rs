@@ -1,19 +1,22 @@
 //! Runtime-dispatched SIMD kernels.
 //!
-//! Two hot paths run through one [`KernelDispatch`] table of hand-vectorized
-//! AVX2 kernels, selected **once per process**:
+//! Three hot paths run through one [`KernelDispatch`] table of
+//! hand-vectorized AVX2 kernels, selected **once per process**:
 //!
 //! * the trajectory and statevector shot loops: the blocked 1q/2q gate
 //!   applications, their read-only `||K psi||^2` norm sweeps and the
-//!   renormalization scale;
-//!   The matrix gates `U_embed * M` (circuit unitaries, the density
-//!   simulator's `U rho`, QFast's blocks) run on the same two blocked
-//!   kernels, with the row qubit mapped to a bit of the flat data;
+//!   renormalization scale. The matrix gates `U_embed * M` (circuit
+//!   unitaries, the density simulator's `U rho`, QFast's blocks) run on the
+//!   same two blocked kernels, with the row qubit mapped to a bit of the
+//!   flat data;
 //! * the Hilbert-Schmidt instantiation objective: the prefix-chain update
 //!   `U_embed * A`, the suffix-chain update `M * U_embed^dagger` (in place,
 //!   which the density-matrix simulator and QFactor share, and out of
 //!   place, which the objective itself uses) and the fused pass that forms
-//!   one U3's three gradient traces.
+//!   one U3's three gradient traces;
+//! * QFast's coarse objective: the 4x4 block exponential
+//!   ([`crate::expm::expm_i_su4`]) and the distance trace
+//!   ([`Matrix::matmul_trace`]).
 //!
 //! Selection:
 //!
@@ -44,7 +47,10 @@
 //!   sum: each trace keeps one accumulator whose chain of `mul_add` steps is
 //!   the scalar [`kernels::u3_partial_traces_scalar`]'s, term for term and
 //!   in the same order, with two of the three accumulators side by side in
-//!   one register.
+//!   one register. `matmul_trace` keeps one chain per diagonal entry the
+//!   same way, and takes a zero left-hand entry's skip as a blend that
+//!   keeps the accumulator, so the skip is exact whatever the right-hand
+//!   entry holds.
 //!
 //! The property suite in `tests/simd_kernels.rs` pins the contract across
 //! all qubit positions and block boundaries.
@@ -54,8 +60,8 @@ use crate::kernels;
 use crate::matrix::Matrix;
 use std::sync::OnceLock;
 
-/// The hot shot-loop and instantiation kernels behind one function-pointer
-/// table.
+/// The hot shot-loop, instantiation and QFast kernels behind one
+/// function-pointer table.
 ///
 /// Resolved once per process by [`kernel_dispatch`]; the public kernels in
 /// [`crate::kernels`] of the same names route through the selected entries.
