@@ -1,5 +1,5 @@
 //! Quantum Fourier transform — an extra CNOT-heavy workload beyond the
-//! paper's three, used by examples and ablation benches.
+//! paper's three, used by examples.
 
 use qaprox_circuit::{Circuit, Gate};
 

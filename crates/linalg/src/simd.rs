@@ -336,12 +336,18 @@ pub mod avx2 {
         }
     }
 
+    /// # Safety
+    /// The host must support AVX2+FMA; `state.len()` must be a power of two
+    /// above `2^q` (see `check_1q`).
     #[target_feature(enable = "avx2", enable = "fma")]
     unsafe fn apply_1q_inner(state: &mut [Complex64], q: usize, u: &[Complex64; 4]) {
         let p = state.as_mut_ptr() as *mut f64;
         apply_1q_pairs(p, p, state.len(), 1 << q, u)
     }
 
+    /// # Safety
+    /// The host must support AVX2+FMA; `state.len()` must be a power of two
+    /// above `2^q` (see `check_1q`).
     #[target_feature(enable = "avx2", enable = "fma")]
     unsafe fn norm_sqr_1q_inner(state: &[Complex64], q: usize, u: &[Complex64; 4]) -> f64 {
         let dim = state.len();
@@ -403,6 +409,9 @@ pub mod avx2 {
         }
     }
 
+    /// # Safety
+    /// The host must support AVX2+FMA; `state.len()` must be a power of two
+    /// above `2^a` and `2^b`, with `a != b` (see `check_2q`).
     #[target_feature(enable = "avx2", enable = "fma")]
     unsafe fn apply_2q_inner(state: &mut [Complex64], a: usize, b: usize, u: &[Complex64; 16]) {
         let dim = state.len();
@@ -503,6 +512,9 @@ pub mod avx2 {
         }
     }
 
+    /// # Safety
+    /// The host must support AVX2+FMA; `state.len()` must be a power of two
+    /// above `2^a` and `2^b`, with `a != b` (see `check_2q`).
     #[target_feature(enable = "avx2", enable = "fma")]
     unsafe fn norm_sqr_2q_inner(
         state: &[Complex64],
@@ -606,37 +618,57 @@ pub mod avx2 {
     /// AVX2 [`crate::kernels::apply_1q_vec_blocked`]. Caller must ensure the
     /// host supports AVX2+FMA (see [`super::simd_available`]).
     pub fn apply_1q_vec_blocked(state: &mut [Complex64], q: usize, u: &[Complex64; 4]) {
-        debug_assert!(state.len().is_power_of_two());
-        debug_assert!(1 << q < state.len(), "qubit index out of range");
-        debug_assert!(super::simd_available());
+        check_1q(state.len(), q);
+        assert!(super::simd_available());
+        // SAFETY: check_1q and the assert above are apply_1q_inner's
+        // requirements
         unsafe { apply_1q_inner(state, q, u) }
     }
 
     /// AVX2 [`crate::kernels::apply_2q_vec_blocked`]. Caller must ensure the
     /// host supports AVX2+FMA.
     pub fn apply_2q_vec_blocked(state: &mut [Complex64], a: usize, b: usize, u: &[Complex64; 16]) {
-        debug_assert!(a != b, "two-qubit gate needs distinct qubits");
-        debug_assert!((1 << a) < state.len() && (1 << b) < state.len());
-        debug_assert!(super::simd_available());
+        check_2q(state.len(), a, b);
+        assert!(super::simd_available());
+        // SAFETY: check_2q and the assert above are apply_2q_inner's
+        // requirements
         unsafe { apply_2q_inner(state, a, b, u) }
     }
 
     /// AVX2 [`crate::kernels::norm_sqr_1q`]. Caller must ensure the host
     /// supports AVX2+FMA.
     pub fn norm_sqr_1q(state: &[Complex64], q: usize, u: &[Complex64; 4]) -> f64 {
-        debug_assert!(state.len().is_power_of_two());
-        debug_assert!(1 << q < state.len(), "qubit index out of range");
-        debug_assert!(super::simd_available());
+        check_1q(state.len(), q);
+        assert!(super::simd_available());
+        // SAFETY: as in apply_1q_vec_blocked
         unsafe { norm_sqr_1q_inner(state, q, u) }
     }
 
     /// AVX2 [`crate::kernels::norm_sqr_2q`]. Caller must ensure the host
     /// supports AVX2+FMA.
     pub fn norm_sqr_2q(state: &[Complex64], a: usize, b: usize, u: &[Complex64; 16]) -> f64 {
-        debug_assert!(a != b, "two-qubit gate needs distinct qubits");
-        debug_assert!((1 << a) < state.len() && (1 << b) < state.len());
-        debug_assert!(super::simd_available());
+        check_2q(state.len(), a, b);
+        assert!(super::simd_available());
+        // SAFETY: as in apply_2q_vec_blocked
         unsafe { norm_sqr_2q_inner(state, a, b, u) }
+    }
+
+    /// The statevector kernels' bounds: a power-of-two length with `2^q`
+    /// below it. Checked in release builds too, since a bad qubit from safe
+    /// code would otherwise index past the state in the pointer loops.
+    fn check_1q(len: usize, q: usize) {
+        assert!(len.is_power_of_two(), "state length must be a power of two");
+        assert!(
+            q < usize::BITS as usize && 1 << q < len,
+            "qubit index out of range"
+        );
+    }
+
+    /// [`check_1q`] for both qubits of a two-qubit gate, which must differ.
+    fn check_2q(len: usize, a: usize, b: usize) {
+        assert_ne!(a, b, "two-qubit gate needs distinct qubits");
+        check_1q(len, a);
+        check_1q(len, b);
     }
 
     /// # Safety

@@ -379,3 +379,50 @@ fn avx2_matmul_trace_bit_identical_when_available() {
         check_trace_kernel(simd, 0x7ACE_0002);
     }
 }
+
+// The AVX2 statevector wrappers are safe functions over unsafe pointer
+// loops, so bad input must panic in release builds too. Their bounds checks
+// run before the AVX2 check, so these panic on the bounds on every x86_64
+// host and never reach the vector code.
+
+#[cfg(target_arch = "x86_64")]
+#[test]
+#[should_panic(expected = "qubit index out of range")]
+fn avx2_apply_1q_rejects_an_out_of_range_qubit() {
+    let mut state = vec![Complex64::ZERO; 8];
+    qaprox_linalg::simd::avx2::apply_1q_vec_blocked(&mut state, 3, &[Complex64::ONE; 4]);
+}
+
+#[cfg(target_arch = "x86_64")]
+#[test]
+#[should_panic(expected = "state length must be a power of two")]
+fn avx2_apply_2q_rejects_a_non_power_of_two_state() {
+    let mut state = vec![Complex64::ZERO; 12];
+    qaprox_linalg::simd::avx2::apply_2q_vec_blocked(&mut state, 0, 1, &[Complex64::ONE; 16]);
+}
+
+#[cfg(target_arch = "x86_64")]
+#[test]
+#[should_panic(expected = "two-qubit gate needs distinct qubits")]
+fn avx2_apply_2q_rejects_a_repeated_qubit() {
+    let mut state = vec![Complex64::ZERO; 8];
+    qaprox_linalg::simd::avx2::apply_2q_vec_blocked(&mut state, 1, 1, &[Complex64::ONE; 16]);
+}
+
+#[cfg(target_arch = "x86_64")]
+#[test]
+#[should_panic(expected = "qubit index out of range")]
+fn avx2_norm_1q_rejects_a_qubit_past_the_word_size() {
+    // 1 << 64 wraps to 1 in release arithmetic, which would pass a bare
+    // `1 << q < len` check
+    let state = vec![Complex64::ZERO; 8];
+    qaprox_linalg::simd::avx2::norm_sqr_1q(&state, usize::BITS as usize, &[Complex64::ONE; 4]);
+}
+
+#[cfg(target_arch = "x86_64")]
+#[test]
+#[should_panic(expected = "qubit index out of range")]
+fn avx2_norm_2q_rejects_an_out_of_range_qubit() {
+    let state = vec![Complex64::ZERO; 16];
+    qaprox_linalg::simd::avx2::norm_sqr_2q(&state, 0, 4, &[Complex64::ONE; 16]);
+}

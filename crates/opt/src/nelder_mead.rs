@@ -1,9 +1,8 @@
 //! Nelder-Mead simplex minimization (derivative-free).
 //!
 //! QSearch as published instantiates with COBYLA when gradients are
-//! unavailable; this simplex method fills the same role here. It is also the
-//! baseline arm of the `ablation_optimizer` benchmark against analytic-
-//! gradient L-BFGS.
+//! unavailable; this simplex method fills the same role here, as a
+//! derivative-free baseline to analytic-gradient L-BFGS.
 
 /// Tuning knobs for [`nelder_mead`].
 #[derive(Debug, Clone)]

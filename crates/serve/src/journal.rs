@@ -9,11 +9,13 @@
 //!
 //! Records are JSON objects with an `event` field — `submit` (carries the
 //! full spec), `start`, `checkpoint` (synthesis progress marker), and the
-//! terminal events `done` / `degraded` (carry the payload), `failed`,
-//! `cancelled`, `timed-out`. On restart [`replay`] returns every intact
-//! record in order; the scheduler rebuilds its job table from them and
-//! re-enqueues whatever never reached a terminal state (see
-//! `Scheduler::start`).
+//! seven terminal events: `done` and `degraded` (carry the payload),
+//! `failed` and `quarantined` (carry the reason as `error`), `cancelled`,
+//! `timed-out` and `shed`. The scheduler writes the terminal records from
+//! its one transition table and decodes them on replay with the inverse of
+//! the same table. On restart [`replay`] returns every intact record in
+//! order; the scheduler rebuilds its job table from them and re-enqueues
+//! whatever never reached a terminal state (see `Scheduler::start`).
 //!
 //! Durability properties:
 //!
@@ -23,11 +25,13 @@
 //! * **truncated-tail tolerance** — replay stops at the first damaged line
 //!   and reports how many lines it skipped; everything before the tear is
 //!   kept (append-only means damage can only be a tail);
-//! * **atomic rotation** — segments are named `seg-NNNNNN.ndjson`; when the
-//!   active segment exceeds [`SEGMENT_CAP`] records the scheduler rewrites
-//!   the live-job snapshot into the next segment via tmp + rename and
-//!   deletes the older ones, so the journal's size is bounded by live state,
-//!   not by history.
+//! * **atomic rotation** — segments are named `seg-NNNNNN.ndjson`; after
+//!   every record the scheduler appends under its state lock (submits,
+//!   dispatches and all terminal transitions, whoever makes them), once the
+//!   active segment holds [`SEGMENT_CAP`] records it rewrites the live-job
+//!   snapshot into the next segment via tmp + rename and deletes the older
+//!   ones, so the journal's size is bounded by live state, not by history.
+//!   Checkpoint records, appended from the running job, never rotate.
 
 use qaprox_linalg::hashing::hash128_hex;
 use qaprox_store::json::{parse, Json};

@@ -19,7 +19,10 @@
 //!   transition is appended to the [`crate::journal`] WAL; a scheduler
 //!   started on the same directory replays it, restores finished jobs'
 //!   results, and re-enqueues (same ids) whatever never reached a terminal
-//!   state — synthesis then resumes from the last store checkpoint;
+//!   state — synthesis then resumes from the last store checkpoint. Live
+//!   execution and replay share one state machine: `State::transition` is
+//!   the only code that changes a job's state, and the terminal vocabulary
+//!   (wire name, journal event, `stats` field) is one table;
 //! * **retry + degradation** — workers retry transient failures through the
 //!   configured [`RetryPolicy`]; when retries exhaust, the job degrades to
 //!   the best available fallback (see [`crate::exec::degraded_payload`])
@@ -43,13 +46,13 @@
 
 use crate::breaker::{BreakerConfig, BreakerRegistry};
 use crate::exec::{degraded_payload, run_spec, ExecCtl, ExecResult};
-use crate::journal::{self, Journal};
+use crate::journal::{self, Journal, ReplayedJournal};
 use crate::retry::RetryPolicy;
 use crate::spec::JobSpec;
 use qaprox_store::json::Json;
 use qaprox_store::Store;
 use std::collections::{BTreeMap, HashMap, VecDeque};
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
@@ -198,19 +201,31 @@ pub enum JobState {
     Quarantined(String),
 }
 
+/// A terminal state's `(wire name, stats field, constructor)`.
+type Terminal = (&'static str, &'static str, fn(String) -> JobState);
+
+/// Every terminal state as `(wire name, stats field, constructor)`, in
+/// `stats` order. The wire name is also the journal event; the constructor
+/// builds the state from its reason, which only `failed` and `quarantined`
+/// carry. The terminal vocabulary is spelled out here and nowhere else:
+/// names, journal records, replay, counters and `stats` all read this table.
+const TERMINALS: [Terminal; 7] = [
+    ("done", "completed", |_| JobState::Done),
+    ("failed", "failed", JobState::Failed),
+    ("cancelled", "cancelled", |_| JobState::Cancelled),
+    ("timed-out", "timed_out", |_| JobState::TimedOut),
+    ("degraded", "degraded", |_| JobState::Degraded),
+    ("shed", "shed", |_| JobState::Shed),
+    ("quarantined", "quarantined", JobState::Quarantined),
+];
+
 impl JobState {
     /// The wire name of this state.
     pub fn name(&self) -> &'static str {
-        match self {
-            JobState::Queued => "queued",
-            JobState::Running => "running",
-            JobState::Done => "done",
-            JobState::Failed(_) => "failed",
-            JobState::Cancelled => "cancelled",
-            JobState::TimedOut => "timed-out",
-            JobState::Degraded => "degraded",
-            JobState::Shed => "shed",
-            JobState::Quarantined(_) => "quarantined",
+        match (self, self.terminal()) {
+            (_, Some(row)) => TERMINALS[row].0,
+            (JobState::Queued, None) => "queued",
+            _ => "running",
         }
     }
 
@@ -218,6 +233,43 @@ impl JobState {
     pub fn is_terminal(&self) -> bool {
         !matches!(self, JobState::Queued | JobState::Running)
     }
+
+    /// The `result` error text of a job without a payload.
+    pub(crate) fn error_text(&self) -> String {
+        match self {
+            JobState::Failed(e) => e.clone(),
+            JobState::Quarantined(reason) => format!("job {}: {reason}", self.name()),
+            s if s.is_terminal() => format!("job {}", s.name()),
+            _ => "not finished".to_string(),
+        }
+    }
+
+    /// This state's row in [`TERMINALS`] (None while queued or running).
+    /// Each row's constructor yields its variant, so the table alone fixes
+    /// the mapping.
+    fn terminal(&self) -> Option<usize> {
+        let variant = std::mem::discriminant(self);
+        TERMINALS
+            .iter()
+            .position(|(.., state)| std::mem::discriminant(&state(String::new())) == variant)
+    }
+
+    /// The failure or quarantine reason this state carries.
+    fn reason(&self) -> Option<&str> {
+        match self {
+            JobState::Failed(r) | JobState::Quarantined(r) => Some(r),
+            _ => None,
+        }
+    }
+}
+
+/// The inverse of the terminal records [`State::transition`] writes: the
+/// state and payload a record restores, or None for a non-terminal event.
+fn decode_terminal(record: &Json) -> Option<(JobState, Option<Json>)> {
+    let event = record.get_str("event")?;
+    let (name, _, state) = TERMINALS.iter().find(|(name, ..)| *name == event)?;
+    let reason = record.get_str("error").unwrap_or(name).to_string();
+    Some((state(reason), record.get("payload").cloned()))
 }
 
 struct Job {
@@ -238,7 +290,13 @@ struct Job {
 }
 
 impl Job {
-    fn queued(spec: JobSpec, fingerprint: String, deadline: Option<Instant>, cost: u64) -> Job {
+    /// A queued job. The client deadline is a relative TTL stamped here, so
+    /// a job re-enqueued by replay gets its budget afresh: the downtime is
+    /// not charged against the client.
+    fn queued(spec: JobSpec, fingerprint: String, cost: u64) -> Job {
+        let deadline = spec
+            .deadline_ms()
+            .map(|ms| Instant::now() + Duration::from_millis(ms));
         Job {
             spec,
             state: JobState::Queued,
@@ -256,28 +314,210 @@ impl Job {
 #[derive(Default)]
 struct Counters {
     submitted: u64,
-    completed: u64,
-    failed: u64,
-    cancelled: u64,
-    timed_out: u64,
     rejected: u64,
     deduped: u64,
-    degraded: u64,
-    shed: u64,
-    quarantined: u64,
     overloaded: u64,
+    /// Jobs that reached each terminal state, indexed like [`TERMINALS`].
+    terminal: [u64; TERMINALS.len()],
 }
 
+/// What moves a job: the inputs of [`State::transition`].
+enum Event {
+    /// A submission joins the back of the queue.
+    Submit(Box<Job>),
+    /// A submission whose journal append failed never happened.
+    Retract,
+    /// A worker takes the queued job.
+    Dispatch,
+    /// The job ends in a terminal state, with the payload of a `done` or
+    /// `degraded` one.
+    Finish(JobState, Option<Json>),
+    /// An injected panic, standing in for the process dying mid-job: the
+    /// job fails and, as a dead process would, journals nothing.
+    Crash(String),
+}
+
+#[derive(Default)]
 struct State {
     queue: VecDeque<u64>,
     jobs: HashMap<u64, Job>,
     inflight: HashMap<String, u64>,
-    next_id: u64,
+    /// The highest job id handed out (0 before the first).
+    last_id: u64,
     stopping: bool,
     counters: Counters,
     /// Summed predicted cost of everything in `queue` (maintained only
     /// while admission is enabled; otherwise stays 0).
     queued_cost: u64,
+}
+
+impl State {
+    /// The one place a job changes state. It does the bookkeeping that goes
+    /// with the change (queue slot and queued cost, dedup entry, counters)
+    /// and returns the journal record for the caller to append. Terminal
+    /// transitions during shutdown journal nothing, so a restart re-enqueues
+    /// those jobs; neither does [`Event::Crash`].
+    fn transition(&mut self, id: u64, event: Event) -> Option<Json> {
+        let record = self.apply(id, event);
+        #[cfg(feature = "strict-invariants")]
+        assert!(self.balances(), "strict-invariants: jobs unaccounted");
+        record
+    }
+
+    fn apply(&mut self, id: u64, event: Event) -> Option<Json> {
+        if let Event::Submit(job) = event {
+            let record = journal::submit_event(id, &job.spec);
+            self.last_id = self.last_id.max(id);
+            self.counters.submitted += 1;
+            self.queued_cost = self.queued_cost.saturating_add(job.cost);
+            self.inflight.entry(job.fingerprint.clone()).or_insert(id);
+            self.queue.push_back(id);
+            self.jobs.insert(id, *job);
+            return Some(record);
+        }
+        let job = self.jobs.get_mut(&id).filter(|j| !j.state.is_terminal())?;
+        if job.state == JobState::Queued {
+            // whatever happens next, the job gives up its queue slot
+            if let Some(pos) = self.queue.iter().position(|&q| q == id) {
+                self.queue.remove(pos);
+            }
+            self.queued_cost = self.queued_cost.saturating_sub(job.cost);
+        }
+        if let Event::Dispatch = event {
+            job.state = JobState::Running;
+            job.started = Some(Instant::now());
+            return Some(journal::event("start", id));
+        }
+        if self.inflight.get(&job.fingerprint) == Some(&id) {
+            self.inflight.remove(&job.fingerprint);
+        }
+        let (state, result, journaled) = match event {
+            Event::Finish(state, result) => (state, result, !self.stopping),
+            Event::Crash(msg) => (JobState::Failed(msg), None, false),
+            Event::Retract => {
+                self.counters.submitted -= 1;
+                self.jobs.remove(&id);
+                return None;
+            }
+            Event::Submit(_) | Event::Dispatch => unreachable!("handled above"),
+        };
+        // a watchdog verdict overrides however the condemned job unwound
+        // (suspended, failed, even finished after the flag flip)
+        let (state, result) = match job.quarantine_reason.take() {
+            Some(reason) => (JobState::Quarantined(reason), None),
+            None => (state, result),
+        };
+        self.counters.terminal[state.terminal().expect("a terminal state")] += 1;
+        let record = journaled
+            .then(|| journal::terminal_event(id, state.name(), result.as_ref(), state.reason()));
+        job.state = state;
+        job.result = result;
+        record
+    }
+
+    /// Shutdown: accept nothing more, cancel every queued job and flag the
+    /// running ones to stop. The cancels are not journaled, so a restart
+    /// re-enqueues the jobs.
+    fn drain(&mut self) {
+        self.stopping = true;
+        for id in self.queue.clone() {
+            self.transition(id, Event::Finish(JobState::Cancelled, None));
+        }
+        for job in self.jobs.values().filter(|j| j.state == JobState::Running) {
+            job.cancel.store(true, Ordering::Relaxed);
+        }
+    }
+
+    fn view(&self, id: u64) -> Option<JobView> {
+        self.jobs.get(&id).map(|j| JobView {
+            id,
+            state: j.state.clone(),
+            result: j.result.clone(),
+        })
+    }
+
+    fn running(&self) -> usize {
+        self.jobs
+            .values()
+            .filter(|j| j.state == JobState::Running)
+            .count()
+    }
+
+    /// The accounting identity: every counted submission is queued, running
+    /// or counted under exactly one terminal state. Jobs a replay restored
+    /// as terminal count on neither side.
+    #[cfg(any(test, feature = "strict-invariants"))]
+    fn balances(&self) -> bool {
+        let terminal: u64 = self.counters.terminal.iter().sum();
+        self.counters.submitted == (self.queue.len() + self.running()) as u64 + terminal
+    }
+
+    /// Rebuilds the job table from journal records, and the recovery report.
+    /// Jobs whose last record is terminal come back as they ended, outside
+    /// the counters; every other journaled submit re-enters through the
+    /// submit transition under its original id, in id order.
+    fn replay(dir: &Path, log: &ReplayedJournal, admission: &AdmissionConfig) -> (State, Json) {
+        // BTreeMap: jobs are visited in id order, so re-enqueueing
+        // preserves the original submission order
+        let mut seen: BTreeMap<u64, Rebuilt> = BTreeMap::new();
+        for rec in &log.records {
+            let (Some(event), Some(id)) = (rec.get_str("event"), rec.get_u64("job")) else {
+                continue;
+            };
+            let r = seen.entry(id).or_default();
+            match event {
+                "submit" => r.spec = rec.get("spec").and_then(|s| JobSpec::from_json(s).ok()),
+                "checkpoint" => {
+                    r.checkpoint_nodes = rec.get_usize("nodes").unwrap_or(r.checkpoint_nodes)
+                }
+                // terminal events decode through the table; "start" and
+                // future event kinds carry no state
+                _ => r.terminal = decode_terminal(rec).or(r.terminal.take()),
+            }
+        }
+        let mut st = State::default();
+        let mut reenqueued = Vec::new();
+        let mut restored_terminal = 0u64;
+        let jobs_seen = seen.len();
+        for (id, r) in seen {
+            st.last_id = st.last_id.max(id);
+            let Some(spec) = r.spec else { continue };
+            let fingerprint = spec.dedup_fingerprint();
+            let mut job = Job::queued(spec, fingerprint, 0);
+            if let Some((state, result)) = r.terminal {
+                restored_terminal += 1;
+                (job.state, job.result) = (state, result);
+                st.jobs.insert(id, job);
+                continue;
+            }
+            if admission.enabled() {
+                job.cost = job.spec.predicted_cost().unwrap_or(0);
+            }
+            reenqueued.push(Json::obj(vec![
+                ("id", Json::Num(id as f64)),
+                ("checkpoint", Json::Num(r.checkpoint_nodes as f64)),
+            ]));
+            // the submit record is already in the journal
+            let _ = st.transition(id, Event::Submit(Box::new(job)));
+        }
+        let report = Json::obj(vec![
+            ("journal", Json::Str(dir.display().to_string())),
+            ("records", Json::Num(log.records.len() as f64)),
+            ("skipped_lines", Json::Num(log.skipped_lines as f64)),
+            ("jobs_seen", Json::Num(jobs_seen as f64)),
+            ("restored_terminal", Json::Num(restored_terminal as f64)),
+            ("reenqueued", Json::Arr(reenqueued)),
+        ]);
+        (st, report)
+    }
+}
+
+/// One journal-replayed job, accumulated in record order.
+#[derive(Default)]
+struct Rebuilt {
+    spec: Option<JobSpec>,
+    terminal: Option<(JobState, Option<Json>)>,
+    checkpoint_nodes: usize,
 }
 
 struct Inner {
@@ -291,6 +531,30 @@ struct Inner {
     recovery: Option<Json>,
     breakers: Arc<BreakerRegistry>,
     cfg: SchedulerConfig,
+}
+
+impl Inner {
+    /// Applies a transition and appends its journal record. Once the
+    /// segment holds [`journal::SEGMENT_CAP`] records, the journal compacts
+    /// to the submit records of the jobs still live: finished jobs' results
+    /// live in the store, and recovery no longer needs their history.
+    fn commit(&self, st: &mut State, id: u64, event: Event) -> Result<(), String> {
+        let (Some(j), Some(record)) = (&self.journal, st.transition(id, event)) else {
+            return Ok(());
+        };
+        j.append(&record)?;
+        if j.needs_rotation() {
+            let live: Vec<Json> = st
+                .jobs
+                .iter()
+                .filter(|(_, job)| !job.state.is_terminal())
+                .map(|(&id, job)| journal::submit_event(id, &job.spec))
+                .collect();
+            // a failed compaction leaves the old segment growing
+            let _ = j.rotate(&live);
+        }
+        Ok(())
+    }
 }
 
 /// What `submit` decided.
@@ -336,115 +600,19 @@ impl std::fmt::Debug for Scheduler {
     }
 }
 
-/// One journal-replayed job, accumulated in record order.
-#[derive(Default)]
-struct Rebuilt {
-    spec: Option<JobSpec>,
-    terminal: Option<(JobState, Option<Json>)>,
-    checkpoint_nodes: usize,
-}
-
 impl Scheduler {
     /// Starts the pool. With a journal directory configured, replays the
     /// journal first: finished jobs get their states and payloads restored
     /// (queryable as before the restart), unfinished ones are re-enqueued
     /// under their original ids, in id order.
     pub fn start(cfg: SchedulerConfig, store: Option<Arc<Store>>) -> Result<Scheduler, String> {
-        let mut state = State {
-            queue: VecDeque::new(),
-            jobs: HashMap::new(),
-            inflight: HashMap::new(),
-            next_id: 1,
-            stopping: false,
-            counters: Counters::default(),
-            queued_cost: 0,
+        let (state, recovery, journal) = match &cfg.journal_dir {
+            Some(dir) => {
+                let (state, report) = State::replay(dir, &journal::replay(dir)?, &cfg.admission);
+                (state, Some(report), Some(Journal::open(dir)?))
+            }
+            None => (State::default(), None, None),
         };
-        let mut journal = None;
-        let mut recovery = None;
-        if let Some(dir) = &cfg.journal_dir {
-            let replayed = journal::replay(dir)?;
-            // BTreeMap: replay visits jobs in id order, so re-enqueueing
-            // preserves the original submission order
-            let mut seen: BTreeMap<u64, Rebuilt> = BTreeMap::new();
-            for rec in &replayed.records {
-                let (Some(event), Some(id)) = (rec.get_str("event"), rec.get_u64("job")) else {
-                    continue;
-                };
-                let r = seen.entry(id).or_default();
-                match event {
-                    "submit" => r.spec = rec.get("spec").and_then(|s| JobSpec::from_json(s).ok()),
-                    "checkpoint" => {
-                        r.checkpoint_nodes = rec.get_usize("nodes").unwrap_or(r.checkpoint_nodes)
-                    }
-                    "done" => r.terminal = Some((JobState::Done, rec.get("payload").cloned())),
-                    "degraded" => {
-                        r.terminal = Some((JobState::Degraded, rec.get("payload").cloned()))
-                    }
-                    "failed" => {
-                        let e = rec.get_str("error").unwrap_or("unknown failure");
-                        r.terminal = Some((JobState::Failed(e.to_string()), None));
-                    }
-                    "cancelled" => r.terminal = Some((JobState::Cancelled, None)),
-                    "timed-out" => r.terminal = Some((JobState::TimedOut, None)),
-                    "shed" => r.terminal = Some((JobState::Shed, None)),
-                    "quarantined" => {
-                        let e = rec.get_str("error").unwrap_or("quarantined");
-                        r.terminal = Some((JobState::Quarantined(e.to_string()), None));
-                    }
-                    _ => {} // "start" and future event kinds carry no state
-                }
-            }
-            let mut reenqueued = Vec::new();
-            let mut restored_terminal = 0u64;
-            for (id, r) in &seen {
-                state.next_id = state.next_id.max(id + 1);
-                let Some(spec) = &r.spec else { continue };
-                let fingerprint = spec.dedup_fingerprint();
-                match &r.terminal {
-                    Some((js, payload)) => {
-                        restored_terminal += 1;
-                        let mut job = Job::queued(spec.clone(), fingerprint, None, 0);
-                        job.state = js.clone();
-                        job.result = payload.clone();
-                        state.jobs.insert(*id, job);
-                    }
-                    None => {
-                        // deadlines are relative TTLs, so a re-enqueued job's
-                        // budget restarts at recovery time (the downtime is
-                        // not charged against the client)
-                        let deadline = spec
-                            .deadline_ms()
-                            .map(|ms| Instant::now() + Duration::from_millis(ms));
-                        let cost = if cfg.admission.enabled() {
-                            spec.predicted_cost().unwrap_or(0)
-                        } else {
-                            0
-                        };
-                        state.queued_cost = state.queued_cost.saturating_add(cost);
-                        state.jobs.insert(
-                            *id,
-                            Job::queued(spec.clone(), fingerprint.clone(), deadline, cost),
-                        );
-                        state.inflight.entry(fingerprint).or_insert(*id);
-                        state.queue.push_back(*id);
-                        reenqueued.push(Json::obj(vec![
-                            ("id", Json::Num(*id as f64)),
-                            ("checkpoint", Json::Num(r.checkpoint_nodes as f64)),
-                        ]));
-                    }
-                }
-            }
-            state.counters.submitted = reenqueued.len() as u64;
-            recovery = Some(Json::obj(vec![
-                ("journal", Json::Str(dir.display().to_string())),
-                ("records", Json::Num(replayed.records.len() as f64)),
-                ("skipped_lines", Json::Num(replayed.skipped_lines as f64)),
-                ("jobs_seen", Json::Num(seen.len() as f64)),
-                ("restored_terminal", Json::Num(restored_terminal as f64)),
-                ("reenqueued", Json::Arr(reenqueued)),
-            ]));
-            journal = Some(Journal::open(dir)?);
-        }
         let inner = Arc::new(Inner {
             state: Mutex::new(state),
             work_ready: Condvar::new(),
@@ -530,22 +698,14 @@ impl Scheduler {
             st.counters.rejected += 1;
             return Ok(Submitted::Rejected);
         }
-        let id = st.next_id;
+        let id = st.last_id + 1;
+        let job = Job::queued(spec, fingerprint, cost);
         // durable before visible: if the WAL cannot record the submission,
         // the job must not exist
-        if let Some(j) = &self.inner.journal {
-            j.append(&journal::submit_event(id, &spec))?;
+        if let Err(e) = self.inner.commit(&mut st, id, Event::Submit(Box::new(job))) {
+            st.transition(id, Event::Retract);
+            return Err(e);
         }
-        let deadline = spec
-            .deadline_ms()
-            .map(|ms| Instant::now() + Duration::from_millis(ms));
-        st.next_id += 1;
-        st.counters.submitted += 1;
-        st.queued_cost = st.queued_cost.saturating_add(cost);
-        st.jobs
-            .insert(id, Job::queued(spec, fingerprint.clone(), deadline, cost));
-        st.inflight.insert(fingerprint, id);
-        st.queue.push_back(id);
         #[cfg(feature = "strict-invariants")]
         debug_assert!(
             st.queue.len() <= self.inner.cfg.queue_capacity,
@@ -558,12 +718,11 @@ impl Scheduler {
 
     /// A snapshot of one job, if it exists.
     pub fn job(&self, id: u64) -> Option<JobView> {
-        let st = self.inner.state.lock().expect("scheduler state poisoned");
-        st.jobs.get(&id).map(|j| JobView {
-            id,
-            state: j.state.clone(),
-            result: j.result.clone(),
-        })
+        self.inner
+            .state
+            .lock()
+            .expect("scheduler state poisoned")
+            .view(id)
     }
 
     /// Requests cancellation. Queued jobs cancel immediately; running jobs
@@ -572,24 +731,14 @@ impl Scheduler {
     pub fn cancel(&self, id: u64) -> bool {
         let mut guard = self.inner.state.lock().expect("scheduler state poisoned");
         let st = &mut *guard;
-        let Some(job) = st.jobs.get_mut(&id) else {
+        let Some(job) = st.jobs.get(&id) else {
             return false;
         };
         match job.state {
             JobState::Queued => {
-                job.state = JobState::Cancelled;
-                job.cancel.store(true, Ordering::Relaxed);
-                st.inflight.remove(&job.fingerprint);
-                st.queue.retain(|&q| q != id);
-                st.queued_cost = st.queued_cost.saturating_sub(job.cost);
-                st.counters.cancelled += 1;
-                // an explicit cancel is durable (unlike shutdown-drain
-                // cancels, which a restart re-enqueues)
-                if !st.stopping {
-                    if let Some(j) = &self.inner.journal {
-                        let _ = j.append(&journal::terminal_event(id, "cancelled", None, None));
-                    }
-                }
+                let _ = self
+                    .inner
+                    .commit(st, id, Event::Finish(JobState::Cancelled, None));
                 drop(guard);
                 self.inner.job_done.notify_all();
                 true
@@ -604,86 +753,47 @@ impl Scheduler {
 
     /// Blocks until the job reaches a terminal state (or the timeout).
     pub fn wait(&self, id: u64, timeout: Duration) -> Option<JobView> {
-        let deadline = Instant::now() + timeout;
-        let mut st = self.inner.state.lock().expect("scheduler state poisoned");
-        loop {
-            match st.jobs.get(&id) {
-                None => return None,
-                Some(j) if j.state.is_terminal() => {
-                    return Some(JobView {
-                        id,
-                        state: j.state.clone(),
-                        result: j.result.clone(),
-                    })
-                }
-                Some(_) => {}
-            }
-            let now = Instant::now();
-            if now >= deadline {
-                return self.snapshot_locked(&st, id);
-            }
-            let (guard, _) = self
-                .inner
-                .job_done
-                .wait_timeout(st, deadline - now)
-                .expect("scheduler state poisoned");
-            st = guard;
-        }
-    }
-
-    fn snapshot_locked(&self, st: &State, id: u64) -> Option<JobView> {
-        st.jobs.get(&id).map(|j| JobView {
-            id,
-            state: j.state.clone(),
-            result: j.result.clone(),
-        })
+        let st = self.inner.state.lock().expect("scheduler state poisoned");
+        let unfinished = |st: &mut State| st.jobs.get(&id).is_some_and(|j| !j.state.is_terminal());
+        let (st, _) = self
+            .inner
+            .job_done
+            .wait_timeout_while(st, timeout, unfinished)
+            .expect("scheduler state poisoned");
+        st.view(id)
     }
 
     /// Scheduler + store statistics as a JSON payload.
     pub fn stats(&self) -> Json {
         let st = self.inner.state.lock().expect("scheduler state poisoned");
         let c = &st.counters;
+        let count = |name: &str, n: u64| (name.to_string(), Json::Num(n as f64));
         let mut fields = vec![
-            ("workers".to_string(), Json::Num(self.workers.len() as f64)),
-            ("queued".to_string(), Json::Num(st.queue.len() as f64)),
-            (
-                "running".to_string(),
-                Json::Num(
-                    st.jobs
-                        .values()
-                        .filter(|j| j.state == JobState::Running)
-                        .count() as f64,
-                ),
-            ),
-            ("submitted".to_string(), Json::Num(c.submitted as f64)),
-            ("completed".to_string(), Json::Num(c.completed as f64)),
-            ("failed".to_string(), Json::Num(c.failed as f64)),
-            ("cancelled".to_string(), Json::Num(c.cancelled as f64)),
-            ("timed_out".to_string(), Json::Num(c.timed_out as f64)),
-            ("rejected".to_string(), Json::Num(c.rejected as f64)),
-            ("deduped".to_string(), Json::Num(c.deduped as f64)),
-            ("degraded".to_string(), Json::Num(c.degraded as f64)),
-            ("shed".to_string(), Json::Num(c.shed as f64)),
-            ("quarantined".to_string(), Json::Num(c.quarantined as f64)),
-            ("overloaded".to_string(), Json::Num(c.overloaded as f64)),
-            ("queued_cost".to_string(), Json::Num(st.queued_cost as f64)),
-            (
-                "breakers".to_string(),
-                Json::Arr(
-                    self.inner
-                        .breakers
-                        .states_all()
-                        .into_iter()
-                        .map(|(name, state)| {
-                            Json::obj(vec![
-                                ("name", Json::Str(name)),
-                                ("state", Json::Str(state.to_string())),
-                            ])
-                        })
-                        .collect(),
-                ),
-            ),
+            count("workers", self.workers.len() as u64),
+            count("queued", st.queue.len() as u64),
+            count("running", st.running() as u64),
+            count("submitted", c.submitted),
         ];
+        let terminal = TERMINALS.iter().zip(c.terminal);
+        fields.extend(terminal.map(|((_, stat, _), n)| count(stat, n)));
+        fields.extend([
+            count("rejected", c.rejected),
+            count("deduped", c.deduped),
+            count("overloaded", c.overloaded),
+            count("queued_cost", st.queued_cost),
+        ]);
+        let breakers = self
+            .inner
+            .breakers
+            .states_all()
+            .into_iter()
+            .map(|(name, state)| {
+                Json::obj(vec![
+                    ("name", Json::Str(name)),
+                    ("state", Json::Str(state.to_string())),
+                ])
+            });
+        fields.push(("breakers".to_string(), Json::Arr(breakers.collect())));
         if let Some(store) = &self.inner.store {
             let s = store.stats();
             fields.push((
@@ -703,46 +813,20 @@ impl Scheduler {
     }
 
     /// Stops accepting work, cancels running jobs, and joins the workers.
-    pub fn shutdown(mut self) {
-        self.begin_shutdown();
-        for w in self.workers.drain(..) {
-            let _ = w.join();
-        }
-        if let Some(w) = self.watchdog.take() {
-            let _ = w.join();
-        }
-    }
-
-    fn begin_shutdown(&self) {
-        let mut guard = self.inner.state.lock().expect("scheduler state poisoned");
-        let st = &mut *guard;
-        st.stopping = true;
-        // drain the queue: queued jobs become cancelled — NOT journaled, so
-        // a restart on the same journal re-enqueues them
-        while let Some(id) = st.queue.pop_front() {
-            if let Some(job) = st.jobs.get_mut(&id) {
-                job.state = JobState::Cancelled;
-                st.inflight.remove(&job.fingerprint);
-                st.counters.cancelled += 1;
-            }
-        }
-        st.queued_cost = 0;
-        // running jobs get their cancel flags flipped
-        for job in st.jobs.values() {
-            if job.state == JobState::Running {
-                job.cancel.store(true, Ordering::Relaxed);
-            }
-        }
-        drop(guard);
-        self.inner.work_ready.notify_all();
-        self.inner.job_done.notify_all();
-        self.inner.watchdog_wake.notify_all();
+    pub fn shutdown(self) {
+        drop(self); // Drop shuts the pool down
     }
 }
 
 impl Drop for Scheduler {
     fn drop(&mut self) {
-        self.begin_shutdown();
+        // a poisoned lock means the workers died on it: nothing to drain
+        if let Ok(mut st) = self.inner.state.lock() {
+            st.drain();
+        }
+        self.inner.work_ready.notify_all();
+        self.inner.job_done.notify_all();
+        self.inner.watchdog_wake.notify_all();
         for w in self.workers.drain(..) {
             let _ = w.join();
         }
@@ -784,7 +868,7 @@ fn watchdog_loop(inner: &Arc<Inner>) {
                 job.cancel.store(true, Ordering::Relaxed);
             }
         }
-        // begin_shutdown notifies watchdog_wake, so shutdown stays prompt
+        // Drop notifies watchdog_wake, so shutdown stays prompt
         let (g, _) = inner
             .watchdog_wake
             .wait_timeout(guard, tick)
@@ -798,67 +882,42 @@ fn worker_loop(inner: &Arc<Inner>) {
         let (id, spec, cancel, job_deadline) = {
             let mut guard = inner.state.lock().expect("scheduler state poisoned");
             loop {
-                if guard.stopping {
-                    return;
-                }
-                let Some(id) = guard.queue.pop_front() else {
-                    guard = inner
-                        .work_ready
-                        .wait(guard)
-                        .expect("scheduler state poisoned");
-                    continue;
-                };
+                let idle = |st: &mut State| !st.stopping && st.queue.is_empty();
+                guard = inner
+                    .work_ready
+                    .wait_while(guard, idle)
+                    .expect("scheduler state poisoned");
                 let st = &mut *guard;
-                let job = st.jobs.get_mut(&id).expect("queued job exists");
-                st.queued_cost = st.queued_cost.saturating_sub(job.cost);
+                let Some(&id) = st.queue.front().filter(|_| !st.stopping) else {
+                    return;
+                };
+                let job = &st.jobs[&id];
                 // deadline shed: a job whose client deadline lapsed while it
-                // waited never dispatches — no worker time, no backend evals
-                if job.deadline.is_some_and(|d| Instant::now() >= d) {
-                    job.state = JobState::Shed;
-                    st.inflight.remove(&job.fingerprint);
-                    st.counters.shed += 1;
-                    if !st.stopping {
-                        if let Some(j) = &inner.journal {
-                            let _ = j.append(&journal::terminal_event(id, "shed", None, None));
-                        }
-                    }
+                // waited never dispatches — no worker time, no backend evals.
+                // Memory sentinel: an arena ask over the watchdog budget is
+                // condemned before it can take the process down.
+                let verdict = if job.deadline.is_some_and(|d| Instant::now() >= d) {
+                    Some(JobState::Shed)
+                } else {
+                    let ask = job.spec.estimated_arena_bytes();
+                    let cap = inner.cfg.watchdog.max_arena_bytes.filter(|&cap| ask > cap);
+                    cap.map(|cap| {
+                        JobState::Quarantined(format!(
+                            "arena ask of {ask} bytes exceeds the {cap}-byte watchdog budget"
+                        ))
+                    })
+                };
+                if let Some(state) = verdict {
+                    let _ = inner.commit(st, id, Event::Finish(state, None));
                     inner.job_done.notify_all();
                     continue;
                 }
-                // memory sentinel: an arena ask over the watchdog budget is
-                // condemned before it can take the process down
-                if let Some(cap) = inner.cfg.watchdog.max_arena_bytes {
-                    let ask = job.spec.estimated_arena_bytes();
-                    if ask > cap {
-                        let reason = format!(
-                            "arena ask of {ask} bytes exceeds the {cap}-byte watchdog budget"
-                        );
-                        job.state = JobState::Quarantined(reason.clone());
-                        st.inflight.remove(&job.fingerprint);
-                        st.counters.quarantined += 1;
-                        if !st.stopping {
-                            if let Some(j) = &inner.journal {
-                                let _ = j.append(&journal::terminal_event(
-                                    id,
-                                    "quarantined",
-                                    None,
-                                    Some(&reason),
-                                ));
-                            }
-                        }
-                        inner.job_done.notify_all();
-                        continue;
-                    }
-                }
-                job.state = JobState::Running;
-                job.started = Some(Instant::now());
+                let _ = inner.commit(st, id, Event::Dispatch);
+                let job = &st.jobs[&id];
                 break (id, job.spec.clone(), Arc::clone(&job.cancel), job.deadline);
             }
         };
 
-        if let Some(j) = &inner.journal {
-            let _ = j.append(&journal::event("start", id));
-        }
         let on_checkpoint = inner.journal.as_ref().map(|_| {
             let inner = Arc::clone(inner);
             Arc::new(move |nodes: usize| {
@@ -914,25 +973,18 @@ fn worker_loop(inner: &Arc<Inner>) {
 
         // Resolve the outcome (including the degradation fallback, which
         // reads the store) BEFORE taking the state lock.
-        let mut injected_crash = false;
-        let (state, result) = match outcome {
-            Ok(Ok(ExecResult::Done(payload))) => (JobState::Done, Some(payload)),
-            Ok(Ok(ExecResult::Suspended)) => {
-                if cancel.load(Ordering::Relaxed) {
-                    (JobState::Cancelled, None)
-                } else {
-                    (JobState::TimedOut, None)
-                }
+        let event = match outcome {
+            Ok(Ok(ExecResult::Done(payload))) => Event::Finish(JobState::Done, Some(payload)),
+            Ok(Ok(ExecResult::Suspended)) if cancel.load(Ordering::Relaxed) => {
+                Event::Finish(JobState::Cancelled, None)
             }
+            Ok(Ok(ExecResult::Suspended)) => Event::Finish(JobState::TimedOut, None),
             Ok(Err(e)) => {
-                let fallback = if qaprox_fault::is_transient(&e) {
-                    degraded_payload(store, &spec, &e)
-                } else {
-                    None
-                };
-                match fallback {
-                    Some(payload) => (JobState::Degraded, Some(payload)),
-                    None => (JobState::Failed(e), None),
+                let fallback =
+                    qaprox_fault::is_transient(&e).then(|| degraded_payload(store, &spec, &e));
+                match fallback.flatten() {
+                    Some(payload) => Event::Finish(JobState::Degraded, Some(payload)),
+                    None => Event::Finish(JobState::Failed(e), None),
                 }
             }
             Err(payload) => {
@@ -941,77 +993,21 @@ fn worker_loop(inner: &Arc<Inner>) {
                     .map(String::as_str)
                     .or_else(|| payload.downcast_ref::<&str>().copied())
                     .unwrap_or("non-string panic payload");
-                injected_crash = qaprox_fault::is_injected_panic(msg);
-                (JobState::Failed(format!("job panicked: {msg}")), None)
+                let failed = format!("job panicked: {msg}");
+                // an injected panic stands in for the process dying
+                if qaprox_fault::is_injected_panic(msg) {
+                    Event::Crash(failed)
+                } else {
+                    Event::Finish(JobState::Failed(failed), None)
+                }
             }
         };
 
-        let mut guard = inner.state.lock().expect("scheduler state poisoned");
-        let st = &mut *guard;
-        if st.jobs.contains_key(&id) {
-            // a watchdog verdict overrides whatever execution produced:
-            // however the condemned job unwound (suspended, failed, even
-            // finished between the flag flip and here), it is quarantined
-            let quarantine = st
-                .jobs
-                .get_mut(&id)
-                .and_then(|j| j.quarantine_reason.take());
-            let (state, result) = match quarantine {
-                Some(reason) => (JobState::Quarantined(reason), None),
-                None => (state, result),
-            };
-            match state {
-                JobState::Done => st.counters.completed += 1,
-                JobState::Failed(_) => st.counters.failed += 1,
-                JobState::Cancelled => st.counters.cancelled += 1,
-                JobState::TimedOut => st.counters.timed_out += 1,
-                JobState::Degraded => st.counters.degraded += 1,
-                JobState::Quarantined(_) => st.counters.quarantined += 1,
-                _ => {}
-            }
-            // Journal the terminal transition — EXCEPT for emulated crashes
-            // (an injected panic stands in for the process dying, and a dead
-            // process appends nothing) and during shutdown drain (those jobs
-            // re-enqueue on restart).
-            if !st.stopping && !injected_crash {
-                if let Some(j) = &inner.journal {
-                    let record = match &state {
-                        JobState::Done => {
-                            journal::terminal_event(id, "done", result.as_ref(), None)
-                        }
-                        JobState::Degraded => {
-                            journal::terminal_event(id, "degraded", result.as_ref(), None)
-                        }
-                        JobState::Failed(e) => journal::terminal_event(id, "failed", None, Some(e)),
-                        JobState::Cancelled => journal::terminal_event(id, "cancelled", None, None),
-                        JobState::TimedOut => journal::terminal_event(id, "timed-out", None, None),
-                        JobState::Shed => journal::terminal_event(id, "shed", None, None),
-                        JobState::Quarantined(reason) => {
-                            journal::terminal_event(id, "quarantined", None, Some(reason))
-                        }
-                        JobState::Queued | JobState::Running => unreachable!("terminal only"),
-                    };
-                    let _ = j.append(&record);
-                    if j.needs_rotation() {
-                        // compact to the live (non-terminal) jobs; finished
-                        // jobs' results live in the store, their history is
-                        // no longer needed for recovery
-                        let live: Vec<Json> = st
-                            .jobs
-                            .iter()
-                            .filter(|(&jid, job)| jid != id && !job.state.is_terminal())
-                            .map(|(&jid, job)| journal::submit_event(jid, &job.spec))
-                            .collect();
-                        let _ = j.rotate(&live);
-                    }
-                }
-            }
-            let job = st.jobs.get_mut(&id).expect("job still present");
-            job.state = state;
-            job.result = result;
-            st.inflight.remove(&job.fingerprint);
-        }
-        drop(guard);
+        let _ = inner.commit(
+            &mut inner.state.lock().expect("scheduler state poisoned"),
+            id,
+            event,
+        );
         inner.job_done.notify_all();
     }
 }
@@ -1020,6 +1016,7 @@ fn worker_loop(inner: &Arc<Inner>) {
 mod tests {
     use super::*;
     use crate::spec::SynthSpec;
+    use qaprox_linalg::{Rng, SplitMix64};
     use std::path::PathBuf;
 
     fn tmp_dir(prefix: &str, tag: &str) -> PathBuf {
@@ -1211,16 +1208,13 @@ mod tests {
         });
         // validation runs the reference builder, which panics for __panic —
         // submit must therefore bypass validation to reach the worker; use
-        // the panic-free path: queue it directly via a crafted spec clone.
+        // the panic-free path: queue it directly through the submit
+        // transition.
         let id = {
             let mut st = sched.inner.state.lock().unwrap();
-            let id = st.next_id;
-            st.next_id += 1;
-            st.counters.submitted += 1;
-            st.jobs
-                .insert(id, Job::queued(boom, "boom".into(), None, 0));
-            st.inflight.insert("boom".into(), id);
-            st.queue.push_back(id);
+            let id = st.last_id + 1;
+            let job = Job::queued(boom, "boom".into(), 0);
+            st.transition(id, Event::Submit(Box::new(job)));
             drop(st);
             sched.inner.work_ready.notify_one();
             id
@@ -1478,6 +1472,141 @@ mod tests {
             other => panic!("{other:?}"),
         }
         sched.shutdown();
+    }
+
+    /// A job table as replay must restore it: state and payload text by id.
+    fn table(st: &State) -> BTreeMap<u64, (JobState, Option<String>)> {
+        let row = |j: &Job| (j.state.clone(), j.result.as_ref().map(Json::to_string));
+        st.jobs.iter().map(|(&id, j)| (id, row(j))).collect()
+    }
+
+    /// One random step of live execution over a few jobs: a submission, a
+    /// dispatch, a queued cancel, a deadline shed, an arena quarantine, any
+    /// running outcome (sometimes after a watchdog verdict) or the shutdown
+    /// drain. Returns what the step journaled and whether the journaling
+    /// rules say it should journal, or None when the drawn step does not
+    /// apply.
+    fn live_step(live: &mut State, rng: &mut SplitMix64) -> Option<(Option<Json>, bool)> {
+        let pick = |ids: &[u64], rng: &mut SplitMix64| ids[rng.gen_range(0..ids.len())];
+        let queued: Vec<u64> = live.queue.iter().copied().collect();
+        let mut running: Vec<u64> = live.jobs.keys().copied().collect();
+        running.retain(|id| live.jobs[id].state == JobState::Running);
+        running.sort_unstable();
+        let payload = |rng: &mut SplitMix64| {
+            let draw = rng.gen_range(0..1000u64) as f64;
+            Some(Json::obj(vec![("draw", Json::Num(draw))]))
+        };
+        let (id, event) = match rng.gen_range(0..40u64) {
+            0..=9 if !live.stopping && live.jobs.len() < 8 => {
+                let id = live.last_id + 1;
+                let spec = tiny(id);
+                let job = Job::queued(spec.clone(), spec.dedup_fingerprint(), 0);
+                (id, Event::Submit(Box::new(job)))
+            }
+            10..=17 if !queued.is_empty() => (queued[0], Event::Dispatch),
+            18..=20 if !queued.is_empty() => {
+                let cancelled = Event::Finish(JobState::Cancelled, None);
+                (pick(&queued, rng), cancelled)
+            }
+            21 | 22 if !queued.is_empty() => (queued[0], Event::Finish(JobState::Shed, None)),
+            23 | 24 if !queued.is_empty() => {
+                let verdict = JobState::Quarantined(format!("arena ask {}", queued[0]));
+                (queued[0], Event::Finish(verdict, None))
+            }
+            25..=38 if !running.is_empty() => {
+                let id = pick(&running, rng);
+                if rng.gen_range(0..4u64) == 0 {
+                    let job = live.jobs.get_mut(&id).unwrap();
+                    job.quarantine_reason = Some(format!("stalled {id}"));
+                }
+                let event = match rng.gen_range(0..6u64) {
+                    0 => Event::Finish(JobState::Done, payload(rng)),
+                    1 => Event::Finish(JobState::Failed(format!("error {id}")), None),
+                    2 => Event::Finish(JobState::Cancelled, None),
+                    3 => Event::Finish(JobState::TimedOut, None),
+                    4 => Event::Finish(JobState::Degraded, payload(rng)),
+                    _ => Event::Crash(format!("job panicked: injected {id}")),
+                };
+                (id, event)
+            }
+            39 if !live.stopping => {
+                live.drain();
+                return Some((None, false));
+            }
+            _ => return None,
+        };
+        // an injected crash journals nothing, nor does any terminal
+        // transition once shutdown began
+        let journaled = match event {
+            Event::Finish(..) => !live.stopping,
+            Event::Crash(_) => false,
+            _ => true,
+        };
+        Some((live.transition(id, event), journaled))
+    }
+
+    /// Replay after a crash matches an uninterrupted run. Seeded random
+    /// sequences run through the live transitions; each is cut at a random
+    /// journal record, and replaying that prefix must restore the live job
+    /// table as it stood at the cut, projected onto what was journaled: a
+    /// job whose last record is terminal comes back exactly as it ended,
+    /// and every other journaled job comes back queued, in id order. The
+    /// accounting identity holds after every step on both sides.
+    #[test]
+    fn replay_of_any_journal_prefix_matches_live_execution() {
+        for seq in 0..256u64 {
+            let mut rng = SplitMix64::seed_from_u64(0x7AB1_E000 + seq);
+            let mut live = State::default();
+            let mut records: Vec<Json> = Vec::new();
+            // snapshots[k]: the live table just after the k-th record
+            let mut snapshots = vec![table(&live)];
+            for _ in 0..rng.gen_range(10..80u64) {
+                let Some((record, journaled)) = live_step(&mut live, &mut rng) else {
+                    continue;
+                };
+                assert!(live.balances(), "seq {seq}: live accounting");
+                assert_eq!(record.is_some(), journaled, "seq {seq}: journaling rules");
+                if let Some(record) = record {
+                    records.push(record);
+                    snapshots.push(table(&live));
+                }
+            }
+
+            let cut = rng.gen_range(0..records.len() as u64 + 1) as usize;
+            let log = ReplayedJournal {
+                records: records[..cut].to_vec(),
+                skipped_lines: 0,
+            };
+            let (replayed, report) =
+                State::replay(Path::new("journal"), &log, &AdmissionConfig::default());
+            assert!(replayed.balances(), "seq {seq}: replayed accounting");
+
+            let last_event = |id: u64| {
+                let mut mine = log.records.iter().rev();
+                mine.find(|r| r.get_u64("job") == Some(id))?
+                    .get_str("event")
+            };
+            let expected: BTreeMap<u64, (JobState, Option<String>)> = snapshots[cut]
+                .iter()
+                .map(|(&id, live_row)| match last_event(id) {
+                    Some("submit" | "start") => (id, (JobState::Queued, None)),
+                    Some(_) => (id, live_row.clone()),
+                    None => panic!("seq {seq}: job {id} is live but was never journaled"),
+                })
+                .collect();
+            assert_eq!(table(&replayed), expected, "seq {seq} cut at {cut}");
+            let queued: Vec<u64> = expected
+                .iter()
+                .filter(|(_, (state, _))| *state == JobState::Queued)
+                .map(|(&id, _)| id)
+                .collect();
+            assert_eq!(Vec::from(replayed.queue.clone()), queued, "seq {seq}");
+            assert_eq!(replayed.counters.submitted, queued.len() as u64);
+            let reenqueued = report.get("reenqueued").and_then(Json::as_arr).unwrap();
+            assert_eq!(reenqueued.len(), queued.len(), "seq {seq}");
+            let last_id = expected.keys().last().copied().unwrap_or(0);
+            assert_eq!(replayed.last_id, last_id, "seq {seq}");
+        }
     }
 
     #[test]

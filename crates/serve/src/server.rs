@@ -315,15 +315,7 @@ fn handle_request(request: &Json, scheduler: &Scheduler, stop: &Arc<AtomicBool>)
                     }
                     None => {
                         fields.insert(0, ("ok".to_string(), Json::Bool(false)));
-                        let why = match &view.state {
-                            crate::scheduler::JobState::Failed(e) => e.clone(),
-                            crate::scheduler::JobState::Quarantined(reason) => {
-                                format!("job quarantined: {reason}")
-                            }
-                            s if s.is_terminal() => format!("job {}", s.name()),
-                            _ => "not finished".to_string(),
-                        };
-                        fields.push(("error".to_string(), Json::Str(why)));
+                        fields.push(("error".to_string(), Json::Str(view.state.error_text())));
                     }
                 }
                 Json::Obj(fields)

@@ -10,12 +10,13 @@
 #![cfg(feature = "failpoints")]
 
 use qaprox_fault::Scenario;
+use qaprox_serve::journal::{replay, SEGMENT_CAP};
 use qaprox_serve::{JobSpec, JobState, Scheduler, SchedulerConfig, Submitted, SynthSpec};
 use qaprox_store::json::Json;
 use qaprox_store::Store;
 use std::path::PathBuf;
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 const WAIT: Duration = Duration::from_secs(120);
 
@@ -140,4 +141,68 @@ fn recovered_job_resumes_from_checkpoint_and_matches_the_no_crash_run() {
         essence(&uninterrupted),
         "replay resume must be bit-identical to the uninterrupted run"
     );
+}
+
+/// The rotation rule holds for every journaled transition: with the only
+/// worker held in `serve.worker.pre_exec`, a storm of queued cancels writes
+/// more than `SEGMENT_CAP` records without a single worker terminal, and
+/// the journal must still compact to one segment holding just the live
+/// jobs.
+#[test]
+fn queued_cancels_alone_rotate_the_journal() {
+    let journal_dir = tmp_dir("rotate-journal");
+    let _scenario = Scenario::setup("serve.worker.pre_exec=after:0->sleep:3000");
+    let sched = Scheduler::start(cfg(journal_dir.clone()), None).unwrap();
+    let holder = match sched.submit(spec()).unwrap() {
+        Submitted::Accepted(id) => id,
+        other => panic!("{other:?}"),
+    };
+    let held_from = Instant::now();
+    while sched.job(holder).unwrap().state != JobState::Running {
+        assert!(held_from.elapsed() < WAIT, "the worker never took the job");
+        std::thread::sleep(Duration::from_millis(1));
+    }
+
+    // a submit and a cancel record per job
+    let storm = SEGMENT_CAP / 2 + 8;
+    let JobSpec::Synth(base) = spec() else {
+        unreachable!()
+    };
+    for seed in 0..storm as u64 {
+        let job = JobSpec::Synth(SynthSpec {
+            seed: 1000 + seed,
+            ..base.clone()
+        });
+        let id = match sched.submit(job).unwrap() {
+            Submitted::Accepted(id) => id,
+            other => panic!("{other:?}"),
+        };
+        assert!(sched.cancel(id));
+    }
+    assert_eq!(
+        sched.job(holder).unwrap().state,
+        JobState::Running,
+        "the storm outlasted the worker's hold, so a worker terminal may have rotated"
+    );
+    assert_eq!(sched.stats().get_u64("cancelled"), Some(storm as u64));
+
+    let mut segments: Vec<String> = std::fs::read_dir(&journal_dir)
+        .unwrap()
+        .filter_map(|e| e.ok()?.file_name().into_string().ok())
+        .filter(|name| name.starts_with("seg-"))
+        .collect();
+    segments.sort();
+    assert_eq!(segments.len(), 1, "{segments:?}");
+    assert_ne!(
+        segments[0], "seg-000000.ndjson",
+        "the journal never rotated"
+    );
+    let records = replay(&journal_dir).unwrap().records;
+    assert!(
+        records.len() < SEGMENT_CAP,
+        "{} records after {} appends: not compacted",
+        records.len(),
+        2 + 2 * storm
+    );
+    sched.shutdown();
 }

@@ -5,7 +5,7 @@
 //! module implements the standard readout-error mitigation — invert the
 //! per-qubit confusion matrices and project back onto the probability
 //! simplex — so that question becomes an experiment
-//! (`ablation` bench / `mitigation_study` driver) instead of speculation.
+//! (the `mitigation_study` driver) instead of speculation.
 
 use crate::readout::ReadoutError;
 
