@@ -22,49 +22,85 @@ fn insert_zero_bit(i: usize, q: usize) -> usize {
     ((i >> q) << (q + 1)) | low
 }
 
-/// Squared norm of `U psi` for a one-qubit gate `u` on qubit `q`, without
-/// mutating the state. This is the read-only half of stochastic Kraus
-/// sampling: branch probabilities `||K_i psi||^2` are computed with this
-/// kernel and only the *selected* branch is applied in place, so a channel
-/// application allocates nothing.
+/// What a prescaled sweep ([`sweep_1q`], [`sweep_2q`]) does with the
+/// amplitudes `U (pre * psi)` it computes.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Sweep {
+    /// Write them back in place and return their squared norm.
+    Store,
+    /// Return their squared norm only; the state is left untouched.
+    NormOnly,
+}
+
+/// One pass of the trajectory shot loop for a one-qubit gate `u` on qubit
+/// `q`: every amplitude is multiplied by the real factor `pre` as it is
+/// loaded, `u` is applied, and the squared norm of the result is returned
+/// (and, with [`Sweep::Store`], the result is written back).
 ///
-/// Dispatches to the fastest implementation the host supports (AVX2 when
-/// detected, [`norm_sqr_1q_scalar`] otherwise); both paths accumulate into
-/// the same four structural lanes and reduce them in the same order, so the
-/// result is bit-identical either way. See [`crate::simd`].
-pub fn norm_sqr_1q(state: &[Complex64], q: usize, u: &[Complex64; 4]) -> f64 {
-    (crate::simd::kernel_dispatch().norm_sqr_1q)(state, q, u)
+/// `pre` is a renormalization carried over from an earlier noise event:
+/// scaling is elementwise, so folding it into the load is bit for bit the
+/// same as a separate [`scale`] sweep first. The stored amplitudes are bit
+/// for bit what [`apply_1q_vec_blocked`] stores for the prescaled state,
+/// and the returned norm accumulates into four structural lanes
+/// `[re0, im0, re1, im1]` reduced as `(l0 + l2) + (l1 + l3)`, the shape of
+/// the AVX2 accumulator, so the dispatched kernel and
+/// [`sweep_1q_scalar`] agree bit for bit. See [`crate::simd`].
+pub fn sweep_1q(
+    state: &mut [Complex64],
+    q: usize,
+    u: &[Complex64; 4],
+    pre: f64,
+    mode: Sweep,
+) -> f64 {
+    (crate::simd::kernel_dispatch().sweep_1q)(state, q, u, pre, mode)
 }
 
-/// Squared norm of `U psi` for a two-qubit gate `u` on `(a, b)` (first listed
-/// qubit = high bit), without mutating the state. See [`norm_sqr_1q`];
-/// dispatched the same way, with [`norm_sqr_2q_scalar`] as the fallback.
-pub fn norm_sqr_2q(state: &[Complex64], a: usize, b: usize, u: &[Complex64; 16]) -> f64 {
-    (crate::simd::kernel_dispatch().norm_sqr_2q)(state, a, b, u)
+/// [`sweep_1q`] for a two-qubit gate `u` on `(a, b)` (first listed qubit =
+/// high bit): stores are bit for bit [`apply_2q_vec_blocked`]'s, and the
+/// norm uses the same four-lane accumulation. Dispatched the same way, with
+/// [`sweep_2q_scalar`] as the fallback.
+pub fn sweep_2q(
+    state: &mut [Complex64],
+    a: usize,
+    b: usize,
+    u: &[Complex64; 16],
+    pre: f64,
+    mode: Sweep,
+) -> f64 {
+    (crate::simd::kernel_dispatch().sweep_2q)(state, a, b, u, pre, mode)
 }
 
-/// Portable [`norm_sqr_1q`]: blocked two-stream traversal accumulating into
-/// four structural lanes `[re0, im0, re1, im1]` with the fixed reduction
-/// `(l0 + l2) + (l1 + l3)` — the exact shape of the AVX2 accumulator, which
-/// is what makes the two paths bit-identical.
-pub fn norm_sqr_1q_scalar(state: &[Complex64], q: usize, u: &[Complex64; 4]) -> f64 {
+/// Portable [`sweep_1q`]: blocked two-stream traversal in the AVX2 kernel's
+/// order, accumulating into its four structural lanes.
+pub fn sweep_1q_scalar(
+    state: &mut [Complex64],
+    q: usize,
+    u: &[Complex64; 4],
+    pre: f64,
+    mode: Sweep,
+) -> f64 {
     let dim = state.len();
     debug_assert!(dim.is_power_of_two());
     debug_assert!(1 << q < dim, "qubit index out of range");
+    let store = mode == Sweep::Store;
     let mask = 1usize << q;
     let mut lanes = [0.0f64; 4];
     if mask == 1 {
         // one (a, b) pair per vector: lanes hold (x.re^2, x.im^2, y.re^2, y.im^2)
         let mut i = 0usize;
         while i < dim {
-            let a = state[i];
-            let b = state[i + 1];
+            let a = state[i] * pre;
+            let b = state[i + 1] * pre;
             let x = a * u[0] + b * u[1];
             let y = a * u[2] + b * u[3];
             lanes[0] += x.re * x.re;
             lanes[1] += x.im * x.im;
             lanes[2] += y.re * y.re;
             lanes[3] += y.im * y.im;
+            if store {
+                state[i] = x;
+                state[i + 1] = y;
+            }
             i += 2;
         }
     } else {
@@ -77,8 +113,8 @@ pub fn norm_sqr_1q_scalar(state: &[Complex64], q: usize, u: &[Complex64; 4]) -> 
             while off < mask {
                 let i0 = base + off;
                 let i1 = i0 | mask;
-                let (a0, a1) = (state[i0], state[i0 + 1]);
-                let (b0, b1) = (state[i1], state[i1 + 1]);
+                let (a0, a1) = (state[i0] * pre, state[i0 + 1] * pre);
+                let (b0, b1) = (state[i1] * pre, state[i1 + 1] * pre);
                 let x0 = a0 * u[0] + b0 * u[1];
                 let x1 = a1 * u[0] + b1 * u[1];
                 lanes[0] += x0.re * x0.re;
@@ -91,6 +127,12 @@ pub fn norm_sqr_1q_scalar(state: &[Complex64], q: usize, u: &[Complex64; 4]) -> 
                 lanes[1] += y0.im * y0.im;
                 lanes[2] += y1.re * y1.re;
                 lanes[3] += y1.im * y1.im;
+                if store {
+                    state[i0] = x0;
+                    state[i0 + 1] = x1;
+                    state[i1] = y0;
+                    state[i1 + 1] = y1;
+                }
                 off += 2;
             }
             base += stride;
@@ -99,12 +141,20 @@ pub fn norm_sqr_1q_scalar(state: &[Complex64], q: usize, u: &[Complex64; 4]) -> 
     (lanes[0] + lanes[2]) + (lanes[1] + lanes[3])
 }
 
-/// Portable [`norm_sqr_2q`]: blocked traversal with the same structural
-/// four-lane accumulation as the AVX2 kernel (see [`norm_sqr_1q_scalar`]).
-pub fn norm_sqr_2q_scalar(state: &[Complex64], a: usize, b: usize, u: &[Complex64; 16]) -> f64 {
+/// Portable [`sweep_2q`]: blocked traversal in the AVX2 kernel's order,
+/// with the same structural four-lane accumulation as [`sweep_1q_scalar`].
+pub fn sweep_2q_scalar(
+    state: &mut [Complex64],
+    a: usize,
+    b: usize,
+    u: &[Complex64; 16],
+    pre: f64,
+    mode: Sweep,
+) -> f64 {
     let dim = state.len();
     debug_assert!(a != b, "two-qubit gate needs distinct qubits");
     debug_assert!((1 << a) < dim && (1 << b) < dim, "qubit index out of range");
+    let store = mode == Sweep::Store;
     let (lo, hi) = if a < b { (a, b) } else { (b, a) };
     let ma = 1usize << a;
     let mb = 1usize << b;
@@ -120,19 +170,10 @@ pub fn norm_sqr_2q_scalar(state: &[Complex64], a: usize, b: usize, u: &[Complex6
                 let mut off = 0usize;
                 while off < mlo {
                     let base = base_mid + off;
-                    let amp0 = [
-                        state[base],
-                        state[base | mb],
-                        state[base | ma],
-                        state[base | ma | mb],
-                    ];
-                    let base1 = base + 1;
-                    let amp1 = [
-                        state[base1],
-                        state[base1 | mb],
-                        state[base1 | ma],
-                        state[base1 | ma | mb],
-                    ];
+                    let idx0 = [base, base | mb, base | ma, base | ma | mb];
+                    let idx1 = idx0.map(|i| i + 1);
+                    let amp0 = idx0.map(|i| state[i] * pre);
+                    let amp1 = idx1.map(|i| state[i] * pre);
                     for r in 0..4 {
                         let mut acc0 = Complex64::ZERO;
                         let mut acc1 = Complex64::ZERO;
@@ -144,6 +185,10 @@ pub fn norm_sqr_2q_scalar(state: &[Complex64], a: usize, b: usize, u: &[Complex6
                         lanes[1] += acc0.im * acc0.im;
                         lanes[2] += acc1.re * acc1.re;
                         lanes[3] += acc1.im * acc1.im;
+                        if store {
+                            state[idx0[r]] = acc0;
+                            state[idx1[r]] = acc1;
+                        }
                     }
                     off += 2;
                 }
@@ -160,12 +205,8 @@ pub fn norm_sqr_2q_scalar(state: &[Complex64], a: usize, b: usize, u: &[Complex6
         while base_hi < dim {
             let mut base = base_hi;
             while base < base_hi + mhi {
-                let amp = [
-                    state[base],
-                    state[base | mb],
-                    state[base | ma],
-                    state[base | ma | mb],
-                ];
+                let idx = [base, base | mb, base | ma, base | ma | mb];
+                let amp = idx.map(|i| state[i] * pre);
                 for half in 0..2 {
                     let r0 = ms[2 * half];
                     let r1 = ms[2 * half + 1];
@@ -179,6 +220,10 @@ pub fn norm_sqr_2q_scalar(state: &[Complex64], a: usize, b: usize, u: &[Complex6
                     lanes[1] += acc0.im * acc0.im;
                     lanes[2] += acc1.re * acc1.re;
                     lanes[3] += acc1.im * acc1.im;
+                    if store {
+                        state[idx[r0]] = acc0;
+                        state[idx[r1]] = acc1;
+                    }
                 }
                 base += 2;
             }
@@ -216,9 +261,9 @@ pub fn apply_2q_vec_blocked(state: &mut [Complex64], a: usize, b: usize, u: &[Co
     (crate::simd::kernel_dispatch().apply_2q_blocked)(state, a, b, u)
 }
 
-/// Scales every amplitude by the real factor `s` — the renormalization
-/// sweep after a stochastic Kraus selection, paid once per noise event in
-/// the trajectory shot loop. Elementwise (`re*s`, `im*s` per amplitude, no
+/// Scales every amplitude by the real factor `s`: the trajectory shot
+/// loop's last renormalization, paid at most once per shot (every earlier
+/// one rides along in the next [`sweep_1q`]/[`sweep_2q`]). Elementwise (`re*s`, `im*s` per amplitude, no
 /// reduction), so the AVX2 and scalar paths are trivially bit-identical.
 ///
 /// Dispatched like [`apply_1q_vec_blocked`], with [`scale_scalar`] as the
@@ -1087,24 +1132,39 @@ mod tests {
 
     #[test]
     fn norm_sqr_kernels_match_apply_then_sum() {
+        // the sweeps' norm, in both modes, agrees with applying the gate to
+        // the prescaled state and summing; a storing sweep leaves exactly
+        // that state behind, a norm-only one leaves the input untouched
         let u1 = h_gate();
         let u2 = cnot_gate();
         let state: Vec<Complex64> = (0..16)
             .map(|i| c64((i as f64 * 0.31).sin(), (i as f64 * 0.17).cos()))
             .collect();
+        let pre = 0.75;
+        let prescaled: Vec<Complex64> = state.iter().map(|&z| z * pre).collect();
         for q in 0..4 {
-            let mut applied = state.clone();
+            let mut applied = prescaled.clone();
             apply_1q_vec(&mut applied, q, &u1);
             let expect: f64 = applied.iter().map(|z| z.norm_sqr()).sum();
-            let got = norm_sqr_1q(&state, q, &u1);
-            assert!((got - expect).abs() < 1e-12, "norm_sqr_1q q={q}");
+            let mut probe = state.clone();
+            let got = sweep_1q(&mut probe, q, &u1, pre, Sweep::NormOnly);
+            assert!((got - expect).abs() < 1e-12, "norm-only sweep_1q q={q}");
+            assert_eq!(probe, state, "norm-only sweep_1q wrote q={q}");
+            let got = sweep_1q(&mut probe, q, &u1, pre, Sweep::Store);
+            assert!((got - expect).abs() < 1e-12, "storing sweep_1q q={q}");
+            assert_eq!(probe, applied, "storing sweep_1q q={q}");
         }
         for (a, b) in [(0usize, 1usize), (3, 0), (1, 3), (2, 1)] {
-            let mut applied = state.clone();
+            let mut applied = prescaled.clone();
             apply_2q_vec(&mut applied, a, b, &u2);
             let expect: f64 = applied.iter().map(|z| z.norm_sqr()).sum();
-            let got = norm_sqr_2q(&state, a, b, &u2);
-            assert!((got - expect).abs() < 1e-12, "norm_sqr_2q ({a},{b})");
+            let mut probe = state.clone();
+            let got = sweep_2q(&mut probe, a, b, &u2, pre, Sweep::NormOnly);
+            assert!((got - expect).abs() < 1e-12, "norm-only sweep_2q ({a},{b})");
+            assert_eq!(probe, state, "norm-only sweep_2q wrote ({a},{b})");
+            let got = sweep_2q(&mut probe, a, b, &u2, pre, Sweep::Store);
+            assert!((got - expect).abs() < 1e-12, "storing sweep_2q ({a},{b})");
+            assert_eq!(probe, applied, "storing sweep_2q ({a},{b})");
         }
     }
 

@@ -4,8 +4,9 @@
 //! hand-vectorized AVX2 kernels, selected **once per process**:
 //!
 //! * the trajectory and statevector shot loops: the blocked 1q/2q gate
-//!   applications, their read-only `||K psi||^2` norm sweeps and the
-//!   renormalization scale. The matrix gates `U_embed * M` (circuit
+//!   applications, the shot loop's prescaled sweeps (apply a 1q/2q matrix
+//!   to `pre * psi` and return the squared norm, storing the result or
+//!   not) and the end-of-shot renormalization scale. The matrix gates `U_embed * M` (circuit
 //!   unitaries, the density simulator's `U rho`, QFast's blocks) run on the
 //!   same two blocked kernels, with the row qubit mapped to a bit of the
 //!   flat data;
@@ -39,10 +40,12 @@
 //!   rounding and break bit-identity. Detection still requires `fma` (it
 //!   ships with every AVX2 core and keeps the dispatch conservative), but
 //!   the value path avoids contraction on purpose;
-//! * the norm sweeps accumulate into **four structural lanes** with a fixed
-//!   final reduction tree `(acc0 + acc2) + (acc1 + acc3)`; the scalar
-//!   [`kernels::norm_sqr_1q_scalar`]/[`kernels::norm_sqr_2q_scalar`] use the
-//!   identical lane structure, so the sums associate identically;
+//! * the sweeps accumulate their norm into **four structural lanes** with a
+//!   fixed final reduction tree `(acc0 + acc2) + (acc1 + acc3)`; the scalar
+//!   [`kernels::sweep_1q_scalar`]/[`kernels::sweep_2q_scalar`] use the
+//!   identical lane structure, so the sums associate identically. The
+//!   prescale is one multiply per loaded part (`re*pre`, `im*pre`), the
+//!   same operation a [`kernels::scale`] sweep would have done;
 //! * the U3 gradient traces run their products across lanes but never a
 //!   sum: each trace keeps one accumulator whose chain of `mul_add` steps is
 //!   the scalar [`kernels::u3_partial_traces_scalar`]'s, term for term and
@@ -56,7 +59,7 @@
 //! all qubit positions and block boundaries.
 
 use crate::complex::Complex64;
-use crate::kernels;
+use crate::kernels::{self, Sweep};
 use crate::matrix::Matrix;
 use std::sync::OnceLock;
 
@@ -73,12 +76,13 @@ pub struct KernelDispatch {
     pub apply_1q_blocked: fn(&mut [Complex64], usize, &[Complex64; 4]),
     /// Blocked two-qubit gate application.
     pub apply_2q_blocked: fn(&mut [Complex64], usize, usize, &[Complex64; 16]),
-    /// Read-only `||U psi||^2` for a one-qubit gate.
-    pub norm_sqr_1q: fn(&[Complex64], usize, &[Complex64; 4]) -> f64,
-    /// Read-only `||U psi||^2` for a two-qubit gate.
-    pub norm_sqr_2q: fn(&[Complex64], usize, usize, &[Complex64; 16]) -> f64,
-    /// Elementwise scale of every amplitude by a real factor (the
-    /// renormalization sweep after a stochastic Kraus selection).
+    /// Prescaled one-qubit sweep ([`kernels::sweep_1q`]): `||U (pre psi)||^2`,
+    /// storing `U (pre psi)` in [`Sweep::Store`] mode.
+    pub sweep_1q: Sweep1qFn,
+    /// Prescaled two-qubit sweep ([`kernels::sweep_2q`]).
+    pub sweep_2q: Sweep2qFn,
+    /// Elementwise scale of every amplitude by a real factor (a shot's
+    /// last pending renormalization).
     pub scale: fn(&mut [Complex64], f64),
     /// Out-of-place `dst <- U_embed * src` (instantiation prefix chain).
     pub apply_1q_mat_left_into: fn(&mut Matrix, &Matrix, usize, &[Complex64; 4]),
@@ -97,6 +101,12 @@ pub struct KernelDispatch {
     pub expm_i_su4: fn(&[[Complex64; 16]; 15], &[f64]) -> [Complex64; 16],
 }
 
+/// Signature of [`KernelDispatch::sweep_1q`]: `(state, qubit, U, pre, mode)`.
+pub type Sweep1qFn = fn(&mut [Complex64], usize, &[Complex64; 4], f64, Sweep) -> f64;
+
+/// Signature of [`KernelDispatch::sweep_2q`]: `(state, a, b, U, pre, mode)`.
+pub type Sweep2qFn = fn(&mut [Complex64], usize, usize, &[Complex64; 16], f64, Sweep) -> f64;
+
 /// Signature of [`KernelDispatch::u3_partial_traces`]: `(L, A, qubit,
 /// [dG/dtheta, dG/dphi, dG/dlambda])`.
 pub type U3PartialTracesFn = fn(&Matrix, &Matrix, usize, &[[Complex64; 4]; 3]) -> [Complex64; 3];
@@ -105,8 +115,8 @@ static SCALAR: KernelDispatch = KernelDispatch {
     name: "scalar",
     apply_1q_blocked: kernels::apply_1q_vec_blocked_scalar,
     apply_2q_blocked: kernels::apply_2q_vec_blocked_scalar,
-    norm_sqr_1q: kernels::norm_sqr_1q_scalar,
-    norm_sqr_2q: kernels::norm_sqr_2q_scalar,
+    sweep_1q: kernels::sweep_1q_scalar,
+    sweep_2q: kernels::sweep_2q_scalar,
     scale: kernels::scale_scalar,
     apply_1q_mat_left_into: kernels::apply_1q_mat_left_into_scalar,
     apply_1q_mat_right_dag: kernels::apply_1q_mat_right_dag_scalar,
@@ -121,8 +131,8 @@ static SIMD: KernelDispatch = KernelDispatch {
     name: "simd",
     apply_1q_blocked: avx2::apply_1q_vec_blocked,
     apply_2q_blocked: avx2::apply_2q_vec_blocked,
-    norm_sqr_1q: avx2::norm_sqr_1q,
-    norm_sqr_2q: avx2::norm_sqr_2q,
+    sweep_1q: avx2::sweep_1q,
+    sweep_2q: avx2::sweep_2q,
     scale: avx2::scale,
     apply_1q_mat_left_into: avx2::apply_1q_mat_left_into,
     apply_1q_mat_right_dag: avx2::apply_1q_mat_right_dag,
@@ -195,6 +205,7 @@ pub fn selected_kernel() -> &'static str {
 pub mod avx2 {
     use crate::complex::Complex64;
     use crate::expm::{expm_i_su4_with, Ops4, M4};
+    use crate::kernels::Sweep;
     use crate::matrix::Matrix;
     use std::arch::x86_64::*;
 
@@ -345,25 +356,37 @@ pub mod avx2 {
         apply_1q_pairs(p, p, state.len(), 1 << q, u)
     }
 
+    /// [`crate::kernels::sweep_1q`] with the mode as a constant, so the
+    /// norm-only loop carries no store branch.
+    ///
     /// # Safety
     /// The host must support AVX2+FMA; `state.len()` must be a power of two
     /// above `2^q` (see `check_1q`).
     #[target_feature(enable = "avx2", enable = "fma")]
-    unsafe fn norm_sqr_1q_inner(state: &[Complex64], q: usize, u: &[Complex64; 4]) -> f64 {
+    unsafe fn sweep_1q_inner<const STORE: bool>(
+        state: &mut [Complex64],
+        q: usize,
+        u: &[Complex64; 4],
+        pre: f64,
+    ) -> f64 {
         let dim = state.len();
         let mask = 1usize << q;
-        let p = state.as_ptr() as *const f64;
+        let p = state.as_mut_ptr() as *mut f64;
+        let scale = _mm256_set1_pd(pre);
         let mut acc = _mm256_setzero_pd();
         if mask == 1 {
             let (c0r, c0i) = pair(u[0], u[2]);
             let (c1r, c1i) = pair(u[1], u[3]);
             let mut i = 0usize;
             while i < dim {
-                let v = _mm256_loadu_pd(p.add(2 * i));
+                let v = _mm256_mul_pd(_mm256_loadu_pd(p.add(2 * i)), scale);
                 let aa = _mm256_permute2f128_pd(v, v, 0x00);
                 let bb = _mm256_permute2f128_pd(v, v, 0x11);
                 let out = _mm256_add_pd(cmul(aa, c0r, c0i), cmul(bb, c1r, c1i));
                 acc = _mm256_add_pd(acc, _mm256_mul_pd(out, out));
+                if STORE {
+                    _mm256_storeu_pd(p.add(2 * i), out);
+                }
                 i += 2;
             }
         } else {
@@ -378,12 +401,16 @@ pub mod avx2 {
                 while off < mask {
                     let i0 = 2 * (base + off);
                     let i1 = 2 * (base + off + mask);
-                    let va = _mm256_loadu_pd(p.add(i0));
-                    let vb = _mm256_loadu_pd(p.add(i1));
+                    let va = _mm256_mul_pd(_mm256_loadu_pd(p.add(i0)), scale);
+                    let vb = _mm256_mul_pd(_mm256_loadu_pd(p.add(i1)), scale);
                     let o0 = _mm256_add_pd(cmul(va, u0r, u0i), cmul(vb, u1r, u1i));
                     let o1 = _mm256_add_pd(cmul(va, u2r, u2i), cmul(vb, u3r, u3i));
                     acc = _mm256_add_pd(acc, _mm256_mul_pd(o0, o0));
                     acc = _mm256_add_pd(acc, _mm256_mul_pd(o1, o1));
+                    if STORE {
+                        _mm256_storeu_pd(p.add(i0), o0);
+                        _mm256_storeu_pd(p.add(i1), o1);
+                    }
                     off += 2;
                 }
                 base += stride;
@@ -512,15 +539,18 @@ pub mod avx2 {
         }
     }
 
+    /// [`crate::kernels::sweep_2q`] with the mode as a constant.
+    ///
     /// # Safety
     /// The host must support AVX2+FMA; `state.len()` must be a power of two
     /// above `2^a` and `2^b`, with `a != b` (see `check_2q`).
     #[target_feature(enable = "avx2", enable = "fma")]
-    unsafe fn norm_sqr_2q_inner(
-        state: &[Complex64],
+    unsafe fn sweep_2q_inner<const STORE: bool>(
+        state: &mut [Complex64],
         a: usize,
         b: usize,
         u: &[Complex64; 16],
+        pre: f64,
     ) -> f64 {
         let dim = state.len();
         let (lo, hi) = if a < b { (a, b) } else { (b, a) };
@@ -528,7 +558,8 @@ pub mod avx2 {
         let mb = 1usize << b;
         let mlo = 1usize << lo;
         let mhi = 1usize << hi;
-        let p = state.as_ptr() as *const f64;
+        let p = state.as_mut_ptr() as *mut f64;
+        let scale = _mm256_set1_pd(pre);
         let mut acc = _mm256_setzero_pd();
         if mlo >= 2 {
             let mut ur = [_mm256_setzero_pd(); 16];
@@ -552,10 +583,10 @@ pub mod avx2 {
                             2 * (base | ma | mb),
                         ];
                         let amp = [
-                            _mm256_loadu_pd(p.add(idx[0])),
-                            _mm256_loadu_pd(p.add(idx[1])),
-                            _mm256_loadu_pd(p.add(idx[2])),
-                            _mm256_loadu_pd(p.add(idx[3])),
+                            _mm256_mul_pd(_mm256_loadu_pd(p.add(idx[0])), scale),
+                            _mm256_mul_pd(_mm256_loadu_pd(p.add(idx[1])), scale),
+                            _mm256_mul_pd(_mm256_loadu_pd(p.add(idx[2])), scale),
+                            _mm256_mul_pd(_mm256_loadu_pd(p.add(idx[3])), scale),
                         ];
                         for r in 0..4 {
                             let mut row = _mm256_setzero_pd();
@@ -563,6 +594,9 @@ pub mod avx2 {
                                 row = cmul_acc(row, amp_c, ur[r * 4 + c], ui[r * 4 + c]);
                             }
                             acc = _mm256_add_pd(acc, _mm256_mul_pd(row, row));
+                            if STORE {
+                                _mm256_storeu_pd(p.add(idx[r]), row);
+                            }
                         }
                         off += 2;
                     }
@@ -590,8 +624,8 @@ pub mod avx2 {
                 while base < base_hi + mhi {
                     let il = 2 * base;
                     let ih = 2 * (base + mhi);
-                    let vl = _mm256_loadu_pd(p.add(il));
-                    let vh = _mm256_loadu_pd(p.add(ih));
+                    let vl = _mm256_mul_pd(_mm256_loadu_pd(p.add(il)), scale);
+                    let vh = _mm256_mul_pd(_mm256_loadu_pd(p.add(ih)), scale);
                     let slots = [
                         _mm256_permute2f128_pd(vl, vl, 0x00),
                         _mm256_permute2f128_pd(vl, vl, 0x11),
@@ -607,6 +641,10 @@ pub mod avx2 {
                     }
                     acc = _mm256_add_pd(acc, _mm256_mul_pd(accl, accl));
                     acc = _mm256_add_pd(acc, _mm256_mul_pd(acch, acch));
+                    if STORE {
+                        _mm256_storeu_pd(p.add(il), accl);
+                        _mm256_storeu_pd(p.add(ih), acch);
+                    }
                     base += 2;
                 }
                 base_hi += mhi << 1;
@@ -635,22 +673,45 @@ pub mod avx2 {
         unsafe { apply_2q_inner(state, a, b, u) }
     }
 
-    /// AVX2 [`crate::kernels::norm_sqr_1q`]. Caller must ensure the host
+    /// AVX2 [`crate::kernels::sweep_1q`]. Caller must ensure the host
     /// supports AVX2+FMA.
-    pub fn norm_sqr_1q(state: &[Complex64], q: usize, u: &[Complex64; 4]) -> f64 {
+    pub fn sweep_1q(
+        state: &mut [Complex64],
+        q: usize,
+        u: &[Complex64; 4],
+        pre: f64,
+        mode: Sweep,
+    ) -> f64 {
         check_1q(state.len(), q);
         assert!(super::simd_available());
         // SAFETY: as in apply_1q_vec_blocked
-        unsafe { norm_sqr_1q_inner(state, q, u) }
+        unsafe {
+            match mode {
+                Sweep::Store => sweep_1q_inner::<true>(state, q, u, pre),
+                Sweep::NormOnly => sweep_1q_inner::<false>(state, q, u, pre),
+            }
+        }
     }
 
-    /// AVX2 [`crate::kernels::norm_sqr_2q`]. Caller must ensure the host
+    /// AVX2 [`crate::kernels::sweep_2q`]. Caller must ensure the host
     /// supports AVX2+FMA.
-    pub fn norm_sqr_2q(state: &[Complex64], a: usize, b: usize, u: &[Complex64; 16]) -> f64 {
+    pub fn sweep_2q(
+        state: &mut [Complex64],
+        a: usize,
+        b: usize,
+        u: &[Complex64; 16],
+        pre: f64,
+        mode: Sweep,
+    ) -> f64 {
         check_2q(state.len(), a, b);
         assert!(super::simd_available());
         // SAFETY: as in apply_2q_vec_blocked
-        unsafe { norm_sqr_2q_inner(state, a, b, u) }
+        unsafe {
+            match mode {
+                Sweep::Store => sweep_2q_inner::<true>(state, a, b, u, pre),
+                Sweep::NormOnly => sweep_2q_inner::<false>(state, a, b, u, pre),
+            }
+        }
     }
 
     /// The statevector kernels' bounds: a power-of-two length with `2^q`

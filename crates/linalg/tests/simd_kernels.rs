@@ -4,6 +4,11 @@
 //! particular the block-boundary cases (qubit 0, qubit 1, the top qubit,
 //! and adjacent pairs) where the vector lane layout changes shape.
 //!
+//! The shot loop's prescaled sweeps are held to their scalar references in
+//! both modes (storing and norm-only), with the identity prescale and a
+//! renormalization-sized one, and their stores to the blocked gate kernels
+//! applied to the prescaled state.
+//!
 //! The instantiation kernels (the chain updates, in place and out of place,
 //! and the fused U3 gradient traces) are held to the same contract on matrices of dimension
 //! 2 to 16, at every qubit position, on inputs seeded with exact and signed
@@ -15,9 +20,8 @@
 use qaprox_linalg::kernels::{
     apply_1q_mat_left_into_scalar, apply_1q_mat_right_dag_into_scalar,
     apply_1q_mat_right_dag_scalar, apply_1q_vec_blocked, apply_1q_vec_blocked_scalar,
-    apply_2q_vec_blocked, apply_2q_vec_blocked_scalar, matmul_trace_scalar, norm_sqr_1q,
-    norm_sqr_1q_scalar, norm_sqr_2q, norm_sqr_2q_scalar, scale, scale_scalar,
-    u3_partial_traces_scalar,
+    apply_2q_vec_blocked, apply_2q_vec_blocked_scalar, matmul_trace_scalar, scale, scale_scalar,
+    sweep_1q, sweep_1q_scalar, sweep_2q, sweep_2q_scalar, u3_partial_traces_scalar, Sweep,
 };
 use qaprox_linalg::{
     c64, kernel_dispatch, selected_kernel, simd_available, Complex64, KernelDispatch, Matrix, Rng,
@@ -116,31 +120,77 @@ fn dispatched_apply_2q_is_bit_identical_to_scalar() {
     }
 }
 
-#[test]
-fn dispatched_norms_are_bit_identical_to_scalar() {
-    let mut rng = SplitMix64::seed_from_u64(0x51D0_0003);
-    for n in 1..=8 {
-        let state = random_state(n, &mut rng);
-        let u1 = random_mat2(&mut rng);
-        for q in 0..n {
-            let d = norm_sqr_1q(&state, q, &u1);
-            let s = norm_sqr_1q_scalar(&state, q, &u1);
-            assert_eq!(d.to_bits(), s.to_bits(), "norm_1q n={n} q={q}");
-        }
-        if n >= 2 {
+/// A random state whose parts are, one time in three, a signed zero when
+/// `sparse`, so the prescale meets exact zeros of both signs.
+fn sweep_state(n: usize, sparse: bool, rng: &mut SplitMix64) -> Vec<Complex64> {
+    if sparse {
+        (0..1usize << n).map(|_| sparse_c64(rng)).collect()
+    } else {
+        random_state(n, rng)
+    }
+}
+
+/// Holds `kernels`' sweep entries to [`sweep_1q_scalar`] and
+/// [`sweep_2q_scalar`] by `to_bits` at every qubit and ordered pair of 1-8
+/// qubit states, in both modes and with `pre = 1.0` and a non-trivial
+/// `pre`. A storing sweep must also leave exactly what the scalar blocked
+/// gate kernel leaves on the prescaled state, and return the same norm as a
+/// norm-only sweep, which must leave the state untouched.
+fn check_sweeps(kernels: &KernelDispatch, seed: u64) {
+    let mut rng = SplitMix64::seed_from_u64(seed);
+    let name = kernels.name;
+    for n in 1..=8usize {
+        for sparse in [false, true] {
+            let state = sweep_state(n, sparse, &mut rng);
+            let u1 = random_mat2(&mut rng);
             let u2 = random_mat4(&mut rng);
-            for a in 0..n {
-                for b in 0..n {
-                    if a == b {
-                        continue;
+            for pre in [1.0, rng.gen_range(0.5..2.0)] {
+                let mut prescaled = state.clone();
+                scale_scalar(&mut prescaled, pre);
+                let ctx = format!("{name} n={n} sparse={sparse} pre={pre}");
+                for q in 0..n {
+                    let mut applied = prescaled.clone();
+                    apply_1q_vec_blocked_scalar(&mut applied, q, &u1);
+                    let mut probe = state.clone();
+                    let norm = (kernels.sweep_1q)(&mut probe, q, &u1, pre, Sweep::NormOnly);
+                    assert_bits_eq(&probe, &state, &format!("norm-only 1q wrote q={q} {ctx}"));
+                    let mut sc = state.clone();
+                    let sc_norm = sweep_1q_scalar(&mut sc, q, &u1, pre, Sweep::NormOnly);
+                    assert_eq!(norm.to_bits(), sc_norm.to_bits(), "norm 1q q={q} {ctx}");
+                    let stored = (kernels.sweep_1q)(&mut probe, q, &u1, pre, Sweep::Store);
+                    let sc_stored = sweep_1q_scalar(&mut sc, q, &u1, pre, Sweep::Store);
+                    assert_eq!(stored.to_bits(), norm.to_bits(), "store 1q q={q} {ctx}");
+                    assert_eq!(sc_stored.to_bits(), norm.to_bits(), "scalar 1q q={q} {ctx}");
+                    assert_bits_eq(&probe, &sc, &format!("store 1q q={q} {ctx}"));
+                    assert_bits_eq(&probe, &applied, &format!("store vs apply 1q q={q} {ctx}"));
+                }
+                for a in 0..n {
+                    for b in (0..n).filter(|&b| b != a) {
+                        let ctx = format!("a={a} b={b} {ctx}");
+                        let mut applied = prescaled.clone();
+                        apply_2q_vec_blocked_scalar(&mut applied, a, b, &u2);
+                        let mut probe = state.clone();
+                        let norm = (kernels.sweep_2q)(&mut probe, a, b, &u2, pre, Sweep::NormOnly);
+                        assert_bits_eq(&probe, &state, &format!("norm-only 2q wrote {ctx}"));
+                        let mut sc = state.clone();
+                        let sc_norm = sweep_2q_scalar(&mut sc, a, b, &u2, pre, Sweep::NormOnly);
+                        assert_eq!(norm.to_bits(), sc_norm.to_bits(), "norm 2q {ctx}");
+                        let stored = (kernels.sweep_2q)(&mut probe, a, b, &u2, pre, Sweep::Store);
+                        let sc_stored = sweep_2q_scalar(&mut sc, a, b, &u2, pre, Sweep::Store);
+                        assert_eq!(stored.to_bits(), norm.to_bits(), "store 2q {ctx}");
+                        assert_eq!(sc_stored.to_bits(), norm.to_bits(), "scalar 2q {ctx}");
+                        assert_bits_eq(&probe, &sc, &format!("store 2q {ctx}"));
+                        assert_bits_eq(&probe, &applied, &format!("store vs apply 2q {ctx}"));
                     }
-                    let d = norm_sqr_2q(&state, a, b, &u2);
-                    let s = norm_sqr_2q_scalar(&state, a, b, &u2);
-                    assert_eq!(d.to_bits(), s.to_bits(), "norm_2q n={n} a={a} b={b}");
                 }
             }
         }
     }
+}
+
+#[test]
+fn dispatched_norms_are_bit_identical_to_scalar() {
+    check_sweeps(kernel_dispatch(), 0x51D0_0003);
 }
 
 #[test]
@@ -169,9 +219,6 @@ fn avx2_kernels_bit_identical_when_available() {
                 avx2::apply_1q_vec_blocked(&mut vec_out, q, &u1);
                 apply_1q_vec_blocked_scalar(&mut sc_out, q, &u1);
                 assert_bits_eq(&vec_out, &sc_out, &format!("avx2 1q n={n} q={q}"));
-                let nv = avx2::norm_sqr_1q(&state, q, &u1);
-                let ns = norm_sqr_1q_scalar(&state, q, &u1);
-                assert_eq!(nv.to_bits(), ns.to_bits(), "avx2 norm_1q n={n} q={q}");
             }
             if n >= 2 {
                 let u2 = random_mat4(&mut rng);
@@ -185,13 +232,11 @@ fn avx2_kernels_bit_identical_when_available() {
                         avx2::apply_2q_vec_blocked(&mut vec_out, a, b, &u2);
                         apply_2q_vec_blocked_scalar(&mut sc_out, a, b, &u2);
                         assert_bits_eq(&vec_out, &sc_out, &format!("avx2 2q n={n} a={a} b={b}"));
-                        let nv = avx2::norm_sqr_2q(&state, a, b, &u2);
-                        let ns = norm_sqr_2q_scalar(&state, a, b, &u2);
-                        assert_eq!(nv.to_bits(), ns.to_bits(), "avx2 norm_2q n={n} a={a} b={b}");
                     }
                 }
             }
         }
+        check_sweeps(KernelDispatch::simd().expect("avx2 available"), 0x51D0_0007);
     }
 }
 
@@ -218,21 +263,21 @@ fn norm_kernels_still_match_apply_then_sum() {
     // applying the gate and summing |amp|^2 the naive way.
     let mut rng = SplitMix64::seed_from_u64(0x51D0_0005);
     let n = 6;
-    let state = random_state(n, &mut rng);
+    let mut state = random_state(n, &mut rng);
     let u1 = random_mat2(&mut rng);
     let u2 = random_mat4(&mut rng);
     for q in 0..n {
         let mut applied = state.clone();
         apply_1q_vec_blocked(&mut applied, q, &u1);
         let expect: f64 = applied.iter().map(|z| z.norm_sqr()).sum();
-        let got = norm_sqr_1q(&state, q, &u1);
+        let got = sweep_1q(&mut state, q, &u1, 1.0, Sweep::NormOnly);
         assert!((got - expect).abs() <= 1e-11 * expect.abs().max(1.0));
     }
     for (a, b) in [(0usize, 1usize), (1, 0), (0, 5), (5, 0), (2, 4), (4, 1)] {
         let mut applied = state.clone();
         apply_2q_vec_blocked(&mut applied, a, b, &u2);
         let expect: f64 = applied.iter().map(|z| z.norm_sqr()).sum();
-        let got = norm_sqr_2q(&state, a, b, &u2);
+        let got = sweep_2q(&mut state, a, b, &u2, 1.0, Sweep::NormOnly);
         assert!((got - expect).abs() <= 1e-11 * expect.abs().max(1.0));
     }
 }
@@ -415,14 +460,53 @@ fn avx2_apply_2q_rejects_a_repeated_qubit() {
 fn avx2_norm_1q_rejects_a_qubit_past_the_word_size() {
     // 1 << 64 wraps to 1 in release arithmetic, which would pass a bare
     // `1 << q < len` check
-    let state = vec![Complex64::ZERO; 8];
-    qaprox_linalg::simd::avx2::norm_sqr_1q(&state, usize::BITS as usize, &[Complex64::ONE; 4]);
+    let mut state = vec![Complex64::ZERO; 8];
+    let q = usize::BITS as usize;
+    let u = [Complex64::ONE; 4];
+    qaprox_linalg::simd::avx2::sweep_1q(&mut state, q, &u, 1.0, Sweep::NormOnly);
 }
 
 #[cfg(target_arch = "x86_64")]
 #[test]
 #[should_panic(expected = "qubit index out of range")]
 fn avx2_norm_2q_rejects_an_out_of_range_qubit() {
-    let state = vec![Complex64::ZERO; 16];
-    qaprox_linalg::simd::avx2::norm_sqr_2q(&state, 0, 4, &[Complex64::ONE; 16]);
+    let mut state = vec![Complex64::ZERO; 16];
+    let u = [Complex64::ONE; 16];
+    qaprox_linalg::simd::avx2::sweep_2q(&mut state, 0, 4, &u, 1.0, Sweep::NormOnly);
+}
+
+#[cfg(target_arch = "x86_64")]
+#[test]
+#[should_panic(expected = "state length must be a power of two")]
+fn avx2_sweep_1q_rejects_a_non_power_of_two_state() {
+    let mut state = vec![Complex64::ZERO; 6];
+    let u = [Complex64::ONE; 4];
+    qaprox_linalg::simd::avx2::sweep_1q(&mut state, 1, &u, 0.5, Sweep::Store);
+}
+
+#[cfg(target_arch = "x86_64")]
+#[test]
+#[should_panic(expected = "qubit index out of range")]
+fn avx2_sweep_1q_rejects_an_out_of_range_qubit() {
+    let mut state = vec![Complex64::ZERO; 8];
+    let u = [Complex64::ONE; 4];
+    qaprox_linalg::simd::avx2::sweep_1q(&mut state, 3, &u, 0.5, Sweep::Store);
+}
+
+#[cfg(target_arch = "x86_64")]
+#[test]
+#[should_panic(expected = "two-qubit gate needs distinct qubits")]
+fn avx2_sweep_2q_rejects_a_repeated_qubit() {
+    let mut state = vec![Complex64::ZERO; 8];
+    let u = [Complex64::ONE; 16];
+    qaprox_linalg::simd::avx2::sweep_2q(&mut state, 2, 2, &u, 0.5, Sweep::Store);
+}
+
+#[cfg(target_arch = "x86_64")]
+#[test]
+#[should_panic(expected = "state length must be a power of two")]
+fn avx2_sweep_2q_rejects_a_non_power_of_two_state() {
+    let mut state = vec![Complex64::ZERO; 24];
+    let u = [Complex64::ONE; 16];
+    qaprox_linalg::simd::avx2::sweep_2q(&mut state, 0, 1, &u, 0.5, Sweep::NormOnly);
 }

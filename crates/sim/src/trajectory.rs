@@ -23,10 +23,24 @@
 //!    so they stay cheap λ-draws; relaxation Kraus sets are conjugated at
 //!    compile time (small 2x2/4x4 matmuls).
 //! 2. **Run** ([`FusedProgram::run_shot`]): the per-shot loop touches only
-//!    precompiled fixed-size matrices, applied with the blocked kernels, and
-//!    samples Kraus branches allocation-free: branch norms are computed with
-//!    the read-only [`norm_sqr_1q`]/[`norm_sqr_2q`] kernels and only the
-//!    selected branch is applied in place.
+//!    precompiled fixed-size matrices and samples Kraus branches
+//!    allocation-free, in one in-place pass per gate and per relaxation
+//!    event:
+//!    - **acceptance floor**: each relaxation event carries the smallest
+//!      eigenvalue of `K0†K0` less a 1e-9 margin (`acceptance_floor`).
+//!      A draw below it is one the exact sequential rule would give to
+//!      branch 0 as well, so branch 0 is applied without a norm sweep; a
+//!      draw past it (under 1 % of events on device calibrations) prices
+//!      the branches in turn with norm-only sweeps, as the rule says;
+//!    - **fused apply and norm**: [`sweep_1q`]/[`sweep_2q`] apply a matrix
+//!      in place and return the squared norm of the result, bit for bit
+//!      the stores of the blocked gate kernels and the norm of a separate
+//!      read-only sweep;
+//!    - **pending renormalization**: a relaxation event's `1/sqrt(norm)`
+//!      is not swept in but kept pending (`ShotState`); the next sweep
+//!      applies it to each amplitude as it loads it, which is bit for bit
+//!      scaling first, and at most one [`scale`] runs, at the end of the
+//!      shot.
 //!
 //! Shot-level parallelism is **bit-for-bit thread-count invariant**: shots
 //! are grouped into structural chunks (a function of circuit width only),
@@ -39,10 +53,7 @@
 
 use crate::noise_model::NoiseModel;
 use qaprox_circuit::Circuit;
-use qaprox_linalg::kernels::{
-    apply_1q_vec_blocked, apply_2q_vec_blocked, mat2_to_array, mat4_to_array, norm_sqr_1q,
-    norm_sqr_2q,
-};
+use qaprox_linalg::kernels::{mat2_to_array, mat4_to_array, scale, sweep_1q, sweep_2q, Sweep};
 use qaprox_linalg::matrix::Matrix;
 use qaprox_linalg::parallel::{par_map_range, thread_budget, with_thread_budget};
 use qaprox_linalg::random::Rng;
@@ -173,8 +184,28 @@ fn embed_low(k: &[Complex64; 4]) -> [Complex64; 16] {
     out
 }
 
-fn kraus_arrays_1q(kraus: &[Matrix]) -> Vec<[Complex64; 4]> {
-    kraus.iter().map(mat2_to_array).collect()
+/// Margin below the smallest eigenvalue of `K0†K0` that an acceptance
+/// floor keeps. A shot's state has norm 1 to within the rounding of its
+/// last norm sum (typically about 1e-12 for the 2^27 terms of a 27-qubit
+/// state), and compile-time conjugation moves `K0` by about 1e-15 per gate,
+/// both far inside this margin.
+const FLOOR_MARGIN: f64 = 1e-9;
+
+/// The acceptance floor of branch 0 of a Kraus set: the smallest eigenvalue
+/// of `K0†K0`, less [`FLOOR_MARGIN`]. For any normalized `ψ`,
+/// `||K0 ψ||² ≥ λ_min(K0†K0)`, so a draw `u` below the floor is one the
+/// exact sequential rule (`u < ||K0 ψ||²` picks branch 0) would also give
+/// to branch 0: the shot loop takes it without sweeping for the norm.
+/// Conjugation by a unitary and embedding in a 4x4 keep the spectrum, so
+/// the floor of a compiled event is that of its unconjugated channel.
+fn acceptance_floor(k0: &[Complex64; 4]) -> f64 {
+    // G = K0†K0 = [[g00, g01], [conj(g01), g11]], Hermitian PSD
+    let g00 = k0[0].norm_sqr() + k0[2].norm_sqr();
+    let g11 = k0[1].norm_sqr() + k0[3].norm_sqr();
+    let g01 = k0[0].conj() * k0[1] + k0[2].conj() * k0[3];
+    let half_gap = 0.5 * (g00 - g11);
+    let lambda_min = 0.5 * (g00 + g11) - (half_gap * half_gap + g01.norm_sqr()).sqrt();
+    lambda_min - FLOOR_MARGIN
 }
 
 // ---------------------------------------------------------------------------
@@ -193,14 +224,22 @@ enum NoiseEvent {
     /// the full twirl, hence invariant under same-pair conjugation).
     Dep2 { a: usize, b: usize, lambda: f64 },
     /// A general one-qubit Kraus channel (e.g. thermal relaxation), possibly
-    /// conjugated by later same-qubit gates in its fusion run.
-    Kraus1 { q: usize, ops: Vec<[Complex64; 4]> },
+    /// conjugated by later same-qubit gates in its fusion run. `floor` is
+    /// the acceptance floor of branch 0 ([`acceptance_floor`]).
+    Kraus1 {
+        q: usize,
+        ops: Vec<[Complex64; 4]>,
+        floor: f64,
+    },
     /// A one-qubit Kraus channel promoted to the 4x4 support of a two-qubit
     /// fusion run by embedding + conjugation with the run's suffix unitary.
+    /// Embedding and conjugation keep the spectrum of `K0†K0`, so `floor`
+    /// carries over from the `Kraus1` unchanged.
     Kraus2 {
         a: usize,
         b: usize,
         ops: Vec<[Complex64; 16]>,
+        floor: f64,
     },
     /// A mixed-unitary channel on a two-qubit run: branch `k` fires with the
     /// *fixed* probability `branches[k].0` (state-independent, because every
@@ -214,6 +253,15 @@ enum NoiseEvent {
         b: usize,
         branches: Vec<(f64, [Complex64; 16])>,
     },
+}
+
+impl NoiseEvent {
+    /// A one-qubit Kraus event with its acceptance floor.
+    fn kraus_1q(q: usize, kraus: &[Matrix]) -> Self {
+        let ops: Vec<[Complex64; 4]> = kraus.iter().map(mat2_to_array).collect();
+        let floor = acceptance_floor(&ops[0]);
+        NoiseEvent::Kraus1 { q, ops, floor }
+    }
 }
 
 /// One fused gate plus the noise events it carries (in program order).
@@ -256,7 +304,7 @@ fn conjugate_event_2q(ev: &mut NoiseEvent, ra: usize, rb: usize, g: &[Complex64;
                 *k = conj4(g, k);
             }
         }
-        NoiseEvent::Kraus1 { q, ops } => {
+        NoiseEvent::Kraus1 { q, ops, floor } => {
             let on_high = *q == ra;
             debug_assert!(on_high || *q == rb);
             let promoted: Vec<[Complex64; 16]> = ops
@@ -270,6 +318,7 @@ fn conjugate_event_2q(ev: &mut NoiseEvent, ra: usize, rb: usize, g: &[Complex64;
                 a: ra,
                 b: rb,
                 ops: promoted,
+                floor: *floor,
             };
         }
         NoiseEvent::Dep1 { q, lambda } => {
@@ -319,7 +368,7 @@ fn conjugate_event_by_1q(ev: &mut NoiseEvent, ra: usize, q: usize, g: &[Complex6
     match ev {
         NoiseEvent::Dep1 { .. } => {} // same-qubit or disjoint: invariant
         NoiseEvent::Dep2 { .. } => {} // full twirl: invariant under any unitary
-        NoiseEvent::Kraus1 { q: kq, ops } => {
+        NoiseEvent::Kraus1 { q: kq, ops, .. } => {
             if *kq == q {
                 for k in ops.iter_mut() {
                     *k = conj2(g, k);
@@ -386,14 +435,10 @@ impl FusedProgram {
                     }
                     if model.include_relaxation {
                         let qc = &cal.qubits[q];
-                        events.push(NoiseEvent::Kraus1 {
+                        events.push(NoiseEvent::kraus_1q(
                             q,
-                            ops: kraus_arrays_1q(&crate::channels::thermal_relaxation(
-                                qc.sx_time_ns,
-                                qc.t1_us,
-                                qc.t2_us,
-                            )),
-                        });
+                            &crate::channels::thermal_relaxation(qc.sx_time_ns, qc.t1_us, qc.t2_us),
+                        ));
                     }
                     match step {
                         qaprox_verify::FusionStep::Join(r) => {
@@ -445,12 +490,10 @@ impl FusedProgram {
                         let t = model.edge_cal(a, b).cx_time_ns;
                         for &q in &[a, b] {
                             let qc = &cal.qubits[q];
-                            events.push(NoiseEvent::Kraus1 {
+                            events.push(NoiseEvent::kraus_1q(
                                 q,
-                                ops: kraus_arrays_1q(&crate::channels::thermal_relaxation(
-                                    t, qc.t1_us, qc.t2_us,
-                                )),
-                            });
+                                &crate::channels::thermal_relaxation(t, qc.t1_us, qc.t2_us),
+                            ));
                         }
                     }
                     match step {
@@ -549,26 +592,33 @@ impl FusedProgram {
     /// Runs one trajectory in place: `state` is reset to the ground state,
     /// evolved through the fused program, sampling one branch per noise
     /// event from `rng`. `state.len()` must be `2^num_qubits`.
+    ///
+    /// Each gate and each relaxation event is one in-place sweep, with the
+    /// last renormalization applied as the next sweep loads the state; a
+    /// relaxation draw below its event's acceptance floor takes branch 0
+    /// without a norm sweep. The result is bit for bit that of sweeping
+    /// every branch norm in turn and renormalizing after each event.
     pub fn run_shot<R: Rng>(&self, state: &mut [Complex64], rng: &mut R) {
         debug_assert_eq!(state.len(), 1usize << self.num_qubits);
         state.fill(Complex64::ZERO);
         state[0] = Complex64::ONE;
+        let mut shot = ShotState::new(state);
         for op in &self.ops {
-            match op {
+            let events = match op {
                 FusedOp::One { q, u, events } => {
-                    apply_1q_vec_blocked(state, *q, u);
-                    for ev in events {
-                        apply_event(state, ev, rng);
-                    }
+                    shot.sweep_1q(*q, u);
+                    events
                 }
                 FusedOp::Two { a, b, u, events } => {
-                    apply_2q_vec_blocked(state, *a, *b, u);
-                    for ev in events {
-                        apply_event(state, ev, rng);
-                    }
+                    shot.sweep_2q(*a, *b, u);
+                    events
                 }
+            };
+            for ev in events {
+                shot.apply_event(ev, rng);
             }
         }
+        shot.finish();
     }
 
     /// Applies this program's readout confusion to a distribution (when the
@@ -672,37 +722,123 @@ fn inject_shot_corruption(state: &mut [Complex64]) {
 #[inline(always)]
 fn inject_shot_corruption(_state: &mut [Complex64]) {}
 
-/// Applies one precompiled noise event, consuming draws from `rng`.
-fn apply_event<R: Rng>(state: &mut [Complex64], ev: &NoiseEvent, rng: &mut R) {
-    match ev {
-        NoiseEvent::Dep1 { q, lambda } => {
-            if rng.gen::<f64>() < *lambda {
-                apply_random_pauli(state, *q, rng);
+/// A shot's amplitudes with the last renormalization still pending: the
+/// state is `pre * amps`.
+///
+/// A relaxation event leaves its `1/sqrt(norm)` in `pre` instead of
+/// sweeping the state to scale it; the next sweep multiplies each amplitude
+/// by `pre` as it loads it, which is bit for bit a separate scaling pass
+/// followed by the sweep, because the scale is elementwise. Random Paulis commute
+/// with the real factor exactly (they only swap parts and flip signs), so
+/// they leave it pending. [`ShotState::finish`] applies what is left, at
+/// most one [`scale`] per shot.
+struct ShotState<'s> {
+    amps: &'s mut [Complex64],
+    pre: f64,
+}
+
+impl<'s> ShotState<'s> {
+    fn new(amps: &'s mut [Complex64]) -> Self {
+        ShotState { amps, pre: 1.0 }
+    }
+
+    /// Applies a one-qubit matrix, consuming the pending factor.
+    fn sweep_1q(&mut self, q: usize, u: &[Complex64; 4]) -> f64 {
+        let norm = sweep_1q(self.amps, q, u, self.pre, Sweep::Store);
+        self.pre = 1.0;
+        norm
+    }
+
+    /// Applies a two-qubit matrix, consuming the pending factor.
+    fn sweep_2q(&mut self, a: usize, b: usize, u: &[Complex64; 16]) -> f64 {
+        let norm = sweep_2q(self.amps, a, b, u, self.pre, Sweep::Store);
+        self.pre = 1.0;
+        norm
+    }
+
+    /// Applies one precompiled noise event, consuming draws from `rng`.
+    fn apply_event<R: Rng>(&mut self, ev: &NoiseEvent, rng: &mut R) {
+        match ev {
+            NoiseEvent::Dep1 { q, lambda } => {
+                if rng.gen::<f64>() < *lambda {
+                    apply_random_pauli(self.amps, *q, rng);
+                }
             }
-        }
-        NoiseEvent::Dep2 { a, b, lambda } => {
-            if rng.gen::<f64>() < *lambda {
-                apply_random_pauli(state, *a, rng);
-                apply_random_pauli(state, *b, rng);
+            NoiseEvent::Dep2 { a, b, lambda } => {
+                if rng.gen::<f64>() < *lambda {
+                    apply_random_pauli(self.amps, *a, rng);
+                    apply_random_pauli(self.amps, *b, rng);
+                }
             }
-        }
-        NoiseEvent::Kraus1 { q, ops } => select_and_apply_1q(state, *q, ops, rng),
-        NoiseEvent::Kraus2 { a, b, ops } => select_and_apply_2q(state, *a, *b, ops, rng),
-        NoiseEvent::MixedU2 { a, b, branches } => {
-            // every branch is unitary, so probabilities are fixed and the
-            // norm is preserved: one draw, no sweeps unless a branch fires
-            // (the identity branch owns the tail of the unit interval)
-            let u: f64 = rng.gen();
-            let mut acc = 0.0f64;
-            for (w, m) in branches {
-                acc += w;
-                if u < acc {
-                    apply_2q_vec_blocked(state, *a, *b, m);
-                    return;
+            NoiseEvent::Kraus1 { q, ops, floor } => {
+                let u: f64 = rng.gen();
+                let k = self.select_branch(ops, *floor, u, |amps, k, pre| {
+                    sweep_1q(amps, *q, k, pre, Sweep::NormOnly)
+                });
+                let norm = self.sweep_1q(*q, &ops[k]);
+                self.pre = renormalization(norm);
+            }
+            NoiseEvent::Kraus2 { a, b, ops, floor } => {
+                let u: f64 = rng.gen();
+                let k = self.select_branch(ops, *floor, u, |amps, k, pre| {
+                    sweep_2q(amps, *a, *b, k, pre, Sweep::NormOnly)
+                });
+                let norm = self.sweep_2q(*a, *b, &ops[k]);
+                self.pre = renormalization(norm);
+            }
+            NoiseEvent::MixedU2 { a, b, branches } => {
+                // every branch is unitary, so probabilities are fixed and the
+                // norm is preserved: one draw, no sweeps unless a branch fires
+                // (the identity branch owns the tail of the unit interval)
+                let u: f64 = rng.gen();
+                let mut acc = 0.0f64;
+                for (w, m) in branches {
+                    acc += w;
+                    if u < acc {
+                        self.sweep_2q(*a, *b, m);
+                        return;
+                    }
                 }
             }
         }
     }
+
+    /// The Kraus branch the exact sequential rule picks for draw `u`: the
+    /// first `i` with `u < Σ_{j≤i} ||K_j ψ||²`, the last branch absorbing
+    /// rounding. A draw below `floor` is branch 0 without a sweep (see
+    /// [`acceptance_floor`]); otherwise each candidate's norm is one
+    /// norm-only sweep, computed with the pending factor.
+    fn select_branch<K>(
+        &mut self,
+        ops: &[K],
+        floor: f64,
+        u: f64,
+        norm_only: impl Fn(&mut [Complex64], &K, f64) -> f64,
+    ) -> usize {
+        if u < floor {
+            return 0;
+        }
+        let mut acc = 0.0f64;
+        for (i, k) in ops[..ops.len() - 1].iter().enumerate() {
+            acc += norm_only(self.amps, k, self.pre);
+            if u < acc {
+                return i;
+            }
+        }
+        ops.len() - 1
+    }
+
+    /// Applies the pending factor, leaving `amps` the shot's final state.
+    fn finish(self) {
+        if self.pre != 1.0 {
+            scale(self.amps, self.pre);
+        }
+    }
+}
+
+/// The factor that renormalizes a state of squared norm `norm_sqr`.
+fn renormalization(norm_sqr: f64) -> f64 {
+    1.0 / norm_sqr.sqrt().max(1e-150)
 }
 
 /// Applies a uniformly random Pauli from `{I, X, Y, Z}` to qubit `q`,
@@ -743,57 +879,6 @@ fn apply_random_pauli<R: Rng>(state: &mut [Complex64], q: usize, rng: &mut R) {
             }
         }
     }
-}
-
-/// Stochastic Kraus selection, allocation-free: branch norms are computed
-/// with the read-only kernel, the selected branch is applied in place and
-/// renormalized. Relies on trace preservation (`Σ ||K_i ψ||² = 1`); the last
-/// operator is a guaranteed fallback against rounding.
-fn select_and_apply_1q<R: Rng>(
-    state: &mut [Complex64],
-    q: usize,
-    ops: &[[Complex64; 4]],
-    rng: &mut R,
-) {
-    let u: f64 = rng.gen();
-    let mut acc = 0.0f64;
-    for (i, k) in ops.iter().enumerate() {
-        let norm = norm_sqr_1q(state, q, k);
-        acc += norm;
-        if u < acc || i + 1 == ops.len() {
-            apply_1q_vec_blocked(state, q, k);
-            renormalize(state, norm);
-            return;
-        }
-    }
-}
-
-/// Two-qubit analogue of [`select_and_apply_1q`].
-fn select_and_apply_2q<R: Rng>(
-    state: &mut [Complex64],
-    a: usize,
-    b: usize,
-    ops: &[[Complex64; 16]],
-    rng: &mut R,
-) {
-    let u: f64 = rng.gen();
-    let mut acc = 0.0f64;
-    for (i, k) in ops.iter().enumerate() {
-        let norm = norm_sqr_2q(state, a, b, k);
-        acc += norm;
-        if u < acc || i + 1 == ops.len() {
-            apply_2q_vec_blocked(state, a, b, k);
-            renormalize(state, norm);
-            return;
-        }
-    }
-}
-
-fn renormalize(state: &mut [Complex64], norm_sqr: f64) {
-    let inv = 1.0 / norm_sqr.sqrt().max(1e-150);
-    // dispatched elementwise sweep — this runs once per noise event, so at
-    // wide widths it is as hot as the gate kernels themselves
-    qaprox_linalg::kernels::scale(state, inv);
 }
 
 /// The trajectory execution backend: a [`NoiseModel`] plus a shot budget.
@@ -1400,17 +1485,174 @@ mod tests {
         }
     }
 
+    /// Applies `ev` to `state` as a shot does, pending factor included.
+    fn apply_one_event(state: &mut [Complex64], ev: &NoiseEvent, rng: &mut StdRng) {
+        let mut shot = ShotState::new(state);
+        shot.apply_event(ev, rng);
+        shot.finish();
+    }
+
     #[test]
     fn stochastic_kraus_preserves_norm() {
         let mut state = vec![Complex64::ZERO; 4];
         state[3] = Complex64::ONE;
         let mut rng = StdRng::seed_from_u64(1);
+        let ev = NoiseEvent::kraus_1q(0, &amplitude_damping(0.3));
         for _ in 0..20 {
-            let ops = kraus_arrays_1q(&amplitude_damping(0.3));
-            select_and_apply_1q(&mut state, 0, &ops, &mut rng);
+            apply_one_event(&mut state, &ev, &mut rng);
             let norm: f64 = state.iter().map(|z| z.norm_sqr()).sum();
             assert!((norm - 1.0).abs() < 1e-10);
         }
+    }
+
+    /// Every branch norm of a Kraus event on the shot's current state, as
+    /// the norm-only sweeps compute them (pending factor included).
+    fn branch_norms(shot: &mut ShotState, ev: &NoiseEvent) -> (f64, Vec<f64>) {
+        let pre = shot.pre;
+        match ev {
+            NoiseEvent::Kraus1 { q, ops, floor } => (
+                *floor,
+                ops.iter()
+                    .map(|k| sweep_1q(shot.amps, *q, k, pre, Sweep::NormOnly))
+                    .collect(),
+            ),
+            NoiseEvent::Kraus2 { a, b, ops, floor } => (
+                *floor,
+                ops.iter()
+                    .map(|k| sweep_2q(shot.amps, *a, *b, k, pre, Sweep::NormOnly))
+                    .collect(),
+            ),
+            _ => unreachable!("only Kraus events carry a floor"),
+        }
+    }
+
+    /// The exact sequential rule on precomputed branch norms.
+    fn exact_branch(norms: &[f64], u: f64) -> usize {
+        let mut acc = 0.0;
+        for (i, n) in norms[..norms.len() - 1].iter().enumerate() {
+            acc += n;
+            if u < acc {
+                return i;
+            }
+        }
+        norms.len() - 1
+    }
+
+    /// Holds `ev`'s floor to the shot's state: below the computed norm of
+    /// branch 0, and the shot's branch choice equal to the exact rule for
+    /// random draws, for draws below the floor and for draws at it.
+    fn check_floor(shot: &mut ShotState, ev: &NoiseEvent, rng: &mut StdRng, ctx: &str) {
+        let (floor, norms) = branch_norms(shot, ev);
+        assert!(
+            floor <= norms[0],
+            "{ctx}: floor {floor} above ||K0 psi||^2 {}",
+            norms[0]
+        );
+        let draws: Vec<f64> = (0..16)
+            .map(|i| {
+                let u: f64 = rng.gen();
+                if i % 2 == 0 {
+                    u
+                } else {
+                    u * floor.max(0.0)
+                }
+            })
+            .chain([floor, floor - f64::EPSILON, norms[0]])
+            .filter(|u| (0.0..1.0).contains(u))
+            .collect();
+        for u in draws {
+            let fast = match ev {
+                NoiseEvent::Kraus1 { q, ops, floor } => {
+                    shot.select_branch(ops, *floor, u, |amps, k, pre| {
+                        sweep_1q(amps, *q, k, pre, Sweep::NormOnly)
+                    })
+                }
+                NoiseEvent::Kraus2 { a, b, ops, floor } => {
+                    shot.select_branch(ops, *floor, u, |amps, k, pre| {
+                        sweep_2q(amps, *a, *b, k, pre, Sweep::NormOnly)
+                    })
+                }
+                _ => unreachable!(),
+            };
+            assert_eq!(fast, exact_branch(&norms, u), "{ctx}: u = {u}");
+        }
+    }
+
+    fn haar2(rng: &mut StdRng) -> [Complex64; 4] {
+        mat2_to_array(&qaprox_linalg::random::haar_unitary(2, rng))
+    }
+
+    fn haar4(rng: &mut StdRng) -> [Complex64; 16] {
+        mat4_to_array(&qaprox_linalg::random::haar_unitary(4, rng))
+    }
+
+    #[test]
+    fn acceptance_floor_bounds_the_likely_branch() {
+        // relaxation channels over random durations and coherence times,
+        // conjugated by random unitaries in Kraus1 form, promoted to
+        // Kraus2 by a random 2q unitary and conjugated further; states
+        // random and normalized, then walked through many random gates and
+        // relaxation events so the norm carries rounding and a pending factor
+        use crate::channels::thermal_relaxation;
+        let n = 6;
+        let mut rng = StdRng::seed_from_u64(0xF100_0001);
+        let mut high_floors = 0;
+        for case in 0..48 {
+            let t1: f64 = rng.gen_range(1.0..200.0);
+            let t2 = t1 * rng.gen_range(0.1..2.0);
+            let t_ns = rng.gen_range(20.0..1500.0);
+            let q = rng.gen_range(0..n);
+            let p = (q + 1 + rng.gen_range(0..n - 1)) % n;
+            let mut ev = NoiseEvent::kraus_1q(q, &thermal_relaxation(t_ns, t1, t2));
+            for _ in 0..3 {
+                conjugate_event_1q(&mut ev, &haar2(&mut rng));
+            }
+            let kraus1 = ev.clone();
+            let (ra, rb) = if rng.gen::<f64>() < 0.5 {
+                (q, p)
+            } else {
+                (p, q)
+            };
+            conjugate_event_2q(&mut ev, ra, rb, &haar4(&mut rng));
+            conjugate_event_by_1q(&mut ev, ra, rb, &haar2(&mut rng));
+            conjugate_event_2q(&mut ev, ra, rb, &haar4(&mut rng));
+            let kraus2 = ev;
+            assert!(matches!(kraus2, NoiseEvent::Kraus2 { .. }));
+            let (NoiseEvent::Kraus1 { floor: f1, .. }, NoiseEvent::Kraus2 { floor: f2, .. }) =
+                (&kraus1, &kraus2)
+            else {
+                unreachable!()
+            };
+            assert_eq!(f1.to_bits(), f2.to_bits(), "promotion keeps the floor");
+            if *f1 > 0.5 {
+                high_floors += 1;
+            }
+
+            let mut amps = qaprox_linalg::random::random_statevector(1 << n, &mut rng);
+            let mut shot = ShotState::new(&mut amps);
+            for step in 0..40 {
+                let ctx = format!("case {case} step {step}");
+                check_floor(&mut shot, &kraus1, &mut rng, &format!("{ctx} Kraus1"));
+                check_floor(&mut shot, &kraus2, &mut rng, &format!("{ctx} Kraus2"));
+                // advance the state: a random gate, then a relaxation event
+                let a = rng.gen_range(0..n);
+                if rng.gen::<f64>() < 0.5 {
+                    shot.sweep_1q(a, &haar2(&mut rng));
+                } else {
+                    let b = (a + 1 + rng.gen_range(0..n - 1)) % n;
+                    shot.sweep_2q(a, b, &haar4(&mut rng));
+                }
+                let ev = if step % 2 == 0 { &kraus1 } else { &kraus2 };
+                shot.apply_event(ev, &mut rng);
+            }
+            shot.finish();
+            let norm: f64 = amps.iter().map(|z| z.norm_sqr()).sum();
+            assert!((norm - 1.0).abs() < 1e-12, "case {case}: norm {norm}");
+        }
+        assert!(
+            high_floors > 12,
+            "only {high_floors} of 48 floors above 0.5"
+        );
     }
 
     #[test]
@@ -1422,8 +1664,8 @@ mod tests {
         for t in 0..trials {
             let mut state = vec![Complex64::ZERO, Complex64::ONE];
             let mut rng = StdRng::seed_from_u64(t as u64);
-            let ops = kraus_arrays_1q(&amplitude_damping(gamma));
-            select_and_apply_1q(&mut state, 0, &ops, &mut rng);
+            let ev = NoiseEvent::kraus_1q(0, &amplitude_damping(gamma));
+            apply_one_event(&mut state, &ev, &mut rng);
             if state[1].norm_sqr() > 0.5 {
                 stays += 1;
             }
