@@ -29,6 +29,32 @@ fn tiny(seed: u64) -> SynthSpec {
 
 const WAIT: Duration = Duration::from_secs(120);
 
+/// A wide trajectory run that holds a worker for seconds in a release
+/// build (minutes in a debug one): 32 000 shots of two 10-qubit circuits.
+/// A cancel stops it at the next shot.
+fn long_run() -> RunSpec {
+    RunSpec {
+        synth: SynthSpec {
+            qubits: 10,
+            steps: 2,
+            ..tiny(1)
+        },
+        device: "toronto".into(),
+        backend: Some("trajectory".into()),
+        shots: Some(32_000),
+        ..Default::default()
+    }
+}
+
+/// Polls `id` until it reaches `state`.
+fn await_state(client: &mut Client, id: u64, state: &str) {
+    let start = std::time::Instant::now();
+    while client.status(id).unwrap() != state {
+        assert!(start.elapsed() < WAIT, "job {id} never reached {state}");
+        std::thread::sleep(Duration::from_millis(1));
+    }
+}
+
 #[test]
 fn synth_and_run_round_trip_with_cache_hits() {
     let server = Server::start(ServerConfig::default(), Some(tmp_store("roundtrip"))).unwrap();
@@ -140,8 +166,10 @@ fn backpressure_and_cancel_over_the_wire() {
         ..Default::default()
     });
 
-    // keep the single worker busy, fill the queue of one, then overflow
-    let (_busy, _, _) = client.submit(&JobSpec::Synth(tiny(10))).unwrap();
+    // hold the single worker with a long job, fill the queue of one, then
+    // overflow
+    let (busy, _, _) = client.submit(&JobSpec::Run(long_run())).unwrap();
+    await_state(&mut client, busy, "running");
     let (queued, _, _) = client.submit(&JobSpec::Synth(tiny(11))).unwrap();
     let mut saw_backpressure = false;
     for seed in 12..24 {
@@ -162,6 +190,10 @@ fn backpressure_and_cancel_over_the_wire() {
     let state = client.status(queued).unwrap();
     assert_eq!(state, "cancelled");
 
+    // the hold was still in place throughout, and lets go when cancelled
+    assert_eq!(client.status(busy).unwrap(), "running");
+    assert!(client.cancel(busy).unwrap());
+    await_state(&mut client, busy, "cancelled");
     server.shutdown();
 }
 
