@@ -13,8 +13,13 @@
 //! Every case runs at thread budgets 1, 2 and 8 and uses 70 shots, so the
 //! structural chunks of 16 split unevenly (4 full chunks and one of 6).
 //!
-//! If a change is *meant* to alter trajectory results, re-record the
-//! digests below and say so in the change log.
+//! The digests pin bits. `rows_stay_within_tolerance_of_the_fixture`
+//! pins how far rows may move: every probability of every case stays
+//! within 1e-12 of the rows recorded in `tests/fixtures/golden_rows.txt`,
+//! and every health counter equal. A change that only rounds differently
+//! (a different product order) re-records the digests, says why in the
+//! change log, and leaves the fixture alone; a change that flips a branch
+//! decision moves a row by at least 1/70 and fails there.
 
 use qaprox_circuit::Circuit;
 use qaprox_device::devices::ourense;
@@ -91,91 +96,163 @@ fn short_coherence_circuit() -> Circuit {
     c
 }
 
-fn hash_rows(h: &mut Hash128, rows: &[Vec<f64>]) {
-    for row in rows {
-        h.update_u64(row.len() as u64);
-        for p in row {
-            h.update_u64(p.to_bits());
+/// What one case produces: its rows in order, then its health reports.
+#[derive(Default)]
+struct Output {
+    rows: Vec<Vec<f64>>,
+    health: Vec<HealthReport>,
+}
+
+impl Output {
+    fn push(&mut self, rows: Vec<Vec<f64>>, health: Vec<HealthReport>) {
+        self.rows.extend(rows);
+        self.health.extend(health);
+    }
+
+    /// The `to_bits` of every probability and every health counter, hashed.
+    fn digest(&self) -> String {
+        let mut h = Hash128::new();
+        for row in &self.rows {
+            h.update_u64(row.len() as u64);
+            for p in row {
+                h.update_u64(p.to_bits());
+            }
+        }
+        for r in &self.health {
+            for counter in counters(r) {
+                h.update_u64(counter);
+            }
+        }
+        h.finish_hex()
+    }
+}
+
+fn counters(r: &HealthReport) -> [u64; 5] {
+    [
+        r.clean_shots,
+        r.aborted_shots,
+        r.nan_events,
+        r.norm_drift_events,
+        u64::from(r.cancelled),
+    ]
+}
+
+/// Solo runs: `TrajectoryBackend::probabilities` at several job seeds, and
+/// a one-circuit executor batch for the solo health report.
+fn solo_case() -> Output {
+    let tb = TrajectoryBackend::with_shots(model(), SHOTS);
+    let circuits = candidates();
+    let mut out = Output::default();
+    for c in &circuits {
+        for job_seed in [0u64, 5, 0xDEAD_BEEF] {
+            out.push(vec![tb.probabilities(c, job_seed)], Vec::new());
         }
     }
+    let (rows, health) = Backend::Trajectory(tb)
+        .probabilities_batch_health(&circuits[..1])
+        .unwrap();
+    out.push(rows, health);
+    out
 }
 
-fn hash_health(h: &mut Hash128, reports: &[HealthReport]) {
-    for r in reports {
-        h.update_u64(r.clean_shots);
-        h.update_u64(r.aborted_shots);
-        h.update_u64(r.nan_events);
-        h.update_u64(r.norm_drift_events);
-        h.update_u64(u64::from(r.cancelled));
-    }
+/// An index-seeded 4-candidate batch: row `i` uses job seed `i`.
+fn index_seeded_case() -> Output {
+    let tb = TrajectoryBackend::with_shots(model(), SHOTS);
+    let circuits = candidates();
+    let mut out = Output::default();
+    out.push(tb.probabilities_batch(&circuits).unwrap(), Vec::new());
+    let (rows, health) = Backend::Trajectory(tb)
+        .probabilities_batch_health(&circuits)
+        .unwrap();
+    out.push(rows, health);
+    out
 }
 
-/// Runs `case` at thread budgets 1, 2 and 8; the digest must not depend on
-/// the budget, and must equal `golden`.
-fn assert_pinned(name: &str, golden: &str, case: impl Fn() -> String) {
-    let base = with_thread_budget(1, &case);
+/// A batch whose candidates all share one seed, straight through the shot
+/// loop (rows before readout confusion).
+fn shared_seed_case() -> Output {
+    let model = model();
+    let programs: Vec<FusedProgram> = candidates()
+        .iter()
+        .map(|c| FusedProgram::compile(c, &model))
+        .collect();
+    let batch = TrajectoryBatch::new(programs.iter().collect(), vec![0x5EED; 4]).unwrap();
+    let (rows, health) = batch.shot_average_health(SHOTS, None);
+    let mut out = Output::default();
+    out.push(rows, health);
+    out
+}
+
+/// `circuit` solo at job seed 11, then in a batch next to a plain
+/// candidate, under `model`.
+fn solo_and_batch(model: NoiseModel, circuit: Circuit) -> Output {
+    let tb = TrajectoryBackend::with_shots(model, SHOTS);
+    let mut out = Output::default();
+    out.push(vec![tb.probabilities(&circuit, 11)], Vec::new());
+    let batch = vec![circuit, candidates().remove(3)];
+    let (rows, health) = Backend::Trajectory(tb)
+        .probabilities_batch_health(&batch)
+        .unwrap();
+    out.push(rows, health);
+    out
+}
+
+fn relaxation_case() -> Output {
+    solo_and_batch(model(), relaxation_circuit())
+}
+
+fn short_coherence_case() -> Output {
+    solo_and_batch(short_coherence_model(), short_coherence_circuit())
+}
+
+/// A case as `(name, golden digest, run)`.
+type Case = (&'static str, &'static str, fn() -> Output);
+
+const CASES: [Case; 5] = [
+    ("solo", SOLO_DIGEST, solo_case),
+    ("index-seeded batch", INDEX_BATCH_DIGEST, index_seeded_case),
+    (
+        "shared-seed batch",
+        SHARED_SEED_BATCH_DIGEST,
+        shared_seed_case,
+    ),
+    (
+        "relaxation fusion",
+        RELAXATION_FUSION_DIGEST,
+        relaxation_case,
+    ),
+    (
+        "short coherence",
+        SHORT_COHERENCE_DIGEST,
+        short_coherence_case,
+    ),
+];
+
+/// Runs case `index` of [`CASES`] at thread budgets 1, 2 and 8; the
+/// digest must not depend on the budget, and must equal the golden one.
+fn assert_pinned(index: usize) {
+    let (name, golden, case) = CASES[index];
+    let base = with_thread_budget(1, || case().digest());
     for threads in [2usize, 8] {
-        let got = with_thread_budget(threads, &case);
+        let got = with_thread_budget(threads, || case().digest());
         assert_eq!(got, base, "{name}: digest drifted at {threads} threads");
     }
     assert_eq!(base, golden, "{name}: rows moved from the recorded digest");
 }
 
-/// Solo runs: `TrajectoryBackend::probabilities` at several job seeds, and
-/// a one-circuit executor batch for the solo health report.
 #[test]
 fn solo_rows_are_pinned() {
-    let tb = TrajectoryBackend::with_shots(model(), SHOTS);
-    let backend = Backend::Trajectory(tb.clone());
-    let circuits = candidates();
-    assert_pinned("solo", SOLO_DIGEST, || {
-        let mut h = Hash128::new();
-        for c in &circuits {
-            for job_seed in [0u64, 5, 0xDEAD_BEEF] {
-                hash_rows(&mut h, &[tb.probabilities(c, job_seed)]);
-            }
-        }
-        let (rows, health) = backend.probabilities_batch_health(&circuits[..1]).unwrap();
-        hash_rows(&mut h, &rows);
-        hash_health(&mut h, &health);
-        h.finish_hex()
-    });
+    assert_pinned(0);
 }
 
-/// An index-seeded 4-candidate batch: row `i` uses job seed `i`.
 #[test]
 fn index_seeded_batch_is_pinned() {
-    let tb = TrajectoryBackend::with_shots(model(), SHOTS);
-    let backend = Backend::Trajectory(tb.clone());
-    let circuits = candidates();
-    assert_pinned("index-seeded batch", INDEX_BATCH_DIGEST, || {
-        let mut h = Hash128::new();
-        hash_rows(&mut h, &tb.probabilities_batch(&circuits).unwrap());
-        let (rows, health) = backend.probabilities_batch_health(&circuits).unwrap();
-        hash_rows(&mut h, &rows);
-        hash_health(&mut h, &health);
-        h.finish_hex()
-    });
+    assert_pinned(1);
 }
 
-/// A batch whose candidates all share one seed, straight through the shot
-/// loop (rows before readout confusion).
 #[test]
 fn shared_seed_batch_is_pinned() {
-    let model = model();
-    let circuits = candidates();
-    let programs: Vec<FusedProgram> = circuits
-        .iter()
-        .map(|c| FusedProgram::compile(c, &model))
-        .collect();
-    assert_pinned("shared-seed batch", SHARED_SEED_BATCH_DIGEST, || {
-        let batch = TrajectoryBatch::new(programs.iter().collect(), vec![0x5EED; 4]).unwrap();
-        let (rows, health) = batch.shot_average_health(SHOTS, None);
-        let mut h = Hash128::new();
-        hash_rows(&mut h, &rows);
-        hash_health(&mut h, &health);
-        h.finish_hex()
-    });
+    assert_pinned(2);
 }
 
 /// Relaxation on, with promoted `Kraus2` and `MixedU2` events in the fused
@@ -184,21 +261,10 @@ fn shared_seed_batch_is_pinned() {
 fn relaxation_fusion_rows_are_pinned() {
     let model = model();
     assert!(model.include_relaxation && model.include_readout);
-    let circuit = relaxation_circuit();
-    let compiled = format!("{:?}", FusedProgram::compile(&circuit, &model));
+    let compiled = format!("{:?}", FusedProgram::compile(&relaxation_circuit(), &model));
     assert!(compiled.contains("Kraus2"), "no promoted Kraus set");
     assert!(compiled.contains("MixedU2"), "no promoted depolarizing");
-    let tb = TrajectoryBackend::with_shots(model, SHOTS);
-    let backend = Backend::Trajectory(tb.clone());
-    let batch = vec![circuit.clone(), candidates().remove(3)];
-    assert_pinned("relaxation fusion", RELAXATION_FUSION_DIGEST, || {
-        let mut h = Hash128::new();
-        hash_rows(&mut h, &[tb.probabilities(&circuit, 11)]);
-        let (rows, health) = backend.probabilities_batch_health(&batch).unwrap();
-        hash_rows(&mut h, &rows);
-        hash_health(&mut h, &health);
-        h.finish_hex()
-    });
+    assert_pinned(3);
 }
 
 /// Short coherence times, so relaxation events often take a branch other
@@ -210,18 +276,90 @@ fn short_coherence_rows_are_pinned() {
     let compiled = format!("{:?}", FusedProgram::compile(&circuit, &model));
     assert!(compiled.contains("Kraus2"), "no promoted Kraus set");
     assert!(compiled.contains("Kraus1"), "no 1q Kraus set");
-    let tb = TrajectoryBackend::with_shots(model, SHOTS);
-    let backend = Backend::Trajectory(tb.clone());
-    let batch = vec![circuit.clone(), candidates().remove(3)];
-    let solo = tb.probabilities(&circuit, 11);
+    let solo = TrajectoryBackend::with_shots(model, SHOTS).probabilities(&circuit, 11);
     let decayed: f64 = solo.iter().step_by(2).sum();
     assert!(decayed > 0.0, "no shot took a decay branch on qubit 0");
-    assert_pinned("short coherence", SHORT_COHERENCE_DIGEST, || {
-        let mut h = Hash128::new();
-        hash_rows(&mut h, &[tb.probabilities(&circuit, 11)]);
-        let (rows, health) = backend.probabilities_batch_health(&batch).unwrap();
-        hash_rows(&mut h, &rows);
-        hash_health(&mut h, &health);
-        h.finish_hex()
-    });
+    assert_pinned(4);
+}
+
+// ---------------------------------------------------------------------------
+// the recorded rows
+// ---------------------------------------------------------------------------
+
+/// How far a probability may move from the recorded fixture: a change
+/// that only rounds differently (a different product order, a fused
+/// matrix) moves rows by a few ulps; a changed branch decision moves them
+/// by at least `1 / SHOTS`.
+const FIXTURE_TOL: f64 = 1e-12;
+
+fn fixture_path() -> std::path::PathBuf {
+    std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/golden_rows.txt")
+}
+
+/// Every case's rows and health counters as text, one line each:
+/// `<case> row <i> <p...>` and `<case> health <i> <counters...>`, with
+/// each probability in the shortest form that parses back to its bits.
+fn fixture_text() -> String {
+    let mut text = String::new();
+    for (name, _, case) in CASES {
+        let tag = name.replace(' ', "_");
+        let out = with_thread_budget(1, case);
+        for (i, row) in out.rows.iter().enumerate() {
+            let probs: Vec<String> = row.iter().map(|p| format!("{p:?}")).collect();
+            text.push_str(&format!("{tag} row {i} {}\n", probs.join(" ")));
+        }
+        for (i, r) in out.health.iter().enumerate() {
+            let c: Vec<String> = counters(r).iter().map(u64::to_string).collect();
+            text.push_str(&format!("{tag} health {i} {}\n", c.join(" ")));
+        }
+    }
+    text
+}
+
+/// Every row within [`FIXTURE_TOL`] of the recorded one, every health
+/// counter equal. The digests above pin the current bits; this pins how
+/// far a change that is meant to round differently may take them.
+#[test]
+fn rows_stay_within_tolerance_of_the_fixture() {
+    let recorded = std::fs::read_to_string(fixture_path()).expect("fixture is checked in");
+    let current = fixture_text();
+    let (recorded, current): (Vec<&str>, Vec<&str>) =
+        (recorded.lines().collect(), current.lines().collect());
+    assert_eq!(recorded.len(), current.len(), "row count changed");
+    let mut worst = 0.0f64;
+    for (want, got) in recorded.iter().zip(&current) {
+        let want: Vec<&str> = want.split(' ').collect();
+        let got: Vec<&str> = got.split(' ').collect();
+        assert_eq!(want[..3], got[..3], "fixture lines out of order");
+        assert_eq!(
+            want.len(),
+            got.len(),
+            "{}: row width changed",
+            want[..3].join(" ")
+        );
+        if want[1] == "health" {
+            assert_eq!(want, got, "health counters changed");
+            continue;
+        }
+        for (w, g) in want[3..].iter().zip(&got[3..]) {
+            let (w, g): (f64, f64) = (w.parse().unwrap(), g.parse().unwrap());
+            worst = worst.max((w - g).abs());
+        }
+        assert!(
+            worst <= FIXTURE_TOL,
+            "{}: a probability moved by {worst:e}",
+            want[..3].join(" ")
+        );
+    }
+}
+
+/// Rewrites the fixture from the current build. Run it only when rows are
+/// meant to move by more than rounding, and say so in the change log:
+/// `cargo test -p qaprox-sim --test golden_rows -- --ignored record_fixture`.
+#[test]
+#[ignore = "rewrites tests/fixtures/golden_rows.txt"]
+fn record_fixture() {
+    let path = fixture_path();
+    std::fs::create_dir_all(path.parent().unwrap()).unwrap();
+    std::fs::write(path, fixture_text()).unwrap();
 }
