@@ -55,7 +55,7 @@ fn main() {
         qaprox_linalg::selected_kernel()
     );
 
-    let sizes: &[usize] = if quick { &[3, 8] } else { &[3, 8, 14, 18] };
+    let sizes: &[usize] = if quick { &[3, 8] } else { &[3, 8, 14, 18, 20] };
     let trotter_steps = 4;
     let device = toronto();
 

@@ -524,11 +524,13 @@ fn obtain_run_wide(
         Err(qaprox_fault::injected_error("serve.backend"))
     });
 
-    let ideal = qaprox_sim::statevector::probabilities(&batch[0]);
     let run = ctl.breakers.call(&spec.backend_fingerprint(), || {
         backend.execute(&batch, &seeds)
     })?;
     ctl.backend_gate()?;
+    // scored after the shot loop, so its 2^n row is not live at the loop's
+    // peak
+    let ideal = qaprox_sim::statevector::probabilities(&batch[0]);
     let ref_score = qaprox_metrics::total_variation(&run.rows[0], &ideal);
     let rows: Vec<ResultRow> = ranked
         .iter()

@@ -264,19 +264,27 @@ impl JobState {
 }
 
 /// The inverse of the terminal records [`State::transition`] writes: the
-/// state and payload a record restores, or None for a non-terminal event.
-fn decode_terminal(record: &Json) -> Option<(JobState, Option<Json>)> {
+/// state and payload text a record restores, or None for a non-terminal
+/// event.
+fn decode_terminal(record: &Json) -> Option<(JobState, Option<Arc<str>>)> {
     let event = record.get_str("event")?;
     let (name, _, state) = TERMINALS.iter().find(|(name, ..)| *name == event)?;
     let reason = record.get_str("error").unwrap_or(name).to_string();
-    Some((state(reason), record.get("payload").cloned()))
+    Some((state(reason), record.get("payload").map(wire_text)))
+}
+
+/// A payload as the wire text `result` sends. A finished job keeps only
+/// this, not the tree it was built as.
+fn wire_text(payload: &Json) -> Arc<str> {
+    Arc::from(payload.to_string())
 }
 
 struct Job {
     spec: JobSpec,
     state: JobState,
     cancel: Arc<AtomicBool>,
-    result: Option<Json>,
+    /// The finished payload as wire text ([`wire_text`]).
+    result: Option<Arc<str>>,
     fingerprint: String,
     /// Client deadline, stamped at submission from the spec's relative TTL.
     deadline: Option<Instant>,
@@ -411,7 +419,7 @@ impl State {
         let record = journaled
             .then(|| journal::terminal_event(id, state.name(), result.as_ref(), state.reason()));
         job.state = state;
-        job.result = result;
+        job.result = result.as_ref().map(wire_text);
         record
     }
 
@@ -516,7 +524,7 @@ impl State {
 #[derive(Default)]
 struct Rebuilt {
     spec: Option<JobSpec>,
-    terminal: Option<(JobState, Option<Json>)>,
+    terminal: Option<(JobState, Option<Arc<str>>)>,
     checkpoint_nodes: usize,
 }
 
@@ -581,8 +589,18 @@ pub struct JobView {
     pub id: u64,
     /// Current state.
     pub state: JobState,
-    /// Response payload, present once `Done` (or `Degraded`).
-    pub result: Option<Json>,
+    /// Response payload as the wire text `result` sends, present once
+    /// `Done` (or `Degraded`). Shared with the job table: a view copies a
+    /// pointer, not the payload.
+    pub result: Option<Arc<str>>,
+}
+
+impl JobView {
+    /// The response payload parsed back into a tree.
+    pub fn payload(&self) -> Option<Json> {
+        let text = self.result.as_deref()?;
+        Some(qaprox_store::json::parse(text).expect("a stored payload is valid json"))
+    }
 }
 
 /// The worker-pool scheduler. Dropping it shuts the pool down.
@@ -1064,7 +1082,7 @@ mod tests {
         };
         let view = sched.wait(id, WAIT).unwrap();
         assert_eq!(view.state, JobState::Done);
-        let payload = view.result.unwrap();
+        let payload = view.payload().unwrap();
         assert_eq!(payload.get_str("kind"), Some("synth"));
         assert_eq!(payload.get_bool("cached"), Some(false));
         assert!(sched.recovery_report().is_none(), "no journal configured");
@@ -1284,8 +1302,8 @@ mod tests {
         let view = sched.job(id).expect("job restored");
         assert_eq!(view.state, JobState::Done);
         assert_eq!(
-            view.result.unwrap().to_string(),
-            payload.to_string(),
+            view.result.as_deref(),
+            Some(&*payload),
             "restored payload is bit-identical"
         );
         // ids continue past the recovered ones
@@ -1476,7 +1494,7 @@ mod tests {
 
     /// A job table as replay must restore it: state and payload text by id.
     fn table(st: &State) -> BTreeMap<u64, (JobState, Option<String>)> {
-        let row = |j: &Job| (j.state.clone(), j.result.as_ref().map(Json::to_string));
+        let row = |j: &Job| (j.state.clone(), j.result.as_deref().map(str::to_string));
         st.jobs.iter().map(|(&id, j)| (id, row(j))).collect()
     }
 
@@ -1635,7 +1653,7 @@ mod tests {
         // the lost job runs to completion under its original id
         let view = sched.wait(1, WAIT).unwrap();
         assert_eq!(view.state, JobState::Done);
-        assert_eq!(view.result.unwrap().get_str("kind"), Some("synth"));
+        assert_eq!(view.payload().unwrap().get_str("kind"), Some("synth"));
         sched.shutdown();
     }
 }

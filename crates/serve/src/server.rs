@@ -23,7 +23,7 @@
 //! [`qaprox_store::json::MAX_DEPTH`] is a plain `bad request json` error.
 //! See `docs/SERVE.md` for the full protocol description.
 
-use crate::scheduler::{Scheduler, SchedulerConfig, Submitted};
+use crate::scheduler::{JobView, Scheduler, SchedulerConfig, Submitted};
 use crate::spec::JobSpec;
 use qaprox_store::json::{parse, Json};
 use qaprox_store::Store;
@@ -221,13 +221,13 @@ fn handle_connection(stream: TcpStream, scheduler: &Scheduler, stop: &Arc<Atomic
         }
         let response = match parse(&line) {
             Ok(request) => handle_request(&request, scheduler, stop),
-            Err(e) => err_response(&format!("bad request json: {e}")),
+            Err(e) => err_response(&format!("bad request json: {e}")).to_string(),
         };
         // Failpoint `serve.server.reply` (panic/sleep): a connection dying
         // between the state change and the reply — the client must cope
         // with a dropped connection after a possibly-applied request.
         qaprox_fault::fail_point!("serve.server.reply");
-        let mut text = response.to_string();
+        let mut text = response;
         text.push('\n');
         if writer.write_all(text.as_bytes()).is_err() || writer.flush().is_err() {
             break;
@@ -256,7 +256,40 @@ fn too_long_response() -> Json {
     ])
 }
 
-fn handle_request(request: &Json, scheduler: &Scheduler, stop: &Arc<AtomicBool>) -> Json {
+/// One request's reply line, without its newline.
+fn handle_request(request: &Json, scheduler: &Scheduler, stop: &Arc<AtomicBool>) -> String {
+    match request.get_str("op") {
+        Some("result") => match request.get_u64("id").and_then(|id| scheduler.job(id)) {
+            Some(view) => result_reply(&view),
+            None => err_response("unknown job id").to_string(),
+        },
+        _ => handle_op(request, scheduler, stop).to_string(),
+    }
+}
+
+/// The `result` reply: `{ok, id, state, result}` with the job's stored
+/// payload text spliced in as it is, which is the bytes the payload tree
+/// serializes to; `{ok: false, id, state, error}` when there is none.
+fn result_reply(view: &JobView) -> String {
+    let mut fields = vec![
+        ("ok", Json::Bool(view.result.is_some())),
+        ("id", Json::Num(view.id as f64)),
+        ("state", Json::Str(view.state.name().into())),
+    ];
+    let Some(payload) = &view.result else {
+        fields.push(("error", Json::Str(view.state.error_text())));
+        return Json::obj(fields).to_string();
+    };
+    let mut text = Json::obj(fields).to_string();
+    text.pop(); // the closing brace
+    text.push_str(",\"result\":");
+    text.push_str(payload);
+    text.push('}');
+    text
+}
+
+/// Every op but `result`, whose reply [`handle_request`] builds as text.
+fn handle_op(request: &Json, scheduler: &Scheduler, stop: &Arc<AtomicBool>) -> Json {
     match request.get_str("op") {
         Some("synth") | Some("run") => {
             let spec = match JobSpec::from_json(request) {
@@ -302,26 +335,6 @@ fn handle_request(request: &Json, scheduler: &Scheduler, stop: &Arc<AtomicBool>)
             ]),
             None => err_response("unknown job id"),
         },
-        Some("result") => match request.get_u64("id").and_then(|id| scheduler.job(id)) {
-            Some(view) => {
-                let mut fields = vec![
-                    ("id".to_string(), Json::Num(view.id as f64)),
-                    ("state".to_string(), Json::Str(view.state.name().into())),
-                ];
-                match view.result {
-                    Some(payload) => {
-                        fields.insert(0, ("ok".to_string(), Json::Bool(true)));
-                        fields.push(("result".to_string(), payload));
-                    }
-                    None => {
-                        fields.insert(0, ("ok".to_string(), Json::Bool(false)));
-                        fields.push(("error".to_string(), Json::Str(view.state.error_text())));
-                    }
-                }
-                Json::Obj(fields)
-            }
-            None => err_response("unknown job id"),
-        },
         Some("cancel") => match request.get_u64("id") {
             Some(id) => Json::obj(vec![
                 ("ok", Json::Bool(true)),
@@ -352,5 +365,50 @@ fn handle_request(request: &Json, scheduler: &Scheduler, stop: &Arc<AtomicBool>)
         }
         Some(other) => err_response(&format!("unknown op '{other}'")),
         None => err_response("missing 'op' field"),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::scheduler::JobState;
+
+    #[test]
+    fn result_reply_is_the_bytes_of_the_payload_tree() {
+        let payload = Json::obj(vec![
+            ("kind", Json::Str("run".into())),
+            ("note", Json::Str("a \"quoted\" line\nand a tab\t".into())),
+            (
+                "rows",
+                Json::Arr(vec![Json::Num(0.1), Json::Num(1e-17), Json::Null]),
+            ),
+            ("nested", Json::obj(vec![("ok", Json::Bool(false))])),
+        ]);
+        let view = JobView {
+            id: 42,
+            state: JobState::Done,
+            result: Some(Arc::from(payload.to_string())),
+        };
+        let tree = Json::obj(vec![
+            ("ok", Json::Bool(true)),
+            ("id", Json::Num(42.0)),
+            ("state", Json::Str("done".into())),
+            ("result", payload),
+        ]);
+        assert_eq!(result_reply(&view), tree.to_string());
+        assert_eq!(parse(&result_reply(&view)).unwrap(), tree);
+
+        let failed = JobView {
+            id: 7,
+            state: JobState::Failed("boom".into()),
+            result: None,
+        };
+        let tree = Json::obj(vec![
+            ("ok", Json::Bool(false)),
+            ("id", Json::Num(7.0)),
+            ("state", Json::Str("failed".into())),
+            ("error", Json::Str("boom".into())),
+        ]);
+        assert_eq!(result_reply(&failed), tree.to_string());
     }
 }

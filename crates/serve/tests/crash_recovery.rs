@@ -112,7 +112,7 @@ fn recovered_job_resumes_from_checkpoint_and_matches_the_no_crash_run() {
         );
         let view = sched.wait(1, WAIT).unwrap();
         assert_eq!(view.state, JobState::Done);
-        let payload = view.result.unwrap();
+        let payload = view.payload().unwrap();
         assert!(
             payload.get_u64("resumed_from").unwrap() > 0,
             "the recovered run resumed, not restarted: {payload}"
@@ -131,7 +131,7 @@ fn recovered_job_resumes_from_checkpoint_and_matches_the_no_crash_run() {
         };
         let view = sched.wait(id, WAIT).unwrap();
         assert_eq!(view.state, JobState::Done);
-        let payload = view.result.unwrap();
+        let payload = view.payload().unwrap();
         sched.shutdown();
         payload
     };

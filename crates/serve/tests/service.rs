@@ -30,8 +30,8 @@ fn tiny(seed: u64) -> SynthSpec {
 const WAIT: Duration = Duration::from_secs(120);
 
 /// A wide trajectory run that holds a worker for seconds in a release
-/// build (minutes in a debug one): 32 000 shots of two 10-qubit circuits.
-/// A cancel stops it at the next shot.
+/// build (about 5 s on a 2-core host; minutes in a debug one): 128 000
+/// shots of two 10-qubit circuits. A cancel stops it at the next shot.
 fn long_run() -> RunSpec {
     RunSpec {
         synth: SynthSpec {
@@ -41,7 +41,7 @@ fn long_run() -> RunSpec {
         },
         device: "toronto".into(),
         backend: Some("trajectory".into()),
-        shots: Some(32_000),
+        shots: Some(128_000),
         ..Default::default()
     }
 }

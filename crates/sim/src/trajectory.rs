@@ -24,23 +24,33 @@
 //!    compile time (small 2x2/4x4 matmuls).
 //! 2. **Run** ([`FusedProgram::run_shot`]): the per-shot loop touches only
 //!    precompiled fixed-size matrices and samples Kraus branches
-//!    allocation-free, in one in-place pass per gate and per relaxation
-//!    event:
+//!    allocation-free, in one in-place pass per fused op:
+//!    - **folded branches**: each event of an op takes its draws in program
+//!      order, and the branch it picks is multiplied into a per-shot copy of
+//!      the op's 2x2/4x4 matrix — a depolarizing Pauli that fires, a
+//!      mixed-unitary branch, or branch 0 of a relaxation event whose draw
+//!      is below its acceptance floor. The op's matrix is then swept once;
 //!    - **acceptance floor**: each relaxation event carries the smallest
 //!      eigenvalue of `K0†K0` less a 1e-9 margin (`acceptance_floor`).
-//!      A draw below it is one the exact sequential rule would give to
-//!      branch 0 as well, so branch 0 is applied without a norm sweep; a
-//!      draw past it (under 1 % of events on device calibrations) prices
-//!      the branches in turn with norm-only sweeps, as the rule says;
+//!      It bounds `||K0 ψ||² / ||ψ||²` for every state, so a draw below it
+//!      is one the exact sequential rule would give to branch 0 as well,
+//!      whatever the state is. A draw past it (under 1 % of events on
+//!      device calibrations) flushes: the matrix built so far is swept in,
+//!      the branches are priced in turn with norm-only sweeps, as the rule
+//!      says, and the chosen branch starts a fresh matrix;
 //!    - **fused apply and norm**: [`sweep_1q`]/[`sweep_2q`] apply a matrix
 //!      in place and return the squared norm of the result, bit for bit
 //!      the stores of the blocked gate kernels and the norm of a separate
 //!      read-only sweep;
-//!    - **pending renormalization**: a relaxation event's `1/sqrt(norm)`
-//!      is not swept in but kept pending (`ShotState`); the next sweep
+//!    - **pending renormalization**: an op that folded a relaxation branch
+//!      keeps its `1/sqrt(norm)` pending (`ShotState`); the next sweep
 //!      applies it to each amplitude as it loads it, which is bit for bit
 //!      scaling first, and at most one [`scale`] runs, at the end of the
 //!      shot.
+//!
+//!    The branches a shot picks are those of sweeping every event in turn;
+//!    the amplitudes differ from that only by the rounding of the 2x2/4x4
+//!    products.
 //!
 //! Shot-level parallelism is **bit-for-bit thread-count invariant**: shots
 //! are grouped into structural chunks (a function of circuit width only),
@@ -61,7 +71,7 @@ use qaprox_linalg::random::SplitMix64 as StdRng;
 use qaprox_linalg::Complex64;
 use std::cmp::Reverse;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 /// Default shot count when the caller does not specify one. Chosen so the
 /// sampling error (~`sqrt(dim / shots)` in TV distance) sits below the noise
@@ -184,6 +194,17 @@ fn embed_low(k: &[Complex64; 4]) -> [Complex64; 16] {
     out
 }
 
+/// The Paulis `X`, `Y`, `Z` as 2x2 matrices, indexed by `which - 1` of a
+/// uniform draw `which` from `{I, X, Y, Z}`.
+const PAULIS: [[Complex64; 4]; 3] = {
+    let one = Complex64::ONE;
+    let i = Complex64::new(0.0, 1.0);
+    let z = Complex64::ZERO;
+    // `-i` and `-1` as negation writes them, signed zeros included
+    let (minus_i, minus_one) = (Complex64::new(-0.0, -1.0), Complex64::new(-1.0, -0.0));
+    [[z, one, one, z], [z, minus_i, i, z], [one, z, z, minus_one]]
+};
+
 /// Margin below the smallest eigenvalue of `K0†K0` that an acceptance
 /// floor keeps. A shot's state has norm 1 to within the rounding of its
 /// last norm sum (typically about 1e-12 for the 2^27 terms of a 27-qubit
@@ -247,10 +268,9 @@ enum NoiseEvent {
     /// This is what a `Dep1` becomes when a genuine 2q gate conjugates it:
     /// the Pauli unraveling stays unitary, so sampling needs no branch-norm
     /// sweeps and no renormalization — with probability `1 - 3λ/4` the event
-    /// costs one RNG draw, exactly like the `Dep1` it came from.
+    /// costs one RNG draw, exactly like the `Dep1` it came from. The
+    /// matrices are written for the order of the run's pair.
     MixedU2 {
-        a: usize,
-        b: usize,
         branches: Vec<(f64, [Complex64; 16])>,
     },
 }
@@ -278,6 +298,14 @@ enum FusedOp {
         u: [Complex64; 16],
         events: Vec<NoiseEvent>,
     },
+}
+
+impl FusedOp {
+    fn events(&self) -> &[NoiseEvent] {
+        match self {
+            FusedOp::One { events, .. } | FusedOp::Two { events, .. } => events,
+        }
+    }
 }
 
 /// Conjugates an event inside a 1q fusion run by the newly appended gate.
@@ -328,28 +356,16 @@ fn conjugate_event_2q(ev: &mut NoiseEvent, ra: usize, rb: usize, g: &[Complex64;
             // fixed probability, so promote to `MixedU2` (state-independent
             // sampling, implicit identity branch) instead of a Kraus set
             let p = *lambda / 4.0;
-            let one = Complex64::ONE;
-            let i = Complex64::new(0.0, 1.0);
-            let z = Complex64::ZERO;
-            let paulis: [[Complex64; 4]; 3] = [
-                [z, one, one, z],  // X
-                [z, -i, i, z],     // Y
-                [one, z, z, -one], // Z
-            ];
             let on_high = *q == ra;
             debug_assert!(on_high || *q == rb);
-            let branches: Vec<(f64, [Complex64; 16])> = paulis
+            let branches: Vec<(f64, [Complex64; 16])> = PAULIS
                 .iter()
                 .map(|k| {
                     let e = if on_high { embed_high(k) } else { embed_low(k) };
                     (p, conj4(g, &e))
                 })
                 .collect();
-            *ev = NoiseEvent::MixedU2 {
-                a: ra,
-                b: rb,
-                branches,
-            };
+            *ev = NoiseEvent::MixedU2 { branches };
         }
         NoiseEvent::MixedU2 { branches, .. } => {
             for (_, m) in branches.iter_mut() {
@@ -593,30 +609,30 @@ impl FusedProgram {
     /// evolved through the fused program, sampling one branch per noise
     /// event from `rng`. `state.len()` must be `2^num_qubits`.
     ///
-    /// Each gate and each relaxation event is one in-place sweep, with the
-    /// last renormalization applied as the next sweep loads the state; a
-    /// relaxation draw below its event's acceptance floor takes branch 0
-    /// without a norm sweep. The result is bit for bit that of sweeping
-    /// every branch norm in turn and renormalizing after each event.
+    /// Each fused op is one in-place sweep: the shot's sampled noise
+    /// branches are multiplied into a copy of the op's matrix
+    /// ([`ShotState::run_op`]), and only a relaxation draw at or past its
+    /// event's acceptance floor sweeps the state in between. The branches
+    /// are those of sweeping every event in turn with the exact sequential
+    /// rule; the amplitudes differ from that only by rounding.
     pub fn run_shot<R: Rng>(&self, state: &mut [Complex64], rng: &mut R) {
+        self.run_shot_observed(state, rng, |_| {});
+    }
+
+    /// [`run_shot`](Self::run_shot), reporting each event's branch to
+    /// `observe` in program order (see [`ShotState::run_op`]).
+    fn run_shot_observed<R: Rng>(
+        &self,
+        state: &mut [Complex64],
+        rng: &mut R,
+        mut observe: impl FnMut(usize),
+    ) {
         debug_assert_eq!(state.len(), 1usize << self.num_qubits);
         state.fill(Complex64::ZERO);
         state[0] = Complex64::ONE;
         let mut shot = ShotState::new(state);
         for op in &self.ops {
-            let events = match op {
-                FusedOp::One { q, u, events } => {
-                    shot.sweep_1q(*q, u);
-                    events
-                }
-                FusedOp::Two { a, b, u, events } => {
-                    shot.sweep_2q(*a, *b, u);
-                    events
-                }
-            };
-            for ev in events {
-                shot.apply_event(ev, rng);
-            }
+            shot.run_op(op, rng, &mut observe);
         }
         shot.finish();
     }
@@ -722,16 +738,101 @@ fn inject_shot_corruption(state: &mut [Complex64]) {
 #[inline(always)]
 fn inject_shot_corruption(_state: &mut [Complex64]) {}
 
+/// The matrix one fused op sweeps in one shot: the op's gate with the
+/// shot's sampled noise branches multiplied in from the left, in program
+/// order.
+#[derive(Clone, Copy)]
+enum Fold {
+    One {
+        q: usize,
+        m: [Complex64; 4],
+    },
+    Two {
+        a: usize,
+        b: usize,
+        m: [Complex64; 16],
+    },
+}
+
+impl Fold {
+    /// The op's gate matrix, before any event.
+    fn of(op: &FusedOp) -> Self {
+        match *op {
+            FusedOp::One { q, u, .. } => Fold::One { q, m: u },
+            FusedOp::Two { a, b, u, .. } => Fold::Two { a, b, m: u },
+        }
+    }
+
+    /// The identity on the same support.
+    fn identity(&self) -> Self {
+        match *self {
+            Fold::One { q, .. } => Fold::One {
+                q,
+                m: [
+                    Complex64::ONE,
+                    Complex64::ZERO,
+                    Complex64::ZERO,
+                    Complex64::ONE,
+                ],
+            },
+            Fold::Two { a, b, .. } => {
+                let mut m = [Complex64::ZERO; 16];
+                for i in 0..4 {
+                    m[i * 5] = Complex64::ONE;
+                }
+                Fold::Two { a, b, m }
+            }
+        }
+    }
+
+    /// Multiplies in a one-qubit operator on `q` (embedded on the high or
+    /// low bit of a two-qubit support).
+    fn then_1q(&mut self, q: usize, k: &[Complex64; 4]) {
+        match self {
+            Fold::One { m, .. } => *m = mul2(k, m),
+            Fold::Two { a, m, .. } => {
+                let e = if q == *a { embed_high(k) } else { embed_low(k) };
+                *m = mul4(&e, m);
+            }
+        }
+    }
+
+    /// Multiplies in a two-qubit operator written for the support's order.
+    fn then_2q(&mut self, k: &[Complex64; 16]) {
+        match self {
+            Fold::Two { m, .. } => *m = mul4(k, m),
+            Fold::One { .. } => unreachable!("1q runs only carry 1q events"),
+        }
+    }
+
+    /// Sweeps the matrix over `amps`, each amplitude prescaled by `pre`.
+    fn sweep(&self, amps: &mut [Complex64], pre: f64, mode: Sweep) -> f64 {
+        match self {
+            Fold::One { q, m } => sweep_1q(amps, *q, m, pre, mode),
+            Fold::Two { a, b, m } => sweep_2q(amps, *a, *b, m, pre, mode),
+        }
+    }
+}
+
+/// Draws a uniform Pauli from `{I, X, Y, Z}` for qubit `q` and folds it
+/// in; returns the draw (0 for `I`).
+fn fold_random_pauli<R: Rng>(fold: &mut Fold, q: usize, rng: &mut R) -> usize {
+    let which: u8 = rng.gen_range(0..4);
+    if which > 0 {
+        fold.then_1q(q, &PAULIS[which as usize - 1]);
+    }
+    which as usize
+}
+
 /// A shot's amplitudes with the last renormalization still pending: the
 /// state is `pre * amps`.
 ///
-/// A relaxation event leaves its `1/sqrt(norm)` in `pre` instead of
-/// sweeping the state to scale it; the next sweep multiplies each amplitude
-/// by `pre` as it loads it, which is bit for bit a separate scaling pass
-/// followed by the sweep, because the scale is elementwise. Random Paulis commute
-/// with the real factor exactly (they only swap parts and flip signs), so
-/// they leave it pending. [`ShotState::finish`] applies what is left, at
-/// most one [`scale`] per shot.
+/// An op that folded a relaxation branch leaves its `1/sqrt(norm)` in
+/// `pre` instead of sweeping the state to scale it; the next sweep
+/// multiplies each amplitude by `pre` as it loads it, which is bit for bit
+/// a separate scaling pass followed by the sweep, because the scale is
+/// elementwise. [`ShotState::finish`] applies what is left, at most one
+/// [`scale`] per shot.
 struct ShotState<'s> {
     amps: &'s mut [Complex64],
     pre: f64,
@@ -742,74 +843,107 @@ impl<'s> ShotState<'s> {
         ShotState { amps, pre: 1.0 }
     }
 
-    /// Applies a one-qubit matrix, consuming the pending factor.
-    fn sweep_1q(&mut self, q: usize, u: &[Complex64; 4]) -> f64 {
-        let norm = sweep_1q(self.amps, q, u, self.pre, Sweep::Store);
-        self.pre = 1.0;
-        norm
+    /// Sweeps `fold` in, consuming the pending factor. When `scaled` (the
+    /// fold carries a relaxation branch, so it does not keep the norm),
+    /// the renormalization of the result becomes the pending factor.
+    fn sweep(&mut self, fold: &Fold, scaled: bool) {
+        let norm = fold.sweep(self.amps, self.pre, Sweep::Store);
+        self.pre = if scaled { renormalization(norm) } else { 1.0 };
     }
 
-    /// Applies a two-qubit matrix, consuming the pending factor.
-    fn sweep_2q(&mut self, a: usize, b: usize, u: &[Complex64; 16]) -> f64 {
-        let norm = sweep_2q(self.amps, a, b, u, self.pre, Sweep::Store);
-        self.pre = 1.0;
-        norm
-    }
-
-    /// Applies one precompiled noise event, consuming draws from `rng`.
-    fn apply_event<R: Rng>(&mut self, ev: &NoiseEvent, rng: &mut R) {
-        match ev {
-            NoiseEvent::Dep1 { q, lambda } => {
-                if rng.gen::<f64>() < *lambda {
-                    apply_random_pauli(self.amps, *q, rng);
-                }
-            }
-            NoiseEvent::Dep2 { a, b, lambda } => {
-                if rng.gen::<f64>() < *lambda {
-                    apply_random_pauli(self.amps, *a, rng);
-                    apply_random_pauli(self.amps, *b, rng);
-                }
-            }
-            NoiseEvent::Kraus1 { q, ops, floor } => {
-                let u: f64 = rng.gen();
-                let k = self.select_branch(ops, *floor, u, |amps, k, pre| {
-                    sweep_1q(amps, *q, k, pre, Sweep::NormOnly)
-                });
-                let norm = self.sweep_1q(*q, &ops[k]);
-                self.pre = renormalization(norm);
-            }
-            NoiseEvent::Kraus2 { a, b, ops, floor } => {
-                let u: f64 = rng.gen();
-                let k = self.select_branch(ops, *floor, u, |amps, k, pre| {
-                    sweep_2q(amps, *a, *b, k, pre, Sweep::NormOnly)
-                });
-                let norm = self.sweep_2q(*a, *b, &ops[k]);
-                self.pre = renormalization(norm);
-            }
-            NoiseEvent::MixedU2 { a, b, branches } => {
-                // every branch is unitary, so probabilities are fixed and the
-                // norm is preserved: one draw, no sweeps unless a branch fires
-                // (the identity branch owns the tail of the unit interval)
-                let u: f64 = rng.gen();
-                let mut acc = 0.0f64;
-                for (w, m) in branches {
-                    acc += w;
-                    if u < acc {
-                        self.sweep_2q(*a, *b, m);
-                        return;
+    /// Runs one fused op: its gate and then its events, in one sweep.
+    ///
+    /// Every event takes its draws from `rng` in program order, and the
+    /// branch it picks is multiplied into a per-shot copy of the op's
+    /// matrix: a Pauli a depolarizing event fires, a mixed-unitary branch,
+    /// or the relaxation branch `K0` when the draw is below the event's
+    /// acceptance floor. That floor bounds `||K0 ψ||² / ||ψ||²` for every
+    /// state, so the decision needs neither the state nor its norm. A draw
+    /// at or past the floor flushes: the matrix built so far is swept in,
+    /// the branches are priced in turn with norm-only sweeps, and the
+    /// chosen branch starts a fresh matrix. The op ends with one sweep.
+    ///
+    /// `observe` hears each event's branch: 0 when a depolarizing or
+    /// mixed-unitary event does not fire, else `1 + which` for a `Dep1`
+    /// Pauli, `1 + 4 * which_a + which_b` for a `Dep2`, `1 + k` for
+    /// mixed-unitary branch `k`; the Kraus index for a relaxation event.
+    fn run_op<R: Rng>(&mut self, op: &FusedOp, rng: &mut R, observe: &mut impl FnMut(usize)) {
+        let mut fold = Fold::of(op);
+        let mut scaled = false;
+        for ev in op.events() {
+            let branch = match ev {
+                NoiseEvent::Dep1 { q, lambda } => {
+                    if rng.gen::<f64>() < *lambda {
+                        1 + fold_random_pauli(&mut fold, *q, rng)
+                    } else {
+                        0
                     }
                 }
-            }
+                NoiseEvent::Dep2 { a, b, lambda } => {
+                    if rng.gen::<f64>() < *lambda {
+                        let wa = fold_random_pauli(&mut fold, *a, rng);
+                        1 + 4 * wa + fold_random_pauli(&mut fold, *b, rng)
+                    } else {
+                        0
+                    }
+                }
+                NoiseEvent::MixedU2 { branches } => {
+                    // every branch is unitary, so probabilities are fixed:
+                    // one draw, and the identity branch owns the tail of
+                    // the unit interval
+                    let u: f64 = rng.gen();
+                    let mut acc = 0.0f64;
+                    let fired = branches.iter().position(|(w, _)| {
+                        acc += w;
+                        u < acc
+                    });
+                    if let Some(k) = fired {
+                        fold.then_2q(&branches[k].1);
+                    }
+                    fired.map_or(0, |k| k + 1)
+                }
+                NoiseEvent::Kraus1 { q, ops, floor } => {
+                    let u: f64 = rng.gen();
+                    let k = self.relaxation_branch(
+                        &mut fold,
+                        scaled,
+                        ops,
+                        *floor,
+                        u,
+                        |amps, k, pre| sweep_1q(amps, *q, k, pre, Sweep::NormOnly),
+                    );
+                    fold.then_1q(*q, &ops[k]);
+                    scaled = true;
+                    k
+                }
+                NoiseEvent::Kraus2 { a, b, ops, floor } => {
+                    let u: f64 = rng.gen();
+                    let k = self.relaxation_branch(
+                        &mut fold,
+                        scaled,
+                        ops,
+                        *floor,
+                        u,
+                        |amps, k, pre| sweep_2q(amps, *a, *b, k, pre, Sweep::NormOnly),
+                    );
+                    fold.then_2q(&ops[k]);
+                    scaled = true;
+                    k
+                }
+            };
+            observe(branch);
         }
+        self.sweep(&fold, scaled);
     }
 
-    /// The Kraus branch the exact sequential rule picks for draw `u`: the
-    /// first `i` with `u < Σ_{j≤i} ||K_j ψ||²`, the last branch absorbing
-    /// rounding. A draw below `floor` is branch 0 without a sweep (see
-    /// [`acceptance_floor`]); otherwise each candidate's norm is one
-    /// norm-only sweep, computed with the pending factor.
-    fn select_branch<K>(
+    /// The branch of a relaxation event for draw `u`: branch 0 below the
+    /// event's `floor`, without touching the state. Otherwise `fold` (the
+    /// op so far) is swept in and restarts from the identity, and the
+    /// branches are priced on the state it leaves.
+    fn relaxation_branch<K>(
         &mut self,
+        fold: &mut Fold,
+        scaled: bool,
         ops: &[K],
         floor: f64,
         u: f64,
@@ -818,6 +952,21 @@ impl<'s> ShotState<'s> {
         if u < floor {
             return 0;
         }
+        self.sweep(fold, scaled);
+        *fold = fold.identity();
+        self.price(ops, u, norm_only)
+    }
+
+    /// The Kraus branch the exact sequential rule picks for draw `u`: the
+    /// first `i` with `u < Σ_{j≤i} ||K_j ψ||²`, the last branch absorbing
+    /// rounding. Each candidate's norm is one norm-only sweep, computed
+    /// with the pending factor.
+    fn price<K>(
+        &mut self,
+        ops: &[K],
+        u: f64,
+        norm_only: impl Fn(&mut [Complex64], &K, f64) -> f64,
+    ) -> usize {
         let mut acc = 0.0f64;
         for (i, k) in ops[..ops.len() - 1].iter().enumerate() {
             acc += norm_only(self.amps, k, self.pre);
@@ -839,46 +988,6 @@ impl<'s> ShotState<'s> {
 /// The factor that renormalizes a state of squared norm `norm_sqr`.
 fn renormalization(norm_sqr: f64) -> f64 {
     1.0 / norm_sqr.sqrt().max(1e-150)
-}
-
-/// Applies a uniformly random Pauli from `{I, X, Y, Z}` to qubit `q`,
-/// in place and without matrix dispatch.
-fn apply_random_pauli<R: Rng>(state: &mut [Complex64], q: usize, rng: &mut R) {
-    let which: u8 = rng.gen_range(0..4);
-    if which == 0 {
-        return;
-    }
-    let mask = 1usize << q;
-    let dim = state.len();
-    match which {
-        1 => {
-            // X: swap the pair
-            for i in 0..dim {
-                if i & mask == 0 {
-                    state.swap(i, i | mask);
-                }
-            }
-        }
-        2 => {
-            // Y: swap with ±i phases
-            for i in 0..dim {
-                if i & mask == 0 {
-                    let a = state[i];
-                    let b = state[i | mask];
-                    state[i] = Complex64::new(b.im, -b.re); // -i * b
-                    state[i | mask] = Complex64::new(-a.im, a.re); // i * a
-                }
-            }
-        }
-        _ => {
-            // Z: negate the |1> half
-            for (i, z) in state.iter_mut().enumerate() {
-                if i & mask != 0 {
-                    *z = -*z;
-                }
-            }
-        }
-    }
 }
 
 /// The trajectory execution backend: a [`NoiseModel`] plus a shot budget.
@@ -1117,54 +1226,56 @@ impl<'a> TrajectoryBatch<'a> {
         // longest programs first, ties in (candidate, chunk) order
         let mut order: Vec<usize> = (0..n_cand * chunks).collect();
         order.sort_by_key(|&k| (Reverse(self.programs[k / chunks].len()), k));
-        let partials = with_thread_budget(self.workers(), || {
+        let reducers: Vec<Mutex<RowReducer>> = (0..n_cand).map(|_| Mutex::default()).collect();
+        with_thread_budget(self.workers(), || {
             par_map_range(order.len(), |i| {
                 let k = order[i];
                 let lo = (k % chunks) * chunk;
-                self.run_chunk(k / chunks, lo..(lo + chunk).min(shots), cancel)
+                let partial = self.run_chunk(k / chunks, lo..(lo + chunk).min(shots), cancel);
+                reducers[k / chunks]
+                    .lock()
+                    .expect("a chunk fold panicked")
+                    .add(k % chunks, partial);
             })
         });
-        let mut partials: Vec<_> = order.into_iter().zip(partials).collect();
-        partials.sort_unstable_by_key(|&(k, _)| k);
-        let mut partials = partials.into_iter().map(|(_, partial)| partial);
-        // a candidate's chunk partials reduce in chunk order; the first one
-        // becomes the row itself (`0.0 + x == x` for the non-negative sums)
-        let mut rows = Vec::with_capacity(n_cand);
-        let mut reports = Vec::with_capacity(n_cand);
-        for _ in 0..n_cand {
-            let (mut probs, mut health) = partials.next().expect("one item per chunk");
-            for (p, h) in partials.by_ref().take(chunks - 1) {
-                for (dst, &x) in probs.iter_mut().zip(&p) {
-                    *dst += x;
+        let dim = 1usize << self.num_qubits;
+        reducers
+            .into_iter()
+            .map(|r| {
+                let r = r.into_inner().expect("a chunk fold panicked");
+                debug_assert_eq!(r.next, chunks, "every chunk folded");
+                let mut probs = r.row.unwrap_or_else(|| vec![0.0; dim]);
+                if r.health.clean_shots > 0 {
+                    let inv = 1.0 / r.health.clean_shots as f64;
+                    for x in probs.iter_mut() {
+                        *x *= inv;
+                    }
                 }
-                health.merge(&h);
-            }
-            if health.clean_shots > 0 {
-                let inv = 1.0 / health.clean_shots as f64;
-                for x in probs.iter_mut() {
-                    *x *= inv;
-                }
-            }
-            rows.push(probs);
-            reports.push(health);
-        }
-        (rows, reports)
+                (probs, r.health)
+            })
+            .unzip()
     }
 
     /// One work item: candidate `g`'s `shots`, in index order, in a state
-    /// of their own, summed into a fresh accumulator.
+    /// of their own, summed into a fresh accumulator. An item that starts
+    /// after `cancel` is set allocates nothing and returns no accumulator.
     fn run_chunk(
         &self,
         g: usize,
         shots: std::ops::Range<usize>,
         cancel: Option<&AtomicBool>,
-    ) -> (Vec<f64>, HealthReport) {
+    ) -> ChunkPartial {
+        let cancelled = || cancel.is_some_and(|f| f.load(Ordering::Relaxed));
+        let mut health = HealthReport::default();
+        if cancelled() {
+            health.cancelled = true;
+            return (None, health);
+        }
         let dim = 1usize << self.num_qubits;
         let mut state = vec![Complex64::ZERO; dim];
         let mut acc = vec![0.0f64; dim];
-        let mut health = HealthReport::default();
         for shot in shots {
-            if cancel.is_some_and(|f| f.load(Ordering::Relaxed)) {
+            if cancelled() {
                 health.cancelled = true;
                 break;
             }
@@ -1188,7 +1299,45 @@ impl<'a> TrajectoryBatch<'a> {
                 }
             }
         }
-        (acc, health)
+        (Some(acc), health)
+    }
+}
+
+/// One work item's accumulator (none when it started cancelled) and health.
+type ChunkPartial = (Option<Vec<f64>>, HealthReport);
+
+/// One candidate's row, reduced as its chunk partials complete. Partials
+/// fold strictly in chunk order, so the row's bits do not depend on which
+/// chunk finishes first; a partial that completes ahead of its turn waits
+/// in `early`, and every other one is dropped as soon as it is folded.
+#[derive(Default)]
+struct RowReducer {
+    /// The next chunk to fold.
+    next: usize,
+    /// The sum of the folded partials; the first one becomes the row
+    /// itself (`0.0 + x == x` for the non-negative sums).
+    row: Option<Vec<f64>>,
+    health: HealthReport,
+    early: Vec<(usize, ChunkPartial)>,
+}
+
+impl RowReducer {
+    fn add(&mut self, chunk: usize, partial: ChunkPartial) {
+        self.early.push((chunk, partial));
+        while let Some(i) = self.early.iter().position(|&(c, _)| c == self.next) {
+            let (_, (acc, health)) = self.early.swap_remove(i);
+            match (&mut self.row, acc) {
+                (Some(row), Some(acc)) => {
+                    for (dst, x) in row.iter_mut().zip(&acc) {
+                        *dst += x;
+                    }
+                }
+                (row @ None, acc) => *row = acc,
+                (Some(_), None) => {}
+            }
+            self.health.merge(&health);
+            self.next += 1;
+        }
     }
 }
 
@@ -1485,10 +1634,27 @@ mod tests {
         }
     }
 
+    /// `ev` as the only event of an identity op on its support.
+    fn event_op(ev: &NoiseEvent) -> FusedOp {
+        let u = mat4_to_array(&Matrix::identity(4));
+        let events = vec![ev.clone()];
+        match *ev {
+            NoiseEvent::Dep1 { q, .. } | NoiseEvent::Kraus1 { q, .. } => FusedOp::One {
+                q,
+                u: mat2_to_array(&Matrix::identity(2)),
+                events,
+            },
+            NoiseEvent::Dep2 { a, b, .. } | NoiseEvent::Kraus2 { a, b, .. } => {
+                FusedOp::Two { a, b, u, events }
+            }
+            NoiseEvent::MixedU2 { .. } => unreachable!("a mixed-unitary event needs its run"),
+        }
+    }
+
     /// Applies `ev` to `state` as a shot does, pending factor included.
     fn apply_one_event(state: &mut [Complex64], ev: &NoiseEvent, rng: &mut StdRng) {
         let mut shot = ShotState::new(state);
-        shot.apply_event(ev, rng);
+        shot.run_op(&event_op(ev), rng, &mut |_| {});
         shot.finish();
     }
 
@@ -1562,16 +1728,13 @@ mod tests {
             .collect();
         for u in draws {
             let fast = match ev {
-                NoiseEvent::Kraus1 { q, ops, floor } => {
-                    shot.select_branch(ops, *floor, u, |amps, k, pre| {
-                        sweep_1q(amps, *q, k, pre, Sweep::NormOnly)
-                    })
-                }
-                NoiseEvent::Kraus2 { a, b, ops, floor } => {
-                    shot.select_branch(ops, *floor, u, |amps, k, pre| {
-                        sweep_2q(amps, *a, *b, k, pre, Sweep::NormOnly)
-                    })
-                }
+                _ if u < floor => 0,
+                NoiseEvent::Kraus1 { q, ops, .. } => shot.price(ops, u, |amps, k, pre| {
+                    sweep_1q(amps, *q, k, pre, Sweep::NormOnly)
+                }),
+                NoiseEvent::Kraus2 { a, b, ops, .. } => shot.price(ops, u, |amps, k, pre| {
+                    sweep_2q(amps, *a, *b, k, pre, Sweep::NormOnly)
+                }),
                 _ => unreachable!(),
             };
             assert_eq!(fast, exact_branch(&norms, u), "{ctx}: u = {u}");
@@ -1636,14 +1799,22 @@ mod tests {
                 check_floor(&mut shot, &kraus2, &mut rng, &format!("{ctx} Kraus2"));
                 // advance the state: a random gate, then a relaxation event
                 let a = rng.gen_range(0..n);
-                if rng.gen::<f64>() < 0.5 {
-                    shot.sweep_1q(a, &haar2(&mut rng));
+                let gate = if rng.gen::<f64>() < 0.5 {
+                    Fold::One {
+                        q: a,
+                        m: haar2(&mut rng),
+                    }
                 } else {
                     let b = (a + 1 + rng.gen_range(0..n - 1)) % n;
-                    shot.sweep_2q(a, b, &haar4(&mut rng));
-                }
+                    Fold::Two {
+                        a,
+                        b,
+                        m: haar4(&mut rng),
+                    }
+                };
+                shot.sweep(&gate, false);
                 let ev = if step % 2 == 0 { &kraus1 } else { &kraus2 };
-                shot.apply_event(ev, &mut rng);
+                shot.run_op(&event_op(ev), &mut rng, &mut |_| {});
             }
             shot.finish();
             let norm: f64 = amps.iter().map(|z| z.norm_sqr()).sum();
@@ -1652,6 +1823,187 @@ mod tests {
         assert!(
             high_floors > 12,
             "only {high_floors} of 48 floors above 0.5"
+        );
+    }
+
+    /// The event-by-event reference shot loop: each op's gate, then each
+    /// event as sweeps of its own, Kraus branches priced by the exact
+    /// sequential rule (no acceptance floor) and every chosen branch
+    /// renormalized by a separate pass. Draws come from `rng` in the same
+    /// order as the fused loop's, and `branches` gets each event's branch
+    /// in the fused loop's encoding. Returns how many relaxation draws
+    /// fell at or past their event's acceptance floor (the fused loop's
+    /// flushes).
+    fn reference_shot(
+        program: &FusedProgram,
+        state: &mut [Complex64],
+        rng: &mut StdRng,
+        branches: &mut Vec<usize>,
+    ) -> usize {
+        fn pauli(state: &mut [Complex64], q: usize, rng: &mut StdRng) -> usize {
+            let which: u8 = rng.gen_range(0..4);
+            if which > 0 {
+                sweep_1q(state, q, &PAULIS[which as usize - 1], 1.0, Sweep::Store);
+            }
+            which as usize
+        }
+        fn apply_kraus<K>(
+            state: &mut [Complex64],
+            ops: &[K],
+            u: f64,
+            sweep: impl Fn(&mut [Complex64], &K, Sweep) -> f64,
+        ) -> usize {
+            let norms: Vec<f64> = ops
+                .iter()
+                .map(|k| sweep(state, k, Sweep::NormOnly))
+                .collect();
+            let k = exact_branch(&norms, u);
+            let norm = sweep(state, &ops[k], Sweep::Store);
+            scale(state, renormalization(norm));
+            k
+        }
+        state.fill(Complex64::ZERO);
+        state[0] = Complex64::ONE;
+        let mut past_floor = 0;
+        for op in &program.ops {
+            Fold::of(op).sweep(state, 1.0, Sweep::Store);
+            for ev in op.events() {
+                let branch = match ev {
+                    NoiseEvent::Dep1 { q, lambda } => {
+                        if rng.gen::<f64>() < *lambda {
+                            1 + pauli(state, *q, rng)
+                        } else {
+                            0
+                        }
+                    }
+                    NoiseEvent::Dep2 { a, b, lambda } => {
+                        if rng.gen::<f64>() < *lambda {
+                            let wa = pauli(state, *a, rng);
+                            1 + 4 * wa + pauli(state, *b, rng)
+                        } else {
+                            0
+                        }
+                    }
+                    NoiseEvent::MixedU2 { branches } => {
+                        let FusedOp::Two { a, b, .. } = op else {
+                            unreachable!("mixed-unitary events sit in 2q runs")
+                        };
+                        let u: f64 = rng.gen();
+                        let mut acc = 0.0;
+                        match branches.iter().position(|(w, _)| {
+                            acc += w;
+                            u < acc
+                        }) {
+                            Some(k) => {
+                                sweep_2q(state, *a, *b, &branches[k].1, 1.0, Sweep::Store);
+                                k + 1
+                            }
+                            None => 0,
+                        }
+                    }
+                    NoiseEvent::Kraus1 { q, ops, floor } => {
+                        let u: f64 = rng.gen();
+                        past_floor += usize::from(u >= *floor);
+                        apply_kraus(state, ops, u, |s, k, mode| sweep_1q(s, *q, k, 1.0, mode))
+                    }
+                    NoiseEvent::Kraus2 { a, b, ops, floor } => {
+                        let u: f64 = rng.gen();
+                        past_floor += usize::from(u >= *floor);
+                        apply_kraus(state, ops, u, |s, k, mode| {
+                            sweep_2q(s, *a, *b, k, 1.0, mode)
+                        })
+                    }
+                };
+                branches.push(branch);
+            }
+        }
+        past_floor
+    }
+
+    /// A random `n`-qubit calibration on a full topology: gate errors up to
+    /// a few percent and, in `short` cases, coherence times of a few
+    /// microseconds, so relaxation draws past the acceptance floor are
+    /// common.
+    fn random_cal(n: usize, short: bool, rng: &mut StdRng) -> qaprox_device::Calibration {
+        let mut cal = noiseless_cal(n);
+        for q in &mut cal.qubits {
+            q.t1_us = if short {
+                rng.gen_range(1.0..6.0)
+            } else {
+                rng.gen_range(20.0..200.0)
+            };
+            q.t2_us = q.t1_us * rng.gen_range(0.2..2.0);
+            q.sx_error = rng.gen_range(0.0..0.05);
+            q.sx_time_ns = rng.gen_range(20.0..120.0);
+        }
+        for e in cal.edges.values_mut() {
+            e.cx_error = rng.gen_range(0.0..0.15);
+            e.cx_time_ns = rng.gen_range(100.0..1500.0);
+        }
+        cal
+    }
+
+    /// A random circuit of `len` gates over `n` qubits.
+    fn random_circuit(n: usize, len: usize, rng: &mut StdRng) -> Circuit {
+        let mut c = Circuit::new(n);
+        for _ in 0..len {
+            let q = rng.gen_range(0..n);
+            let theta = rng.gen::<f64>() * 6.0;
+            match rng.gen_range(0..5u8) {
+                0 => c.h(q),
+                1 => c.rz(theta, q),
+                2 => c.rx(theta, q),
+                3 => c.ry(theta, q),
+                _ => c.cx(q, (q + 1 + rng.gen_range(0..n - 1)) % n),
+            };
+        }
+        c
+    }
+
+    #[test]
+    fn folded_ops_match_the_event_by_event_reference() {
+        // random circuits and calibrations, short coherence times in half
+        // the cases: every shot of the fused loop must pick the branches
+        // the event-by-event reference picks from the same RNG stream, and
+        // end in the same state to within rounding
+        let mut rng = StdRng::seed_from_u64(0xF01D_0001);
+        let (mut events, mut flushes) = (0usize, 0usize);
+        for case in 0..40 {
+            let n = rng.gen_range(2..6);
+            let short = case % 2 == 0;
+            let mut model = NoiseModel::from_calibration(random_cal(n, short, &mut rng));
+            model.include_readout = false;
+            let circuit = random_circuit(n, rng.gen_range(8..30), &mut rng);
+            let program = FusedProgram::compile(&circuit, &model);
+            let (mut fused, mut reference) = (vec![Complex64::ZERO; 1 << n], vec![]);
+            reference.resize(1 << n, Complex64::ZERO);
+            for shot in 0..24u64 {
+                let mut got = Vec::new();
+                program.run_shot_observed(&mut fused, &mut shot_rng(case, shot), |b| got.push(b));
+                let mut want = Vec::new();
+                flushes += reference_shot(
+                    &program,
+                    &mut reference,
+                    &mut shot_rng(case, shot),
+                    &mut want,
+                );
+                assert_eq!(got, want, "case {case} shot {shot}: branches differ");
+                let drift = fused
+                    .iter()
+                    .zip(&reference)
+                    .map(|(x, y)| (*x - *y).norm_sqr().sqrt())
+                    .fold(0.0, f64::max);
+                assert!(
+                    drift < 1e-12,
+                    "case {case} shot {shot}: states differ by {drift:e}"
+                );
+                events += want.len();
+            }
+        }
+        assert!(events > 10_000, "only {events} events sampled");
+        assert!(
+            flushes > 500,
+            "only {flushes} relaxation draws past the floor"
         );
     }
 
@@ -1824,6 +2176,57 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn row_reducer_folds_in_chunk_order_whatever_the_arrival() {
+        let mut rng = StdRng::seed_from_u64(0x5EED);
+        let partials: Vec<ChunkPartial> = (0..7u64)
+            .map(|i| {
+                let acc = (0..8).map(|_| rng.gen::<f64>()).collect();
+                let health = HealthReport {
+                    clean_shots: i + 1,
+                    ..HealthReport::default()
+                };
+                (Some(acc), health)
+            })
+            .collect();
+        let mut sequential = partials[0].0.clone().unwrap();
+        for (acc, _) in &partials[1..] {
+            for (dst, x) in sequential.iter_mut().zip(acc.as_ref().unwrap()) {
+                *dst += x;
+            }
+        }
+        for arrival in [
+            [0, 1, 2, 3, 4, 5, 6],
+            [3, 1, 0, 6, 2, 5, 4],
+            [6, 5, 4, 3, 2, 1, 0],
+        ] {
+            let mut r = RowReducer::default();
+            for c in arrival {
+                r.add(c, partials[c].clone());
+                assert!(r.early.iter().all(|&(e, _)| e > r.next), "folded late");
+            }
+            assert_eq!(r.next, 7);
+            assert!(r.early.is_empty());
+            assert_eq!(r.health.clean_shots, 28);
+            let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(
+                bits(r.row.as_ref().unwrap()),
+                bits(&sequential),
+                "{arrival:?}"
+            );
+        }
+        // a chunk that started cancelled brings no accumulator
+        let mut r = RowReducer::default();
+        let cancelled = HealthReport {
+            cancelled: true,
+            ..HealthReport::default()
+        };
+        r.add(1, (None, cancelled));
+        r.add(0, partials[0].clone());
+        assert_eq!(r.row, partials[0].0);
+        assert!(r.health.cancelled && r.early.is_empty());
     }
 
     #[test]

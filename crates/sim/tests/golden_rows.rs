@@ -4,11 +4,10 @@
 //! same build (batch vs solo, one thread count vs another). These cases pin
 //! the rows themselves: each hashes the `to_bits` of every probability and
 //! every health counter a fixed trajectory run produces, and compares the
-//! digest with one recorded before the shot loops were merged (the
-//! short-coherence case: before the shot loop stopped sweeping the state for
-//! branch norms on likely relaxation branches). A change to trajectory
-//! arithmetic, RNG streams, chunking or the reduction order that moves a
-//! single bit fails here.
+//! digest with one recorded when each fused op became one sweep with the
+//! shot's sampled noise branches multiplied into its matrix. A change to
+//! trajectory arithmetic, RNG streams, chunking or the reduction order that
+//! moves a single bit fails here.
 //!
 //! Every case runs at thread budgets 1, 2 and 8 and uses 70 shots, so the
 //! structural chunks of 16 split unevenly (4 full chunks and one of 6).
@@ -31,11 +30,11 @@ use qaprox_sim::{
 
 const SHOTS: usize = 70;
 
-const SOLO_DIGEST: &str = "5062246491cb5652a5df29b91517230f";
-const INDEX_BATCH_DIGEST: &str = "767c434e805423ffdd4870f977a057bc";
-const SHARED_SEED_BATCH_DIGEST: &str = "164a860e1b719aad33e94733cfa8c984";
-const RELAXATION_FUSION_DIGEST: &str = "a03375396b42442a255e5fbbcdb6ff3c";
-const SHORT_COHERENCE_DIGEST: &str = "782798a9293bcd66d80d09ae624fcee2";
+const SOLO_DIGEST: &str = "7c5d770cf6ac0ead9ab26df4fbeb6f24";
+const INDEX_BATCH_DIGEST: &str = "af76358493182642cb5809fa8f32422f";
+const SHARED_SEED_BATCH_DIGEST: &str = "ae53d064625131cfa8720653a7780d74";
+const RELAXATION_FUSION_DIGEST: &str = "9649663b778b921c52471ece9d4bccab";
+const SHORT_COHERENCE_DIGEST: &str = "5806e4861011d68f35ad658eea07474c";
 
 fn model() -> NoiseModel {
     NoiseModel::from_calibration(ourense().induced(&[0, 1, 2, 3]).with_uniform_cx_error(0.05))
