@@ -117,15 +117,42 @@ fn mul2(a: &[Complex64; 4], b: &[Complex64; 4]) -> [Complex64; 4] {
     out
 }
 
+/// `a · b` for 4x4 matrices: each entry is one `mul_add` chain over `k` in
+/// order, run a row at a time so the four entries of a row advance
+/// together.
 fn mul4(a: &[Complex64; 16], b: &[Complex64; 16]) -> [Complex64; 16] {
     let mut out = [Complex64::ZERO; 16];
     for r in 0..4 {
-        for c in 0..4 {
-            let mut acc = Complex64::ZERO;
-            for k in 0..4 {
-                acc = acc.mul_add(a[r * 4 + k], b[k * 4 + c]);
+        let row = &mut out[r * 4..r * 4 + 4];
+        for k in 0..4 {
+            for (acc, &bkc) in row.iter_mut().zip(&b[k * 4..k * 4 + 4]) {
+                *acc = acc.mul_add(a[r * 4 + k], bkc);
             }
-            out[r * 4 + c] = acc;
+        }
+    }
+    out
+}
+
+/// `embed_high(k) · m` when `on_high`, else `embed_low(k) · m`, without
+/// forming the embedding: each entry is `mul4`'s `mul_add` chain less the
+/// terms whose coefficient is one of the embedding's zeros. Those terms
+/// add exact zeros to an accumulator that is never `-0`, so the bits are
+/// `mul4`'s.
+fn mul_embedded(k: &[Complex64; 4], on_high: bool, m: &[Complex64; 16]) -> [Complex64; 16] {
+    let mut out = [Complex64::ZERO; 16];
+    for r in 0..4 {
+        let (hi, lo) = (r >> 1, r & 1);
+        // the two rows of `m` that row `r` of the embedding reaches, in
+        // order, and their coefficients
+        let (rows, coef) = if on_high {
+            ([lo, 2 + lo], [k[hi * 2], k[hi * 2 + 1]])
+        } else {
+            ([2 * hi, 2 * hi + 1], [k[lo * 2], k[lo * 2 + 1]])
+        };
+        for c in 0..4 {
+            out[r * 4 + c] = Complex64::ZERO
+                .mul_add(coef[0], m[rows[0] * 4 + c])
+                .mul_add(coef[1], m[rows[1] * 4 + c]);
         }
     }
     out
@@ -790,10 +817,7 @@ impl Fold {
     fn then_1q(&mut self, q: usize, k: &[Complex64; 4]) {
         match self {
             Fold::One { m, .. } => *m = mul2(k, m),
-            Fold::Two { a, m, .. } => {
-                let e = if q == *a { embed_high(k) } else { embed_low(k) };
-                *m = mul4(&e, m);
-            }
+            Fold::Two { a, m, .. } => *m = mul_embedded(k, q == *a, m),
         }
     }
 
