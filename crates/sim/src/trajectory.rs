@@ -1237,13 +1237,6 @@ impl<'a> TrajectoryBatch<'a> {
         cancel: Option<&AtomicBool>,
     ) -> (Vec<Vec<f64>>, Vec<HealthReport>) {
         let n_cand = self.programs.len();
-        if shots == 0 {
-            let dim = 1usize << self.num_qubits;
-            return (
-                vec![vec![0.0; dim]; n_cand],
-                vec![HealthReport::default(); n_cand],
-            );
-        }
         let chunk = shot_chunk(self.num_qubits);
         let chunks = shots.div_ceil(chunk);
         // item `k` is candidate `k / chunks`, chunk `k % chunks`; claim the
@@ -2251,6 +2244,16 @@ mod tests {
         r.add(0, partials[0].clone());
         assert_eq!(r.row, partials[0].0);
         assert!(r.health.cancelled && r.early.is_empty());
+        // no shots, no items: an all-zero row and an empty report
+        let cal = ourense().induced(&[0, 1]);
+        let mut c = Circuit::new(2);
+        c.h(0).cx(0, 1);
+        let program = FusedProgram::compile(&c, &NoiseModel::from_calibration(cal));
+        let (rows, health) = TrajectoryBatch::new(vec![&program], vec![1])
+            .unwrap()
+            .shot_average_health(0, None);
+        assert_eq!(rows, vec![vec![0.0; 4]]);
+        assert_eq!(health, vec![HealthReport::default()]);
     }
 
     #[test]
