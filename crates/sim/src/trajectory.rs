@@ -29,7 +29,12 @@
 //!      order, and the branch it picks is multiplied into a per-shot copy of
 //!      the op's 2x2/4x4 matrix — a depolarizing Pauli that fires, a
 //!      mixed-unitary branch, or branch 0 of a relaxation event whose draw
-//!      is below its acceptance floor. The op's matrix is then swept once;
+//!      is below its acceptance floor. The op's matrix is then swept once.
+//!      Compile forms each op's product for the case where every event
+//!      takes its likely branch (no Pauli or mixed-unitary branch fires,
+//!      every relaxation draw is below its floor); a shot sweeps that
+//!      product as it is, and multiplies only from its first other branch
+//!      on;
 //!    - **acceptance floor**: each relaxation event carries the smallest
 //!      eigenvalue of `K0†K0` less a 1e-9 margin (`acceptance_floor`).
 //!      It bounds `||K0 ψ||² / ||ψ||²` for every state, so a draw below it
@@ -117,17 +122,15 @@ fn mul2(a: &[Complex64; 4], b: &[Complex64; 4]) -> [Complex64; 4] {
     out
 }
 
-/// `a · b` for 4x4 matrices: each entry is one `mul_add` chain over `k` in
-/// order, run a row at a time so the four entries of a row advance
-/// together.
 fn mul4(a: &[Complex64; 16], b: &[Complex64; 16]) -> [Complex64; 16] {
     let mut out = [Complex64::ZERO; 16];
     for r in 0..4 {
-        let row = &mut out[r * 4..r * 4 + 4];
-        for k in 0..4 {
-            for (acc, &bkc) in row.iter_mut().zip(&b[k * 4..k * 4 + 4]) {
-                *acc = acc.mul_add(a[r * 4 + k], bkc);
+        for c in 0..4 {
+            let mut acc = Complex64::ZERO;
+            for k in 0..4 {
+                acc = acc.mul_add(a[r * 4 + k], b[k * 4 + c]);
             }
+            out[r * 4 + c] = acc;
         }
     }
     out
@@ -312,18 +315,25 @@ impl NoiseEvent {
 }
 
 /// One fused gate plus the noise events it carries (in program order).
+///
+/// `likely` is the op's matrix when every event takes its likely branch: a
+/// depolarizing or mixed-unitary event that does not fire, branch 0 of a
+/// relaxation event whose draw is below its floor. [`FusedOp::with_likely`]
+/// forms it once the events are final; most shots sweep it as it is.
 #[derive(Debug, Clone)]
 enum FusedOp {
     One {
         q: usize,
         u: [Complex64; 4],
         events: Vec<NoiseEvent>,
+        likely: Fold,
     },
     Two {
         a: usize,
         b: usize,
         u: [Complex64; 16],
         events: Vec<NoiseEvent>,
+        likely: Fold,
     },
 }
 
@@ -332,6 +342,37 @@ impl FusedOp {
         match self {
             FusedOp::One { events, .. } | FusedOp::Two { events, .. } => events,
         }
+    }
+
+    /// The op's matrix when every event takes its likely branch.
+    fn likely(&self) -> &Fold {
+        match self {
+            FusedOp::One { likely, .. } | FusedOp::Two { likely, .. } => likely,
+        }
+    }
+
+    /// The op's matrix before event `i` when every earlier event took its
+    /// likely branch: the gate with their branches multiplied in, in
+    /// program order, exactly as [`ShotState::run_op`] folds them.
+    fn likely_before(&self, i: usize) -> Fold {
+        let mut fold = Fold::of(self);
+        for ev in &self.events()[..i] {
+            match ev {
+                NoiseEvent::Kraus1 { q, ops, .. } => fold.then_1q(*q, &ops[0]),
+                NoiseEvent::Kraus2 { ops, .. } => fold.then_2q(&ops[0]),
+                NoiseEvent::Dep1 { .. } | NoiseEvent::Dep2 { .. } | NoiseEvent::MixedU2 { .. } => {}
+            }
+        }
+        fold
+    }
+
+    /// The op with [`likely`](Self::likely) formed from its final events.
+    fn with_likely(mut self) -> Self {
+        let whole = self.likely_before(self.events().len());
+        match &mut self {
+            FusedOp::One { likely, .. } | FusedOp::Two { likely, .. } => *likely = whole,
+        }
+        self
     }
 }
 
@@ -502,6 +543,7 @@ impl FusedProgram {
                                     b: rb,
                                     u,
                                     events: run_events,
+                                    ..
                                 } => {
                                     // cross-support absorption into a 2q run
                                     let (ra, rb) = (*ra, *rb);
@@ -519,7 +561,12 @@ impl FusedProgram {
                                 }
                             }
                         }
-                        _ => runs.push(Some(FusedOp::One { q, u: g, events })),
+                        _ => runs.push(Some(FusedOp::One {
+                            q,
+                            u: g,
+                            events,
+                            likely: Fold::One { q, m: g },
+                        })),
                     }
                 }
                 [a, b] => {
@@ -546,6 +593,7 @@ impl FusedProgram {
                                 b: rb,
                                 u,
                                 events: run_events,
+                                ..
                             }) = runs[*r].as_mut()
                             else {
                                 unreachable!("a 2q gate only joins an open 2q run");
@@ -571,6 +619,7 @@ impl FusedProgram {
                                     q,
                                     u: one_u,
                                     events: one_events,
+                                    ..
                                 }) = runs[ri].take()
                                 else {
                                     unreachable!("absorbed run is an open 1q run");
@@ -593,17 +642,30 @@ impl FusedProgram {
                                 b,
                                 u,
                                 events: run_events,
+                                likely: Fold::Two { a, b, m: u },
                             }));
                         }
                         qaprox_verify::FusionStep::Start => {
-                            runs.push(Some(FusedOp::Two { a, b, u: g, events }));
+                            runs.push(Some(FusedOp::Two {
+                                a,
+                                b,
+                                u: g,
+                                events,
+                                likely: Fold::Two { a, b, m: g },
+                            }));
                         }
                     }
                 }
                 _ => unreachable!("IR only holds 1- and 2-qubit gates"),
             }
         }
-        let ops: Vec<FusedOp> = runs.into_iter().flatten().collect();
+        // a run's `likely` is its gate until its events are final; form the
+        // products now
+        let ops: Vec<FusedOp> = runs
+            .into_iter()
+            .flatten()
+            .map(FusedOp::with_likely)
+            .collect();
         FusedProgram {
             num_qubits: circuit.num_qubits(),
             ops,
@@ -768,7 +830,7 @@ fn inject_shot_corruption(_state: &mut [Complex64]) {}
 /// The matrix one fused op sweeps in one shot: the op's gate with the
 /// shot's sampled noise branches multiplied in from the left, in program
 /// order.
-#[derive(Clone, Copy)]
+#[derive(Debug, Clone, Copy)]
 enum Fold {
     One {
         q: usize,
@@ -877,36 +939,46 @@ impl<'s> ShotState<'s> {
 
     /// Runs one fused op: its gate and then its events, in one sweep.
     ///
-    /// Every event takes its draws from `rng` in program order, and the
-    /// branch it picks is multiplied into a per-shot copy of the op's
-    /// matrix: a Pauli a depolarizing event fires, a mixed-unitary branch,
-    /// or the relaxation branch `K0` when the draw is below the event's
-    /// acceptance floor. That floor bounds `||K0 ψ||² / ||ψ||²` for every
-    /// state, so the decision needs neither the state nor its norm. A draw
-    /// at or past the floor flushes: the matrix built so far is swept in,
-    /// the branches are priced in turn with norm-only sweeps, and the
-    /// chosen branch starts a fresh matrix. The op ends with one sweep.
+    /// Every event takes its draws from `rng` in program order. While each
+    /// takes its likely branch (a depolarizing or mixed-unitary event that
+    /// does not fire, or the relaxation branch `K0` for a draw below the
+    /// event's acceptance floor), nothing is multiplied, and a shot whose
+    /// events all do sweeps the compiled product [`FusedOp::likely`]. The
+    /// floor bounds `||K0 ψ||² / ||ψ||²` for every state, so that decision
+    /// needs neither the state nor its norm. The first event off the path
+    /// forms the product so far ([`FusedOp::likely_before`]) in `fold`, and
+    /// from then on each branch is multiplied into it: a Pauli a
+    /// depolarizing event fires, a mixed-unitary branch, or a relaxation
+    /// branch. A draw at or past the floor flushes: the matrix built so far
+    /// is swept in, the branches are priced in turn with norm-only sweeps,
+    /// and the chosen branch starts a fresh matrix. The op ends with one
+    /// sweep.
     ///
     /// `observe` hears each event's branch: 0 when a depolarizing or
     /// mixed-unitary event does not fire, else `1 + which` for a `Dep1`
     /// Pauli, `1 + 4 * which_a + which_b` for a `Dep2`, `1 + k` for
     /// mixed-unitary branch `k`; the Kraus index for a relaxation event.
     fn run_op<R: Rng>(&mut self, op: &FusedOp, rng: &mut R, observe: &mut impl FnMut(usize)) {
-        let mut fold = Fold::of(op);
+        // None while every event so far took its likely branch
+        let mut fold: Option<Fold> = None;
         let mut scaled = false;
-        for ev in op.events() {
+        for (i, ev) in op.events().iter().enumerate() {
+            // the product so far, formed when event `i` first leaves the path
+            let before = || op.likely_before(i);
             let branch = match ev {
                 NoiseEvent::Dep1 { q, lambda } => {
                     if rng.gen::<f64>() < *lambda {
-                        1 + fold_random_pauli(&mut fold, *q, rng)
+                        let f = fold.get_or_insert_with(before);
+                        1 + fold_random_pauli(f, *q, rng)
                     } else {
                         0
                     }
                 }
                 NoiseEvent::Dep2 { a, b, lambda } => {
                     if rng.gen::<f64>() < *lambda {
-                        let wa = fold_random_pauli(&mut fold, *a, rng);
-                        1 + 4 * wa + fold_random_pauli(&mut fold, *b, rng)
+                        let f = fold.get_or_insert_with(before);
+                        let wa = fold_random_pauli(f, *a, rng);
+                        1 + 4 * wa + fold_random_pauli(f, *b, rng)
                     } else {
                         0
                     }
@@ -922,63 +994,55 @@ impl<'s> ShotState<'s> {
                         u < acc
                     });
                     if let Some(k) = fired {
-                        fold.then_2q(&branches[k].1);
+                        fold.get_or_insert_with(before).then_2q(&branches[k].1);
                     }
                     fired.map_or(0, |k| k + 1)
                 }
                 NoiseEvent::Kraus1 { q, ops, floor } => {
                     let u: f64 = rng.gen();
-                    let k = self.relaxation_branch(
-                        &mut fold,
-                        scaled,
-                        ops,
-                        *floor,
-                        u,
-                        |amps, k, pre| sweep_1q(amps, *q, k, pre, Sweep::NormOnly),
-                    );
-                    fold.then_1q(*q, &ops[k]);
+                    let k = if u < *floor {
+                        0
+                    } else {
+                        self.flush(&mut fold, before, scaled);
+                        self.price(ops, u, |amps, k, pre| {
+                            sweep_1q(amps, *q, k, pre, Sweep::NormOnly)
+                        })
+                    };
+                    if let Some(f) = &mut fold {
+                        f.then_1q(*q, &ops[k]);
+                    }
                     scaled = true;
                     k
                 }
                 NoiseEvent::Kraus2 { a, b, ops, floor } => {
                     let u: f64 = rng.gen();
-                    let k = self.relaxation_branch(
-                        &mut fold,
-                        scaled,
-                        ops,
-                        *floor,
-                        u,
-                        |amps, k, pre| sweep_2q(amps, *a, *b, k, pre, Sweep::NormOnly),
-                    );
-                    fold.then_2q(&ops[k]);
+                    let k = if u < *floor {
+                        0
+                    } else {
+                        self.flush(&mut fold, before, scaled);
+                        self.price(ops, u, |amps, k, pre| {
+                            sweep_2q(amps, *a, *b, k, pre, Sweep::NormOnly)
+                        })
+                    };
+                    if let Some(f) = &mut fold {
+                        f.then_2q(&ops[k]);
+                    }
                     scaled = true;
                     k
                 }
             };
             observe(branch);
         }
-        self.sweep(&fold, scaled);
+        self.sweep(fold.as_ref().unwrap_or(op.likely()), scaled);
     }
 
-    /// The branch of a relaxation event for draw `u`: branch 0 below the
-    /// event's `floor`, without touching the state. Otherwise `fold` (the
-    /// op so far) is swept in and restarts from the identity, and the
-    /// branches are priced on the state it leaves.
-    fn relaxation_branch<K>(
-        &mut self,
-        fold: &mut Fold,
-        scaled: bool,
-        ops: &[K],
-        floor: f64,
-        u: f64,
-        norm_only: impl Fn(&mut [Complex64], &K, f64) -> f64,
-    ) -> usize {
-        if u < floor {
-            return 0;
-        }
-        self.sweep(fold, scaled);
-        *fold = fold.identity();
-        self.price(ops, u, norm_only)
+    /// Sweeps in the op so far, before a relaxation draw at or past its
+    /// floor is priced: `fold`, or the likely-path product while `fold` is
+    /// None. `fold` restarts from the identity.
+    fn flush(&mut self, fold: &mut Option<Fold>, likely: impl FnOnce() -> Fold, scaled: bool) {
+        let done = fold.take().unwrap_or_else(likely);
+        self.sweep(&done, scaled);
+        *fold = Some(done.identity());
     }
 
     /// The Kraus branch the exact sequential rule picks for draw `u`: the
@@ -1655,17 +1719,26 @@ mod tests {
     fn event_op(ev: &NoiseEvent) -> FusedOp {
         let u = mat4_to_array(&Matrix::identity(4));
         let events = vec![ev.clone()];
-        match *ev {
+        let op = match *ev {
             NoiseEvent::Dep1 { q, .. } | NoiseEvent::Kraus1 { q, .. } => FusedOp::One {
                 q,
                 u: mat2_to_array(&Matrix::identity(2)),
                 events,
+                likely: Fold::One {
+                    q,
+                    m: mat2_to_array(&Matrix::identity(2)),
+                },
             },
-            NoiseEvent::Dep2 { a, b, .. } | NoiseEvent::Kraus2 { a, b, .. } => {
-                FusedOp::Two { a, b, u, events }
-            }
+            NoiseEvent::Dep2 { a, b, .. } | NoiseEvent::Kraus2 { a, b, .. } => FusedOp::Two {
+                a,
+                b,
+                u,
+                events,
+                likely: Fold::Two { a, b, m: u },
+            },
             NoiseEvent::MixedU2 { .. } => unreachable!("a mixed-unitary event needs its run"),
-        }
+        };
+        op.with_likely()
     }
 
     /// Applies `ev` to `state` as a shot does, pending factor included.
