@@ -285,6 +285,8 @@ struct Job {
     cancel: Arc<AtomicBool>,
     /// The finished payload as wire text ([`wire_text`]).
     result: Option<Arc<str>>,
+    /// The dedup key while the job is live; empty once it is terminal,
+    /// since a finished job no longer absorbs resubmissions.
     fingerprint: String,
     /// Client deadline, stamped at submission from the spec's relative TTL.
     deadline: Option<Instant>,
@@ -348,7 +350,9 @@ enum Event {
 #[derive(Default)]
 struct State {
     queue: VecDeque<u64>,
-    jobs: HashMap<u64, Job>,
+    /// Boxed, so the table's spare capacity costs a pointer per slot, not
+    /// a job.
+    jobs: HashMap<u64, Box<Job>>,
     inflight: HashMap<String, u64>,
     /// The highest job id handed out (0 before the first).
     last_id: u64,
@@ -380,7 +384,7 @@ impl State {
             self.queued_cost = self.queued_cost.saturating_add(job.cost);
             self.inflight.entry(job.fingerprint.clone()).or_insert(id);
             self.queue.push_back(id);
-            self.jobs.insert(id, *job);
+            self.jobs.insert(id, job);
             return Some(record);
         }
         let job = self.jobs.get_mut(&id).filter(|j| !j.state.is_terminal())?;
@@ -396,8 +400,9 @@ impl State {
             job.started = Some(Instant::now());
             return Some(journal::event("start", id));
         }
-        if self.inflight.get(&job.fingerprint) == Some(&id) {
-            self.inflight.remove(&job.fingerprint);
+        let fingerprint = std::mem::take(&mut job.fingerprint);
+        if self.inflight.get(&fingerprint) == Some(&id) {
+            self.inflight.remove(&fingerprint);
         }
         let (state, result, journaled) = match event {
             Event::Finish(state, result) => (state, result, !self.stopping),
@@ -490,14 +495,15 @@ impl State {
         for (id, r) in seen {
             st.last_id = st.last_id.max(id);
             let Some(spec) = r.spec else { continue };
-            let fingerprint = spec.dedup_fingerprint();
-            let mut job = Job::queued(spec, fingerprint, 0);
             if let Some((state, result)) = r.terminal {
                 restored_terminal += 1;
+                let mut job = Job::queued(spec, String::new(), 0);
                 (job.state, job.result) = (state, result);
-                st.jobs.insert(id, job);
+                st.jobs.insert(id, Box::new(job));
                 continue;
             }
+            let fingerprint = spec.dedup_fingerprint();
+            let mut job = Job::queued(spec, fingerprint, 0);
             if admission.enabled() {
                 job.cost = job.spec.predicted_cost().unwrap_or(0);
             }
