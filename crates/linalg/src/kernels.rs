@@ -33,18 +33,19 @@ pub enum Sweep {
 }
 
 /// One pass of the trajectory shot loop for a one-qubit gate `u` on qubit
-/// `q`: every amplitude is multiplied by the real factor `pre` as it is
-/// loaded, `u` is applied, and the squared norm of the result is returned
-/// (and, with [`Sweep::Store`], the result is written back).
+/// `q`: `u (pre * psi)` is formed, its squared norm is returned and, with
+/// [`Sweep::Store`], it is written back.
 ///
-/// `pre` is a renormalization carried over from an earlier noise event:
-/// scaling is elementwise, so folding it into the load is bit for bit the
-/// same as a separate [`scale`] sweep first. The stored amplitudes are bit
-/// for bit what [`apply_1q_vec_blocked`] stores for the prescaled state,
-/// and the returned norm accumulates into four structural lanes
-/// `[re0, im0, re1, im1]` reduced as `(l0 + l2) + (l1 + l3)`, the shape of
-/// the AVX2 accumulator, so the dispatched kernel and
-/// [`sweep_1q_scalar`] agree bit for bit. See [`crate::simd`].
+/// `pre` is a renormalization carried over from an earlier noise event. It
+/// is multiplied into the coefficients once per call (`u[k] * pre`), not
+/// into each amplitude, and every complex multiply-add is two fused
+/// multiply-adds (see the private `cfma`). The stores therefore agree with
+/// scaling first and then [`apply_1q_vec_blocked`] to rounding (a relative
+/// 1e-14 or so per amplitude), not bit for bit. The returned norm
+/// accumulates, fused, into four structural lanes `[re0, im0, re1, im1]`
+/// reduced as `(l0 + l2) + (l1 + l3)`, the shape of the AVX2 accumulator,
+/// so the dispatched kernel and [`sweep_1q_scalar`] agree bit for bit. See
+/// [`crate::simd`].
 pub fn sweep_1q(
     state: &mut [Complex64],
     q: usize,
@@ -56,9 +57,9 @@ pub fn sweep_1q(
 }
 
 /// [`sweep_1q`] for a two-qubit gate `u` on `(a, b)` (first listed qubit =
-/// high bit): stores are bit for bit [`apply_2q_vec_blocked`]'s, and the
-/// norm uses the same four-lane accumulation. Dispatched the same way, with
-/// [`sweep_2q_scalar`] as the fallback.
+/// high bit): the same prescaled coefficients and fused multiply-adds, in
+/// [`apply_2q_vec_blocked`]'s traversal, and the same four-lane norm.
+/// Dispatched the same way, with [`sweep_2q_scalar`] as the fallback.
 pub fn sweep_2q(
     state: &mut [Complex64],
     a: usize,
@@ -70,8 +71,31 @@ pub fn sweep_2q(
     (crate::simd::kernel_dispatch().sweep_2q)(state, a, b, u, pre, mode)
 }
 
+/// The sweeps' complex multiply-add `acc + v * w`, as two fused
+/// multiply-adds per part with the real-part product first:
+/// `re = v.im * (-w.im) + (v.re * w.re + acc.re)`,
+/// `im = v.re * w.im + (v.im * w.re + acc.im)`, each `+` fused with the
+/// product before it. The AVX2 sweeps form it the same way, two
+/// `_mm256_fmadd_pd` on `[-w.im, w.im]`-folded coefficients.
+#[inline(always)]
+fn cfma(acc: Complex64, v: Complex64, w: Complex64) -> Complex64 {
+    Complex64::new(
+        v.im.mul_add(-w.im, v.re.mul_add(w.re, acc.re)),
+        v.re.mul_add(w.im, v.im.mul_add(w.re, acc.im)),
+    )
+}
+
+/// `lanes[k] + x.re^2` and `lanes[k + 1] + x.im^2`, each fused: one
+/// amplitude's share of a sweep's four-lane norm.
+#[inline(always)]
+fn norm_fma(lanes: &mut [f64; 4], k: usize, x: Complex64) {
+    lanes[k] = x.re.mul_add(x.re, lanes[k]);
+    lanes[k + 1] = x.im.mul_add(x.im, lanes[k + 1]);
+}
+
 /// Portable [`sweep_1q`]: blocked two-stream traversal in the AVX2 kernel's
-/// order, accumulating into its four structural lanes.
+/// order, with its prescaled coefficients, fused multiply-adds and four
+/// structural lanes.
 pub fn sweep_1q_scalar(
     state: &mut [Complex64],
     q: usize,
@@ -84,19 +108,18 @@ pub fn sweep_1q_scalar(
     debug_assert!(1 << q < dim, "qubit index out of range");
     let store = mode == Sweep::Store;
     let mask = 1usize << q;
+    let w = u.map(|w| w * pre);
+    let z = Complex64::ZERO;
     let mut lanes = [0.0f64; 4];
     if mask == 1 {
         // one (a, b) pair per vector: lanes hold (x.re^2, x.im^2, y.re^2, y.im^2)
         let mut i = 0usize;
         while i < dim {
-            let a = state[i] * pre;
-            let b = state[i + 1] * pre;
-            let x = a * u[0] + b * u[1];
-            let y = a * u[2] + b * u[3];
-            lanes[0] += x.re * x.re;
-            lanes[1] += x.im * x.im;
-            lanes[2] += y.re * y.re;
-            lanes[3] += y.im * y.im;
+            let (a, b) = (state[i], state[i + 1]);
+            let x = cfma(cfma(z, a, w[0]), b, w[1]);
+            let y = cfma(cfma(z, a, w[2]), b, w[3]);
+            norm_fma(&mut lanes, 0, x);
+            norm_fma(&mut lanes, 2, y);
             if store {
                 state[i] = x;
                 state[i + 1] = y;
@@ -113,20 +136,16 @@ pub fn sweep_1q_scalar(
             while off < mask {
                 let i0 = base + off;
                 let i1 = i0 | mask;
-                let (a0, a1) = (state[i0] * pre, state[i0 + 1] * pre);
-                let (b0, b1) = (state[i1] * pre, state[i1 + 1] * pre);
-                let x0 = a0 * u[0] + b0 * u[1];
-                let x1 = a1 * u[0] + b1 * u[1];
-                lanes[0] += x0.re * x0.re;
-                lanes[1] += x0.im * x0.im;
-                lanes[2] += x1.re * x1.re;
-                lanes[3] += x1.im * x1.im;
-                let y0 = a0 * u[2] + b0 * u[3];
-                let y1 = a1 * u[2] + b1 * u[3];
-                lanes[0] += y0.re * y0.re;
-                lanes[1] += y0.im * y0.im;
-                lanes[2] += y1.re * y1.re;
-                lanes[3] += y1.im * y1.im;
+                let (a0, a1) = (state[i0], state[i0 + 1]);
+                let (b0, b1) = (state[i1], state[i1 + 1]);
+                let x0 = cfma(cfma(z, a0, w[0]), b0, w[1]);
+                let x1 = cfma(cfma(z, a1, w[0]), b1, w[1]);
+                norm_fma(&mut lanes, 0, x0);
+                norm_fma(&mut lanes, 2, x1);
+                let y0 = cfma(cfma(z, a0, w[2]), b0, w[3]);
+                let y1 = cfma(cfma(z, a1, w[2]), b1, w[3]);
+                norm_fma(&mut lanes, 0, y0);
+                norm_fma(&mut lanes, 2, y1);
                 if store {
                     state[i0] = x0;
                     state[i0 + 1] = x1;
@@ -142,7 +161,8 @@ pub fn sweep_1q_scalar(
 }
 
 /// Portable [`sweep_2q`]: blocked traversal in the AVX2 kernel's order,
-/// with the same structural four-lane accumulation as [`sweep_1q_scalar`].
+/// with the same prescaled coefficients, fused multiply-adds and
+/// structural four-lane accumulation as [`sweep_1q_scalar`].
 pub fn sweep_2q_scalar(
     state: &mut [Complex64],
     a: usize,
@@ -160,6 +180,7 @@ pub fn sweep_2q_scalar(
     let mb = 1usize << b;
     let mlo = 1usize << lo;
     let mhi = 1usize << hi;
+    let w = u.map(|w| w * pre);
     let mut lanes = [0.0f64; 4];
     if mlo >= 2 {
         // two quads per vector step: lane pairs hold quad0 / quad1 outputs
@@ -172,19 +193,17 @@ pub fn sweep_2q_scalar(
                     let base = base_mid + off;
                     let idx0 = [base, base | mb, base | ma, base | ma | mb];
                     let idx1 = idx0.map(|i| i + 1);
-                    let amp0 = idx0.map(|i| state[i] * pre);
-                    let amp1 = idx1.map(|i| state[i] * pre);
+                    let amp0 = idx0.map(|i| state[i]);
+                    let amp1 = idx1.map(|i| state[i]);
                     for r in 0..4 {
                         let mut acc0 = Complex64::ZERO;
                         let mut acc1 = Complex64::ZERO;
                         for c in 0..4 {
-                            acc0 = acc0.mul_add(u[r * 4 + c], amp0[c]);
-                            acc1 = acc1.mul_add(u[r * 4 + c], amp1[c]);
+                            acc0 = cfma(acc0, amp0[c], w[r * 4 + c]);
+                            acc1 = cfma(acc1, amp1[c], w[r * 4 + c]);
                         }
-                        lanes[0] += acc0.re * acc0.re;
-                        lanes[1] += acc0.im * acc0.im;
-                        lanes[2] += acc1.re * acc1.re;
-                        lanes[3] += acc1.im * acc1.im;
+                        norm_fma(&mut lanes, 0, acc0);
+                        norm_fma(&mut lanes, 2, acc1);
                         if store {
                             state[idx0[r]] = acc0;
                             state[idx1[r]] = acc1;
@@ -206,20 +225,18 @@ pub fn sweep_2q_scalar(
             let mut base = base_hi;
             while base < base_hi + mhi {
                 let idx = [base, base | mb, base | ma, base | ma | mb];
-                let amp = idx.map(|i| state[i] * pre);
+                let amp = idx.map(|i| state[i]);
                 for half in 0..2 {
                     let r0 = ms[2 * half];
                     let r1 = ms[2 * half + 1];
                     let mut acc0 = Complex64::ZERO;
                     let mut acc1 = Complex64::ZERO;
                     for c in 0..4 {
-                        acc0 = acc0.mul_add(u[r0 * 4 + c], amp[c]);
-                        acc1 = acc1.mul_add(u[r1 * 4 + c], amp[c]);
+                        acc0 = cfma(acc0, amp[c], w[r0 * 4 + c]);
+                        acc1 = cfma(acc1, amp[c], w[r1 * 4 + c]);
                     }
-                    lanes[0] += acc0.re * acc0.re;
-                    lanes[1] += acc0.im * acc0.im;
-                    lanes[2] += acc1.re * acc1.re;
-                    lanes[3] += acc1.im * acc1.im;
+                    norm_fma(&mut lanes, 0, acc0);
+                    norm_fma(&mut lanes, 2, acc1);
                     if store {
                         state[idx[r0]] = acc0;
                         state[idx[r1]] = acc1;
@@ -1130,11 +1147,33 @@ mod tests {
         }
     }
 
+    /// `got` within a relative `1e-14` of `want`, amplitude by amplitude.
+    fn assert_rel_close(got: &[Complex64], want: &[Complex64], ctx: &str) {
+        for (i, (g, w)) in got.iter().zip(want).enumerate() {
+            let err = (*g - *w).abs();
+            assert!(
+                err <= 1e-14 * w.abs(),
+                "{ctx}: amplitude {i} off by {err:e}"
+            );
+        }
+    }
+
+    fn bits(state: &[Complex64]) -> Vec<(u64, u64)> {
+        state
+            .iter()
+            .map(|z| (z.re.to_bits(), z.im.to_bits()))
+            .collect()
+    }
+
     #[test]
     fn norm_sqr_kernels_match_apply_then_sum() {
         // the sweeps' norm, in both modes, agrees with applying the gate to
-        // the prescaled state and summing; a storing sweep leaves exactly
-        // that state behind, a norm-only one leaves the input untouched
+        // the prescaled state and summing, and a norm-only sweep leaves the
+        // input untouched. A storing sweep leaves bit for bit what the
+        // scalar FMA reference stores; against scaling first and applying
+        // the gate it holds only to a relative 1e-14 per amplitude, since
+        // the sweeps fold `pre` into the coefficients and fuse their
+        // multiply-adds
         let u1 = h_gate();
         let u2 = cnot_gate();
         let state: Vec<Complex64> = (0..16)
@@ -1143,28 +1182,36 @@ mod tests {
         let pre = 0.75;
         let prescaled: Vec<Complex64> = state.iter().map(|&z| z * pre).collect();
         for q in 0..4 {
+            let ctx = format!("sweep_1q q={q}");
             let mut applied = prescaled.clone();
             apply_1q_vec(&mut applied, q, &u1);
             let expect: f64 = applied.iter().map(|z| z.norm_sqr()).sum();
             let mut probe = state.clone();
             let got = sweep_1q(&mut probe, q, &u1, pre, Sweep::NormOnly);
-            assert!((got - expect).abs() < 1e-12, "norm-only sweep_1q q={q}");
-            assert_eq!(probe, state, "norm-only sweep_1q wrote q={q}");
+            assert!((got - expect).abs() < 1e-12, "norm-only {ctx}");
+            assert_eq!(probe, state, "norm-only {ctx} wrote");
             let got = sweep_1q(&mut probe, q, &u1, pre, Sweep::Store);
-            assert!((got - expect).abs() < 1e-12, "storing sweep_1q q={q}");
-            assert_eq!(probe, applied, "storing sweep_1q q={q}");
+            assert!((got - expect).abs() < 1e-12, "storing {ctx}");
+            let mut oracle = state.clone();
+            sweep_1q_scalar(&mut oracle, q, &u1, pre, Sweep::Store);
+            assert_eq!(bits(&probe), bits(&oracle), "storing {ctx} vs oracle");
+            assert_rel_close(&probe, &applied, &format!("storing {ctx} vs apply"));
         }
         for (a, b) in [(0usize, 1usize), (3, 0), (1, 3), (2, 1)] {
+            let ctx = format!("sweep_2q ({a},{b})");
             let mut applied = prescaled.clone();
             apply_2q_vec(&mut applied, a, b, &u2);
             let expect: f64 = applied.iter().map(|z| z.norm_sqr()).sum();
             let mut probe = state.clone();
             let got = sweep_2q(&mut probe, a, b, &u2, pre, Sweep::NormOnly);
-            assert!((got - expect).abs() < 1e-12, "norm-only sweep_2q ({a},{b})");
-            assert_eq!(probe, state, "norm-only sweep_2q wrote ({a},{b})");
+            assert!((got - expect).abs() < 1e-12, "norm-only {ctx}");
+            assert_eq!(probe, state, "norm-only {ctx} wrote");
             let got = sweep_2q(&mut probe, a, b, &u2, pre, Sweep::Store);
-            assert!((got - expect).abs() < 1e-12, "storing sweep_2q ({a},{b})");
-            assert_eq!(probe, applied, "storing sweep_2q ({a},{b})");
+            assert!((got - expect).abs() < 1e-12, "storing {ctx}");
+            let mut oracle = state.clone();
+            sweep_2q_scalar(&mut oracle, a, b, &u2, pre, Sweep::Store);
+            assert_eq!(bits(&probe), bits(&oracle), "storing {ctx} vs oracle");
+            assert_rel_close(&probe, &applied, &format!("storing {ctx} vs apply"));
         }
     }
 

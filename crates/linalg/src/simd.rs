@@ -236,6 +236,45 @@ pub mod avx2 {
         _mm256_addsub_pd(s1, t2)
     }
 
+    /// The sweeps' complex multiply-add `acc + v * w`: two fused
+    /// multiply-adds, `v * wr` first, then `swap(v) * wi` with `wi` the
+    /// sign-folded imaginary part `[-w.im, w.im, -w.im, w.im]` (from
+    /// [`splat_fma`]/[`pair_fma`]). `vs` is `swap_halves(v)`, formed once per
+    /// loaded vector. Bitwise equal to the scalar sweeps' `cfma`:
+    /// `re = v.im.mul_add(-w.im, v.re.mul_add(w.re, acc.re))`,
+    /// `im = v.re.mul_add(w.im, v.im.mul_add(w.re, acc.im))`.
+    ///
+    /// # Safety
+    /// The host must support AVX and FMA.
+    #[inline(always)]
+    unsafe fn cfma(acc: __m256d, v: __m256d, vs: __m256d, wr: __m256d, wi: __m256d) -> __m256d {
+        _mm256_fmadd_pd(vs, wi, _mm256_fmadd_pd(v, wr, acc))
+    }
+
+    /// One sweep coefficient `w * pre`, broadcast for [`cfma`] as
+    /// (re-splat, sign-folded im).
+    ///
+    /// # Safety
+    /// The host must support AVX.
+    #[inline(always)]
+    unsafe fn splat_fma(w: Complex64, pre: f64) -> (__m256d, __m256d) {
+        pair_fma(w, w, pre)
+    }
+
+    /// Two sweep coefficients `lo * pre`, `hi * pre` side by side for
+    /// [`cfma`]: `lo` for the low complex lane, `hi` for the high one.
+    ///
+    /// # Safety
+    /// The host must support AVX.
+    #[inline(always)]
+    unsafe fn pair_fma(lo: Complex64, hi: Complex64, pre: f64) -> (__m256d, __m256d) {
+        let (lo, hi) = (lo * pre, hi * pre);
+        (
+            _mm256_setr_pd(lo.re, lo.re, hi.re, hi.re),
+            _mm256_setr_pd(-lo.im, lo.im, -hi.im, hi.im),
+        )
+    }
+
     /// Broadcast one coefficient into (re-splat, im-splat) vectors.
     #[inline(always)]
     unsafe fn splat(w: Complex64) -> (__m256d, __m256d) {
@@ -372,28 +411,31 @@ pub mod avx2 {
         let dim = state.len();
         let mask = 1usize << q;
         let p = state.as_mut_ptr() as *mut f64;
-        let scale = _mm256_set1_pd(pre);
-        let mut acc = _mm256_setzero_pd();
+        let zero = _mm256_setzero_pd();
+        let mut acc = zero;
         if mask == 1 {
-            let (c0r, c0i) = pair(u[0], u[2]);
-            let (c1r, c1i) = pair(u[1], u[3]);
+            let (c0r, c0i) = pair_fma(u[0], u[2], pre);
+            let (c1r, c1i) = pair_fma(u[1], u[3], pre);
             let mut i = 0usize;
             while i < dim {
-                let v = _mm256_mul_pd(_mm256_loadu_pd(p.add(2 * i)), scale);
+                let v = _mm256_loadu_pd(p.add(2 * i));
+                let vs = swap_halves(v);
                 let aa = _mm256_permute2f128_pd(v, v, 0x00);
                 let bb = _mm256_permute2f128_pd(v, v, 0x11);
-                let out = _mm256_add_pd(cmul(aa, c0r, c0i), cmul(bb, c1r, c1i));
-                acc = _mm256_add_pd(acc, _mm256_mul_pd(out, out));
+                let aas = _mm256_permute2f128_pd(vs, vs, 0x00);
+                let bbs = _mm256_permute2f128_pd(vs, vs, 0x11);
+                let out = cfma(cfma(zero, aa, aas, c0r, c0i), bb, bbs, c1r, c1i);
+                acc = _mm256_fmadd_pd(out, out, acc);
                 if STORE {
                     _mm256_storeu_pd(p.add(2 * i), out);
                 }
                 i += 2;
             }
         } else {
-            let (u0r, u0i) = splat(u[0]);
-            let (u1r, u1i) = splat(u[1]);
-            let (u2r, u2i) = splat(u[2]);
-            let (u3r, u3i) = splat(u[3]);
+            let (u0r, u0i) = splat_fma(u[0], pre);
+            let (u1r, u1i) = splat_fma(u[1], pre);
+            let (u2r, u2i) = splat_fma(u[2], pre);
+            let (u3r, u3i) = splat_fma(u[3], pre);
             let stride = mask << 1;
             let mut base = 0usize;
             while base < dim {
@@ -401,12 +443,13 @@ pub mod avx2 {
                 while off < mask {
                     let i0 = 2 * (base + off);
                     let i1 = 2 * (base + off + mask);
-                    let va = _mm256_mul_pd(_mm256_loadu_pd(p.add(i0)), scale);
-                    let vb = _mm256_mul_pd(_mm256_loadu_pd(p.add(i1)), scale);
-                    let o0 = _mm256_add_pd(cmul(va, u0r, u0i), cmul(vb, u1r, u1i));
-                    let o1 = _mm256_add_pd(cmul(va, u2r, u2i), cmul(vb, u3r, u3i));
-                    acc = _mm256_add_pd(acc, _mm256_mul_pd(o0, o0));
-                    acc = _mm256_add_pd(acc, _mm256_mul_pd(o1, o1));
+                    let va = _mm256_loadu_pd(p.add(i0));
+                    let vb = _mm256_loadu_pd(p.add(i1));
+                    let (vas, vbs) = (swap_halves(va), swap_halves(vb));
+                    let o0 = cfma(cfma(zero, va, vas, u0r, u0i), vb, vbs, u1r, u1i);
+                    let o1 = cfma(cfma(zero, va, vas, u2r, u2i), vb, vbs, u3r, u3i);
+                    acc = _mm256_fmadd_pd(o0, o0, acc);
+                    acc = _mm256_fmadd_pd(o1, o1, acc);
                     if STORE {
                         _mm256_storeu_pd(p.add(i0), o0);
                         _mm256_storeu_pd(p.add(i1), o1);
@@ -559,15 +602,13 @@ pub mod avx2 {
         let mlo = 1usize << lo;
         let mhi = 1usize << hi;
         let p = state.as_mut_ptr() as *mut f64;
-        let scale = _mm256_set1_pd(pre);
-        let mut acc = _mm256_setzero_pd();
+        let zero = _mm256_setzero_pd();
+        let mut acc = zero;
         if mlo >= 2 {
-            let mut ur = [_mm256_setzero_pd(); 16];
-            let mut ui = [_mm256_setzero_pd(); 16];
+            let mut ur = [zero; 16];
+            let mut ui = [zero; 16];
             for k in 0..16 {
-                let (r, i) = splat(u[k]);
-                ur[k] = r;
-                ui[k] = i;
+                (ur[k], ui[k]) = splat_fma(u[k], pre);
             }
             let mut base_hi = 0usize;
             while base_hi < dim {
@@ -583,17 +624,23 @@ pub mod avx2 {
                             2 * (base | ma | mb),
                         ];
                         let amp = [
-                            _mm256_mul_pd(_mm256_loadu_pd(p.add(idx[0])), scale),
-                            _mm256_mul_pd(_mm256_loadu_pd(p.add(idx[1])), scale),
-                            _mm256_mul_pd(_mm256_loadu_pd(p.add(idx[2])), scale),
-                            _mm256_mul_pd(_mm256_loadu_pd(p.add(idx[3])), scale),
+                            _mm256_loadu_pd(p.add(idx[0])),
+                            _mm256_loadu_pd(p.add(idx[1])),
+                            _mm256_loadu_pd(p.add(idx[2])),
+                            _mm256_loadu_pd(p.add(idx[3])),
+                        ];
+                        let swapped = [
+                            swap_halves(amp[0]),
+                            swap_halves(amp[1]),
+                            swap_halves(amp[2]),
+                            swap_halves(amp[3]),
                         ];
                         for r in 0..4 {
-                            let mut row = _mm256_setzero_pd();
-                            for (c, &amp_c) in amp.iter().enumerate() {
-                                row = cmul_acc(row, amp_c, ur[r * 4 + c], ui[r * 4 + c]);
+                            let mut row = zero;
+                            for c in 0..4 {
+                                row = cfma(row, amp[c], swapped[c], ur[r * 4 + c], ui[r * 4 + c]);
                             }
-                            acc = _mm256_add_pd(acc, _mm256_mul_pd(row, row));
+                            acc = _mm256_fmadd_pd(row, row, acc);
                             if STORE {
                                 _mm256_storeu_pd(p.add(idx[r]), row);
                             }
@@ -606,17 +653,13 @@ pub mod avx2 {
             }
         } else {
             let (ms, inv) = lo0_perm(mb);
-            let mut clr = [_mm256_setzero_pd(); 4];
-            let mut cli = [_mm256_setzero_pd(); 4];
-            let mut chr = [_mm256_setzero_pd(); 4];
-            let mut chi = [_mm256_setzero_pd(); 4];
+            let mut clr = [zero; 4];
+            let mut cli = [zero; 4];
+            let mut chr = [zero; 4];
+            let mut chi = [zero; 4];
             for c in 0..4 {
-                let wl0 = u[ms[0] * 4 + c];
-                let wl1 = u[ms[1] * 4 + c];
-                let wh0 = u[ms[2] * 4 + c];
-                let wh1 = u[ms[3] * 4 + c];
-                (clr[c], cli[c]) = pair(wl0, wl1);
-                (chr[c], chi[c]) = pair(wh0, wh1);
+                (clr[c], cli[c]) = pair_fma(u[ms[0] * 4 + c], u[ms[1] * 4 + c], pre);
+                (chr[c], chi[c]) = pair_fma(u[ms[2] * 4 + c], u[ms[3] * 4 + c], pre);
             }
             let mut base_hi = 0usize;
             while base_hi < dim {
@@ -624,23 +667,29 @@ pub mod avx2 {
                 while base < base_hi + mhi {
                     let il = 2 * base;
                     let ih = 2 * (base + mhi);
-                    let vl = _mm256_mul_pd(_mm256_loadu_pd(p.add(il)), scale);
-                    let vh = _mm256_mul_pd(_mm256_loadu_pd(p.add(ih)), scale);
+                    let vl = _mm256_loadu_pd(p.add(il));
+                    let vh = _mm256_loadu_pd(p.add(ih));
                     let slots = [
                         _mm256_permute2f128_pd(vl, vl, 0x00),
                         _mm256_permute2f128_pd(vl, vl, 0x11),
                         _mm256_permute2f128_pd(vh, vh, 0x00),
                         _mm256_permute2f128_pd(vh, vh, 0x11),
                     ];
-                    let mut accl = _mm256_setzero_pd();
-                    let mut acch = _mm256_setzero_pd();
+                    let swapped = [
+                        swap_halves(slots[0]),
+                        swap_halves(slots[1]),
+                        swap_halves(slots[2]),
+                        swap_halves(slots[3]),
+                    ];
+                    let mut accl = zero;
+                    let mut acch = zero;
                     for c in 0..4 {
-                        let amp_c = slots[inv[c]];
-                        accl = cmul_acc(accl, amp_c, clr[c], cli[c]);
-                        acch = cmul_acc(acch, amp_c, chr[c], chi[c]);
+                        let (amp_c, amp_cs) = (slots[inv[c]], swapped[inv[c]]);
+                        accl = cfma(accl, amp_c, amp_cs, clr[c], cli[c]);
+                        acch = cfma(acch, amp_c, amp_cs, chr[c], chi[c]);
                     }
-                    acc = _mm256_add_pd(acc, _mm256_mul_pd(accl, accl));
-                    acc = _mm256_add_pd(acc, _mm256_mul_pd(acch, acch));
+                    acc = _mm256_fmadd_pd(accl, accl, acc);
+                    acc = _mm256_fmadd_pd(acch, acch, acc);
                     if STORE {
                         _mm256_storeu_pd(p.add(il), accl);
                         _mm256_storeu_pd(p.add(ih), acch);

@@ -4,10 +4,11 @@
 //! particular the block-boundary cases (qubit 0, qubit 1, the top qubit,
 //! and adjacent pairs) where the vector lane layout changes shape.
 //!
-//! The shot loop's prescaled sweeps are held to their scalar references in
-//! both modes (storing and norm-only), with the identity prescale and a
-//! renormalization-sized one, and their stores to the blocked gate kernels
-//! applied to the prescaled state.
+//! The shot loop's prescaled sweeps are held to their scalar FMA references
+//! in both modes (storing and norm-only), with the identity prescale,
+//! renormalization-sized ones and a large one, on random matrices and on
+//! matrices with exact and signed zeros like the fused CX/ZZ products of a
+//! TFIM chain.
 //!
 //! The instantiation kernels (the chain updates, in place and out of place,
 //! and the fused U3 gradient traces) are held to the same contract on matrices of dimension
@@ -130,57 +131,105 @@ fn sweep_state(n: usize, sparse: bool, rng: &mut SplitMix64) -> Vec<Complex64> {
     }
 }
 
+/// One-qubit matrices with exact and signed zeros: sparse random entries,
+/// a fused `X * Rz` (exact zeros on the diagonal) and its negation (the
+/// zeros turn `-0.0`).
+fn zero_heavy_mat2s(rng: &mut SplitMix64) -> Vec<[Complex64; 4]> {
+    let t: f64 = rng.gen_range(-3.0..3.0);
+    let z = Complex64::ZERO;
+    let x_rz = [z, Complex64::cis(t), Complex64::cis(-t), z];
+    vec![
+        std::array::from_fn(|_| sparse_c64(rng)),
+        x_rz,
+        x_rz.map(|w| w * -1.0),
+    ]
+}
+
+/// Two-qubit matrices with exact and signed zeros, shaped like the fused
+/// CX/ZZ products on TFIM chains: sparse random entries, `CX * ZZ(t)`
+/// (a permutation with phases, twelve exact zeros) and its negation.
+fn zero_heavy_mat4s(rng: &mut SplitMix64) -> Vec<[Complex64; 16]> {
+    let t: f64 = rng.gen_range(-3.0..3.0);
+    let zz = [-t, t, t, -t].map(Complex64::cis);
+    // CX on (a, b) maps small index 2 <-> 3, so row r of CX * ZZ holds
+    // ZZ's entry in column cx[r]
+    let cx = [0usize, 1, 3, 2];
+    let cx_zz: [Complex64; 16] = std::array::from_fn(|k| {
+        let (r, c) = (k / 4, k % 4);
+        if c == cx[r] {
+            zz[c]
+        } else {
+            Complex64::ZERO
+        }
+    });
+    vec![
+        std::array::from_fn(|_| sparse_c64(rng)),
+        cx_zz,
+        cx_zz.map(|w| w * -1.0),
+    ]
+}
+
+/// Holds one sweep entry to its scalar reference by `to_bits`: the
+/// norm-only sweep must leave the state untouched and return the
+/// reference's norm, and the storing sweep must return that same norm and
+/// store the reference's amplitudes.
+fn check_sweep_pair(
+    sweep: impl Fn(&mut [Complex64], Sweep) -> f64,
+    reference: impl Fn(&mut [Complex64], Sweep) -> f64,
+    state: &[Complex64],
+    ctx: &str,
+) {
+    let mut probe = state.to_vec();
+    let norm = sweep(&mut probe, Sweep::NormOnly);
+    assert_bits_eq(&probe, state, &format!("norm-only wrote {ctx}"));
+    let mut sc = state.to_vec();
+    let sc_norm = reference(&mut sc, Sweep::NormOnly);
+    assert_eq!(norm.to_bits(), sc_norm.to_bits(), "norm {ctx}");
+    let stored = sweep(&mut probe, Sweep::Store);
+    let sc_stored = reference(&mut sc, Sweep::Store);
+    assert_eq!(stored.to_bits(), norm.to_bits(), "store {ctx}");
+    assert_eq!(sc_stored.to_bits(), norm.to_bits(), "scalar store {ctx}");
+    assert_bits_eq(&probe, &sc, &format!("store {ctx}"));
+}
+
 /// Holds `kernels`' sweep entries to [`sweep_1q_scalar`] and
 /// [`sweep_2q_scalar`] by `to_bits` at every qubit and ordered pair of 1-8
-/// qubit states, in both modes and with `pre = 1.0` and a non-trivial
-/// `pre`. A storing sweep must also leave exactly what the scalar blocked
-/// gate kernel leaves on the prescaled state, and return the same norm as a
-/// norm-only sweep, which must leave the state untouched.
+/// qubit states (dense and with signed-zero parts), in both modes, on a
+/// random matrix and on matrices with exact and signed zeros, with `pre`
+/// 1.0, 0.75, 1e6 and a random one.
 fn check_sweeps(kernels: &KernelDispatch, seed: u64) {
     let mut rng = SplitMix64::seed_from_u64(seed);
     let name = kernels.name;
     for n in 1..=8usize {
         for sparse in [false, true] {
             let state = sweep_state(n, sparse, &mut rng);
-            let u1 = random_mat2(&mut rng);
-            let u2 = random_mat4(&mut rng);
-            for pre in [1.0, rng.gen_range(0.5..2.0)] {
-                let mut prescaled = state.clone();
-                scale_scalar(&mut prescaled, pre);
-                let ctx = format!("{name} n={n} sparse={sparse} pre={pre}");
-                for q in 0..n {
-                    let mut applied = prescaled.clone();
-                    apply_1q_vec_blocked_scalar(&mut applied, q, &u1);
-                    let mut probe = state.clone();
-                    let norm = (kernels.sweep_1q)(&mut probe, q, &u1, pre, Sweep::NormOnly);
-                    assert_bits_eq(&probe, &state, &format!("norm-only 1q wrote q={q} {ctx}"));
-                    let mut sc = state.clone();
-                    let sc_norm = sweep_1q_scalar(&mut sc, q, &u1, pre, Sweep::NormOnly);
-                    assert_eq!(norm.to_bits(), sc_norm.to_bits(), "norm 1q q={q} {ctx}");
-                    let stored = (kernels.sweep_1q)(&mut probe, q, &u1, pre, Sweep::Store);
-                    let sc_stored = sweep_1q_scalar(&mut sc, q, &u1, pre, Sweep::Store);
-                    assert_eq!(stored.to_bits(), norm.to_bits(), "store 1q q={q} {ctx}");
-                    assert_eq!(sc_stored.to_bits(), norm.to_bits(), "scalar 1q q={q} {ctx}");
-                    assert_bits_eq(&probe, &sc, &format!("store 1q q={q} {ctx}"));
-                    assert_bits_eq(&probe, &applied, &format!("store vs apply 1q q={q} {ctx}"));
+            let mut u1s = vec![random_mat2(&mut rng)];
+            u1s.extend(zero_heavy_mat2s(&mut rng));
+            let mut u2s = vec![random_mat4(&mut rng)];
+            u2s.extend(zero_heavy_mat4s(&mut rng));
+            for pre in [1.0, 0.75, 1e6, rng.gen_range(0.5..2.0)] {
+                for (m, u1) in u1s.iter().enumerate() {
+                    for q in 0..n {
+                        check_sweep_pair(
+                            |s, mode| (kernels.sweep_1q)(s, q, u1, pre, mode),
+                            |s, mode| sweep_1q_scalar(s, q, u1, pre, mode),
+                            &state,
+                            &format!("1q {name} n={n} sparse={sparse} pre={pre} u={m} q={q}"),
+                        );
+                    }
                 }
-                for a in 0..n {
-                    for b in (0..n).filter(|&b| b != a) {
-                        let ctx = format!("a={a} b={b} {ctx}");
-                        let mut applied = prescaled.clone();
-                        apply_2q_vec_blocked_scalar(&mut applied, a, b, &u2);
-                        let mut probe = state.clone();
-                        let norm = (kernels.sweep_2q)(&mut probe, a, b, &u2, pre, Sweep::NormOnly);
-                        assert_bits_eq(&probe, &state, &format!("norm-only 2q wrote {ctx}"));
-                        let mut sc = state.clone();
-                        let sc_norm = sweep_2q_scalar(&mut sc, a, b, &u2, pre, Sweep::NormOnly);
-                        assert_eq!(norm.to_bits(), sc_norm.to_bits(), "norm 2q {ctx}");
-                        let stored = (kernels.sweep_2q)(&mut probe, a, b, &u2, pre, Sweep::Store);
-                        let sc_stored = sweep_2q_scalar(&mut sc, a, b, &u2, pre, Sweep::Store);
-                        assert_eq!(stored.to_bits(), norm.to_bits(), "store 2q {ctx}");
-                        assert_eq!(sc_stored.to_bits(), norm.to_bits(), "scalar 2q {ctx}");
-                        assert_bits_eq(&probe, &sc, &format!("store 2q {ctx}"));
-                        assert_bits_eq(&probe, &applied, &format!("store vs apply 2q {ctx}"));
+                for (m, u2) in u2s.iter().enumerate() {
+                    for a in 0..n {
+                        for b in (0..n).filter(|&b| b != a) {
+                            check_sweep_pair(
+                                |s, mode| (kernels.sweep_2q)(s, a, b, u2, pre, mode),
+                                |s, mode| sweep_2q_scalar(s, a, b, u2, pre, mode),
+                                &state,
+                                &format!(
+                                    "2q {name} n={n} sparse={sparse} pre={pre} u={m} a={a} b={b}"
+                                ),
+                            );
+                        }
                     }
                 }
             }

@@ -45,12 +45,14 @@
 //!      says, and the chosen branch starts a fresh matrix;
 //!    - **fused apply and norm**: [`sweep_1q`]/[`sweep_2q`] apply a matrix
 //!      in place and return the squared norm of the result, bit for bit
-//!      the stores of the blocked gate kernels and the norm of a separate
-//!      read-only sweep;
+//!      the norm of a separate read-only sweep. They are the only kernels
+//!      here built on fused multiply-adds, with the scalar table matching
+//!      the AVX2 one through `f64::mul_add`, so their stores agree with the
+//!      blocked gate kernels' to rounding, not bit for bit;
 //!    - **pending renormalization**: an op that folded a relaxation branch
 //!      keeps its `1/sqrt(norm)` pending (`ShotState`); the next sweep
-//!      applies it to each amplitude as it loads it, which is bit for bit
-//!      scaling first, and at most one [`scale`] runs, at the end of the
+//!      multiplies it into its matrix's coefficients once, so no pass is
+//!      spent on it, and at most one [`scale`] runs, at the end of the
 //!      shot.
 //!
 //!    The branches a shot picks are those of sweeping every event in turn;
@@ -795,8 +797,23 @@ enum ShotVerdict {
 
 /// Vets a finished trajectory: total probability mass must be finite and
 /// within [`NORM_DRIFT_TOL`] of 1.
+///
+/// The mass is summed in four fixed lanes rather than one serial chain, so
+/// the adds do not wait on each other. It feeds only these thresholds,
+/// never a row.
 fn shot_verdict(state: &[Complex64]) -> ShotVerdict {
-    let mass: f64 = state.iter().map(|z| z.norm_sqr()).sum();
+    let mut lanes = [0.0f64; 4];
+    let mut pairs = state.chunks_exact(2);
+    for p in &mut pairs {
+        lanes[0] += p[0].re * p[0].re;
+        lanes[1] += p[0].im * p[0].im;
+        lanes[2] += p[1].re * p[1].re;
+        lanes[3] += p[1].im * p[1].im;
+    }
+    for z in pairs.remainder() {
+        lanes[0] += z.norm_sqr();
+    }
+    let mass = (lanes[0] + lanes[2]) + (lanes[1] + lanes[3]);
     if !mass.is_finite() {
         ShotVerdict::Nan
     } else if (mass - 1.0).abs() > NORM_DRIFT_TOL {
@@ -891,7 +908,7 @@ impl Fold {
         }
     }
 
-    /// Sweeps the matrix over `amps`, each amplitude prescaled by `pre`.
+    /// Sweeps the matrix, scaled by `pre`, over `amps`.
     fn sweep(&self, amps: &mut [Complex64], pre: f64, mode: Sweep) -> f64 {
         match self {
             Fold::One { q, m } => sweep_1q(amps, *q, m, pre, mode),
@@ -915,10 +932,10 @@ fn fold_random_pauli<R: Rng>(fold: &mut Fold, q: usize, rng: &mut R) -> usize {
 ///
 /// An op that folded a relaxation branch leaves its `1/sqrt(norm)` in
 /// `pre` instead of sweeping the state to scale it; the next sweep
-/// multiplies each amplitude by `pre` as it loads it, which is bit for bit
-/// a separate scaling pass followed by the sweep, because the scale is
-/// elementwise. [`ShotState::finish`] applies what is left, at most one
-/// [`scale`] per shot.
+/// multiplies `pre` into its matrix's coefficients, which equals a separate
+/// scaling pass followed by the sweep up to rounding.
+/// [`ShotState::finish`] applies what is left, at most one [`scale`] per
+/// shot.
 struct ShotState<'s> {
     amps: &'s mut [Complex64],
     pre: f64,
