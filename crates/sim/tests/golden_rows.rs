@@ -4,8 +4,10 @@
 //! same build (batch vs solo, one thread count vs another). These cases pin
 //! the rows themselves: each hashes the `to_bits` of every probability and
 //! every health counter a fixed trajectory run produces, and compares the
-//! digest with one recorded when each fused op became one sweep with the
-//! shot's sampled noise branches multiplied into its matrix. A change to
+//! digest with one recorded when the sweeps moved to fused multiply-adds
+//! with the pending renormalization multiplied into their coefficients
+//! (each fused op is one sweep with the shot's sampled noise branches
+//! multiplied into its matrix). A change to
 //! trajectory arithmetic, RNG streams, chunking or the reduction order that
 //! moves a single bit fails here.
 //!
@@ -30,11 +32,11 @@ use qaprox_sim::{
 
 const SHOTS: usize = 70;
 
-const SOLO_DIGEST: &str = "7c5d770cf6ac0ead9ab26df4fbeb6f24";
-const INDEX_BATCH_DIGEST: &str = "af76358493182642cb5809fa8f32422f";
-const SHARED_SEED_BATCH_DIGEST: &str = "ae53d064625131cfa8720653a7780d74";
-const RELAXATION_FUSION_DIGEST: &str = "9649663b778b921c52471ece9d4bccab";
-const SHORT_COHERENCE_DIGEST: &str = "5806e4861011d68f35ad658eea07474c";
+const SOLO_DIGEST: &str = "5bf9e3e500b1e79580b5c52a99f946d3";
+const INDEX_BATCH_DIGEST: &str = "14a336714ebb542d73d7c68a9271fe60";
+const SHARED_SEED_BATCH_DIGEST: &str = "31f2fba40873f032a7c43eeaf6f5ef69";
+const RELAXATION_FUSION_DIGEST: &str = "a86959396728c6e56897cc025ffaf98c";
+const SHORT_COHERENCE_DIGEST: &str = "ae0b5666f070b59e2d4148b767030d9f";
 
 fn model() -> NoiseModel {
     NoiseModel::from_calibration(ourense().induced(&[0, 1, 2, 3]).with_uniform_cx_error(0.05))
