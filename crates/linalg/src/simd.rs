@@ -31,21 +31,36 @@
 //!
 //! The vector kernels perform **exactly the same IEEE-754 operations in the
 //! same per-element order** as the scalar kernels, so `QAPROX_SIMD=0`
-//! changes speed, never output. Two deliberate choices make that hold:
+//! changes speed, never output. These deliberate choices make that hold:
 //!
-//! * complex multiply-accumulate is implemented as mul / permute / addsub —
-//!   never with FMA intrinsics. [`Complex64`]'s scalar `Mul`/`mul_add` are
-//!   plain mul/add/sub expressions (Rust does not contract float expressions
-//!   into fused ops), so a `_mm256_fmadd_pd` in the vector path would change
-//!   rounding and break bit-identity. Detection still requires `fma` (it
-//!   ships with every AVX2 core and keeps the dispatch conservative), but
-//!   the value path avoids contraction on purpose;
-//! * the sweeps accumulate their norm into **four structural lanes** with a
-//!   fixed final reduction tree `(acc0 + acc2) + (acc1 + acc3)`; the scalar
-//!   [`kernels::sweep_1q_scalar`]/[`kernels::sweep_2q_scalar`] use the
-//!   identical lane structure, so the sums associate identically. The
-//!   prescale is one multiply per loaded part (`re*pre`, `im*pre`), the
-//!   same operation a [`kernels::scale`] sweep would have done;
+//! * the shot loop's sweeps ([`kernels::sweep_1q`]/[`kernels::sweep_2q`])
+//!   are the only entries built on FMA. They multiply the pending
+//!   renormalization into the matrix coefficients once per call (`w * pre`),
+//!   store each imaginary coefficient sign-folded as `[-wi, wi, -wi, wi]`,
+//!   and form each complex multiply-add as two `_mm256_fmadd_pd`
+//!   (`amp * wr`, then `swap(amp) * wi`). Their scalar references
+//!   [`kernels::sweep_1q_scalar`]/[`kernels::sweep_2q_scalar`] do the same
+//!   operations in the same order with `f64::mul_add`, which is IEEE
+//!   fusedMultiplyAdd like the hardware instruction, so the two tables agree
+//!   bit for bit. The stores agree with scaling first and then applying the
+//!   blocked gate kernels only to rounding. At 16 qubits the state (1 MiB)
+//!   fits in a 2 MiB L2, so a sweep is limited by floating-point work, not
+//!   memory. For 8 amplitudes, `sweep_2q` took about 76 FP operations in
+//!   the mul/addsub form and takes 36 FMAs now; on the 2-core AVX2 host a
+//!   16-qubit storing sweep went from 1.7-2.1 to 1.0-1.3 ns per amplitude
+//!   (`docs/PERF.md`). On an x86-64
+//!   host without hardware FMA the dispatch picks the scalar table, whose
+//!   `mul_add` is a libm call there;
+//! * every other entry avoids FMA in its value path: complex
+//!   multiply-accumulate is mul / permute / addsub, because
+//!   [`Complex64`]'s scalar `Mul`/`mul_add` are plain mul/add/sub
+//!   expressions (Rust does not contract float expressions into fused ops).
+//!   So synthesis, the density simulator and the statevector paths keep
+//!   their bits;
+//! * the sweeps accumulate their norm, fused, into **four structural lanes**
+//!   with a fixed final reduction tree `(acc0 + acc2) + (acc1 + acc3)`; the
+//!   scalar references use the identical lane structure, so the sums
+//!   associate identically;
 //! * the U3 gradient traces run their products across lanes but never a
 //!   sum: each trace keeps one accumulator whose chain of `mul_add` steps is
 //!   the scalar [`kernels::u3_partial_traces_scalar`]'s, term for term and
