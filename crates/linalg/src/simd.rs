@@ -254,7 +254,7 @@ pub mod avx2 {
     /// The sweeps' complex multiply-add `acc + v * w`: two fused
     /// multiply-adds, `v * wr` first, then `swap(v) * wi` with `wi` the
     /// sign-folded imaginary part `[-w.im, w.im, -w.im, w.im]` (from
-    /// [`splat_fma`]/[`pair_fma`]). `vs` is `swap_halves(v)`, formed once per
+    /// [`pair_fma`]). `vs` is `swap_halves(v)`, formed once per
     /// loaded vector. Bitwise equal to the scalar sweeps' `cfma`:
     /// `re = v.im.mul_add(-w.im, v.re.mul_add(w.re, acc.re))`,
     /// `im = v.re.mul_add(w.im, v.im.mul_add(w.re, acc.im))`.
@@ -266,27 +266,24 @@ pub mod avx2 {
         _mm256_fmadd_pd(vs, wi, _mm256_fmadd_pd(v, wr, acc))
     }
 
-    /// One sweep coefficient `w * pre`, broadcast for [`cfma`] as
-    /// (re-splat, sign-folded im).
-    ///
-    /// # Safety
-    /// The host must support AVX.
-    #[inline(always)]
-    unsafe fn splat_fma(w: Complex64, pre: f64) -> (__m256d, __m256d) {
-        pair_fma(w, w, pre)
-    }
-
     /// Two sweep coefficients `lo * pre`, `hi * pre` side by side for
-    /// [`cfma`]: `lo` for the low complex lane, `hi` for the high one.
+    /// [`cfma`]: `lo` for the low complex lane, `hi` for the high one (the
+    /// same coefficient twice broadcasts it).
     ///
     /// # Safety
     /// The host must support AVX.
     #[inline(always)]
     unsafe fn pair_fma(lo: Complex64, hi: Complex64, pre: f64) -> (__m256d, __m256d) {
-        let (lo, hi) = (lo * pre, hi * pre);
+        // one vector multiply and three shuffles: at 8 amplitudes a 2q
+        // sweep's coefficient setup costs as much as its loop
+        let v = _mm256_mul_pd(
+            _mm256_setr_pd(lo.re, lo.im, hi.re, hi.im),
+            _mm256_set1_pd(pre),
+        );
+        let neg_even = _mm256_setr_pd(-0.0, 0.0, -0.0, 0.0);
         (
-            _mm256_setr_pd(lo.re, lo.re, hi.re, hi.re),
-            _mm256_setr_pd(-lo.im, lo.im, -hi.im, hi.im),
+            _mm256_permute_pd(v, 0b0000),
+            _mm256_xor_pd(_mm256_permute_pd(v, 0b1111), neg_even),
         )
     }
 
@@ -447,10 +444,10 @@ pub mod avx2 {
                 i += 2;
             }
         } else {
-            let (u0r, u0i) = splat_fma(u[0], pre);
-            let (u1r, u1i) = splat_fma(u[1], pre);
-            let (u2r, u2i) = splat_fma(u[2], pre);
-            let (u3r, u3i) = splat_fma(u[3], pre);
+            let (u0r, u0i) = pair_fma(u[0], u[0], pre);
+            let (u1r, u1i) = pair_fma(u[1], u[1], pre);
+            let (u2r, u2i) = pair_fma(u[2], u[2], pre);
+            let (u3r, u3i) = pair_fma(u[3], u[3], pre);
             let stride = mask << 1;
             let mut base = 0usize;
             while base < dim {
@@ -623,7 +620,7 @@ pub mod avx2 {
             let mut ur = [zero; 16];
             let mut ui = [zero; 16];
             for k in 0..16 {
-                (ur[k], ui[k]) = splat_fma(u[k], pre);
+                (ur[k], ui[k]) = pair_fma(u[k], u[k], pre);
             }
             let mut base_hi = 0usize;
             while base_hi < dim {
