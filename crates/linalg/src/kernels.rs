@@ -40,8 +40,8 @@ pub enum Sweep {
 /// is multiplied into the coefficients once per call (`u[k] * pre`), not
 /// into each amplitude, and every complex multiply-add is two fused
 /// multiply-adds (see the private `cfma`). The stores therefore agree with
-/// scaling first and then [`apply_1q_vec_blocked`] to rounding (a relative
-/// 1e-14 or so per amplitude), not bit for bit. The returned norm
+/// scaling first and then [`apply_1q_vec_blocked`] to rounding, not bit
+/// for bit. The returned norm
 /// accumulates, fused, into four structural lanes `[re0, im0, re1, im1]`
 /// reduced as `(l0 + l2) + (l1 + l3)`, the shape of the AVX2 accumulator,
 /// so the dispatched kernel and [`sweep_1q_scalar`] agree bit for bit. See

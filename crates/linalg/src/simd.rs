@@ -48,9 +48,8 @@
 //!   memory. For 8 amplitudes, `sweep_2q` took about 76 FP operations in
 //!   the mul/addsub form and takes 36 FMAs now; on the 2-core AVX2 host a
 //!   16-qubit storing sweep went from 1.7-2.1 to 1.0-1.3 ns per amplitude
-//!   (`docs/PERF.md`). On an x86-64
-//!   host without hardware FMA the dispatch picks the scalar table, whose
-//!   `mul_add` is a libm call there;
+//!   (`docs/PERF.md`). On an x86-64 host without hardware FMA the dispatch
+//!   picks the scalar table, whose `mul_add` is a library call there;
 //! * every other entry avoids FMA in its value path: complex
 //!   multiply-accumulate is mul / permute / addsub, because
 //!   [`Complex64`]'s scalar `Mul`/`mul_add` are plain mul/add/sub
