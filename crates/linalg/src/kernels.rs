@@ -1158,22 +1158,15 @@ mod tests {
         }
     }
 
-    fn bits(state: &[Complex64]) -> Vec<(u64, u64)> {
-        state
-            .iter()
-            .map(|z| (z.re.to_bits(), z.im.to_bits()))
-            .collect()
-    }
-
     #[test]
     fn norm_sqr_kernels_match_apply_then_sum() {
         // the sweeps' norm, in both modes, agrees with applying the gate to
         // the prescaled state and summing, and a norm-only sweep leaves the
-        // input untouched. A storing sweep leaves bit for bit what the
-        // scalar FMA reference stores; against scaling first and applying
-        // the gate it holds only to a relative 1e-14 per amplitude, since
+        // input untouched. A storing sweep's amplitudes hold to scaling
+        // first and applying the gate only to a relative 1e-14 each, since
         // the sweeps fold `pre` into the coefficients and fuse their
-        // multiply-adds
+        // multiply-adds (tests/simd_kernels.rs pins them bitwise to the
+        // scalar FMA references)
         let u1 = h_gate();
         let u2 = cnot_gate();
         let state: Vec<Complex64> = (0..16)
@@ -1192,9 +1185,6 @@ mod tests {
             assert_eq!(probe, state, "norm-only {ctx} wrote");
             let got = sweep_1q(&mut probe, q, &u1, pre, Sweep::Store);
             assert!((got - expect).abs() < 1e-12, "storing {ctx}");
-            let mut oracle = state.clone();
-            sweep_1q_scalar(&mut oracle, q, &u1, pre, Sweep::Store);
-            assert_eq!(bits(&probe), bits(&oracle), "storing {ctx} vs oracle");
             assert_rel_close(&probe, &applied, &format!("storing {ctx} vs apply"));
         }
         for (a, b) in [(0usize, 1usize), (3, 0), (1, 3), (2, 1)] {
@@ -1208,9 +1198,6 @@ mod tests {
             assert_eq!(probe, state, "norm-only {ctx} wrote");
             let got = sweep_2q(&mut probe, a, b, &u2, pre, Sweep::Store);
             assert!((got - expect).abs() < 1e-12, "storing {ctx}");
-            let mut oracle = state.clone();
-            sweep_2q_scalar(&mut oracle, a, b, &u2, pre, Sweep::Store);
-            assert_eq!(bits(&probe), bits(&oracle), "storing {ctx} vs oracle");
             assert_rel_close(&probe, &applied, &format!("storing {ctx} vs apply"));
         }
     }

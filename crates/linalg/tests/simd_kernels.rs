@@ -8,7 +8,8 @@
 //! in both modes (storing and norm-only), with the identity prescale,
 //! renormalization-sized ones and a large one, on random matrices and on
 //! matrices with exact and signed zeros like the fused CX/ZZ products of a
-//! TFIM chain.
+//! TFIM chain; their stores are held to the blocked gate kernels on the
+//! prescaled state to rounding.
 //!
 //! The instantiation kernels (the chain updates, in place and out of place,
 //! and the fused U3 gradient traces) are held to the same contract on matrices of dimension
@@ -172,11 +173,15 @@ fn zero_heavy_mat4s(rng: &mut SplitMix64) -> Vec<[Complex64; 16]> {
 /// Holds one sweep entry to its scalar reference by `to_bits`: the
 /// norm-only sweep must leave the state untouched and return the
 /// reference's norm, and the storing sweep must return that same norm and
-/// store the reference's amplitudes.
+/// store the reference's amplitudes. Those amplitudes must also lie within
+/// `tol` of `applied`, the blocked gate kernel's result on the prescaled
+/// state, part by part.
 fn check_sweep_pair(
     sweep: impl Fn(&mut [Complex64], Sweep) -> f64,
     reference: impl Fn(&mut [Complex64], Sweep) -> f64,
     state: &[Complex64],
+    applied: &[Complex64],
+    tol: f64,
     ctx: &str,
 ) {
     let mut probe = state.to_vec();
@@ -190,13 +195,33 @@ fn check_sweep_pair(
     assert_eq!(stored.to_bits(), norm.to_bits(), "store {ctx}");
     assert_eq!(sc_stored.to_bits(), norm.to_bits(), "scalar store {ctx}");
     assert_bits_eq(&probe, &sc, &format!("store {ctx}"));
+    for (i, (x, y)) in probe.iter().zip(applied).enumerate() {
+        let err = (x.re - y.re).abs().max((x.im - y.im).abs());
+        assert!(
+            err <= tol,
+            "store vs apply: amplitude {i} off by {err:e} > {tol:e}: {ctx}"
+        );
+    }
+}
+
+/// The bound on a stored amplitude's distance from the blocked gate
+/// kernel's on the prescaled state. Each output part is a sum of at most
+/// eight real products no larger than `pre * max|u| * max|amp|`, rounded
+/// in a different order on each side, so the bound scales with the terms
+/// rather than with the result: cancellation in a random matrix cannot
+/// make it flaky, and a misplaced or missing store still fails it.
+fn sweep_tol(pre: f64, u: &[Complex64], state: &[Complex64]) -> f64 {
+    let max_abs = |zs: &[Complex64]| zs.iter().fold(0.0f64, |m, z| m.max(z.abs()));
+    256.0 * f64::EPSILON * pre * max_abs(u) * max_abs(state)
 }
 
 /// Holds `kernels`' sweep entries to [`sweep_1q_scalar`] and
 /// [`sweep_2q_scalar`] by `to_bits` at every qubit and ordered pair of 1-8
 /// qubit states (dense and with signed-zero parts), in both modes, on a
 /// random matrix and on matrices with exact and signed zeros, with `pre`
-/// 1.0, 0.75, 1e6 and a random one.
+/// 1.0, 0.75, 1e6 and a random one. Each storing sweep is also held, to
+/// rounding ([`sweep_tol`]), to the scalar blocked gate kernel on the
+/// prescaled state, an oracle independent of both sweep tables.
 fn check_sweeps(kernels: &KernelDispatch, seed: u64) {
     let mut rng = SplitMix64::seed_from_u64(seed);
     let name = kernels.name;
@@ -208,23 +233,35 @@ fn check_sweeps(kernels: &KernelDispatch, seed: u64) {
             let mut u2s = vec![random_mat4(&mut rng)];
             u2s.extend(zero_heavy_mat4s(&mut rng));
             for pre in [1.0, 0.75, 1e6, rng.gen_range(0.5..2.0)] {
+                let mut prescaled = state.clone();
+                scale_scalar(&mut prescaled, pre);
                 for (m, u1) in u1s.iter().enumerate() {
+                    let tol = sweep_tol(pre, u1, &state);
                     for q in 0..n {
+                        let mut applied = prescaled.clone();
+                        apply_1q_vec_blocked_scalar(&mut applied, q, u1);
                         check_sweep_pair(
                             |s, mode| (kernels.sweep_1q)(s, q, u1, pre, mode),
                             |s, mode| sweep_1q_scalar(s, q, u1, pre, mode),
                             &state,
+                            &applied,
+                            tol,
                             &format!("1q {name} n={n} sparse={sparse} pre={pre} u={m} q={q}"),
                         );
                     }
                 }
                 for (m, u2) in u2s.iter().enumerate() {
+                    let tol = sweep_tol(pre, u2, &state);
                     for a in 0..n {
                         for b in (0..n).filter(|&b| b != a) {
+                            let mut applied = prescaled.clone();
+                            apply_2q_vec_blocked_scalar(&mut applied, a, b, u2);
                             check_sweep_pair(
                                 |s, mode| (kernels.sweep_2q)(s, a, b, u2, pre, mode),
                                 |s, mode| sweep_2q_scalar(s, a, b, u2, pre, mode),
                                 &state,
+                                &applied,
+                                tol,
                                 &format!(
                                     "2q {name} n={n} sparse={sparse} pre={pre} u={m} a={a} b={b}"
                                 ),
