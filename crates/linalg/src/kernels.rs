@@ -96,7 +96,42 @@ fn norm_fma(lanes: &mut [f64; 4], k: usize, x: Complex64) {
 /// Portable [`sweep_1q`]: blocked two-stream traversal in the AVX2 kernel's
 /// order, with its prescaled coefficients, fused multiply-adds and four
 /// structural lanes.
+///
+/// A portable x86-64 build compiles `f64::mul_add` to a library call. On a
+/// host with FMA the body runs instead in a copy compiled with the `fma`
+/// target feature, where each `mul_add` is one instruction; both round
+/// once per fused multiply-add, so the bits are the same either way.
 pub fn sweep_1q_scalar(
+    state: &mut [Complex64],
+    q: usize,
+    u: &[Complex64; 4],
+    pre: f64,
+    mode: Sweep,
+) -> f64 {
+    #[cfg(target_arch = "x86_64")]
+    if std::arch::is_x86_feature_detected!("fma") {
+        // SAFETY: the host supports FMA, the one feature the copy enables
+        return unsafe { sweep_1q_scalar_fma(state, q, u, pre, mode) };
+    }
+    sweep_1q_scalar_body(state, q, u, pre, mode)
+}
+
+/// [`sweep_1q_scalar`]'s body compiled with hardware FMA. Caller must
+/// ensure the host supports FMA.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "fma")]
+unsafe fn sweep_1q_scalar_fma(
+    state: &mut [Complex64],
+    q: usize,
+    u: &[Complex64; 4],
+    pre: f64,
+    mode: Sweep,
+) -> f64 {
+    sweep_1q_scalar_body(state, q, u, pre, mode)
+}
+
+#[inline(always)]
+fn sweep_1q_scalar_body(
     state: &mut [Complex64],
     q: usize,
     u: &[Complex64; 4],
@@ -162,8 +197,41 @@ pub fn sweep_1q_scalar(
 
 /// Portable [`sweep_2q`]: blocked traversal in the AVX2 kernel's order,
 /// with the same prescaled coefficients, fused multiply-adds and
-/// structural four-lane accumulation as [`sweep_1q_scalar`].
+/// structural four-lane accumulation as [`sweep_1q_scalar`], and the same
+/// FMA-compiled copy on hosts that have it.
 pub fn sweep_2q_scalar(
+    state: &mut [Complex64],
+    a: usize,
+    b: usize,
+    u: &[Complex64; 16],
+    pre: f64,
+    mode: Sweep,
+) -> f64 {
+    #[cfg(target_arch = "x86_64")]
+    if std::arch::is_x86_feature_detected!("fma") {
+        // SAFETY: the host supports FMA, the one feature the copy enables
+        return unsafe { sweep_2q_scalar_fma(state, a, b, u, pre, mode) };
+    }
+    sweep_2q_scalar_body(state, a, b, u, pre, mode)
+}
+
+/// [`sweep_2q_scalar`]'s body compiled with hardware FMA. Caller must
+/// ensure the host supports FMA.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "fma")]
+unsafe fn sweep_2q_scalar_fma(
+    state: &mut [Complex64],
+    a: usize,
+    b: usize,
+    u: &[Complex64; 16],
+    pre: f64,
+    mode: Sweep,
+) -> f64 {
+    sweep_2q_scalar_body(state, a, b, u, pre, mode)
+}
+
+#[inline(always)]
+fn sweep_2q_scalar_body(
     state: &mut [Complex64],
     a: usize,
     b: usize,
@@ -1199,6 +1267,40 @@ mod tests {
             let got = sweep_2q(&mut probe, a, b, &u2, pre, Sweep::Store);
             assert!((got - expect).abs() < 1e-12, "storing {ctx}");
             assert_rel_close(&probe, &applied, &format!("storing {ctx} vs apply"));
+        }
+    }
+
+    #[test]
+    fn scalar_sweep_bodies_match_their_dispatching_entries() {
+        // the body with `mul_add` as a library call holds bit for bit to
+        // the public scalar sweep, which on an FMA host runs the copy
+        // compiled with hardware FMA
+        use crate::random::{Rng, SplitMix64};
+        let mut rng = SplitMix64::seed_from_u64(0xF4A);
+        let mut c = || c64(rng.gen_range(-1.0..1.0), rng.gen_range(-1.0..1.0));
+        let same = |x: &[Complex64], y: &[Complex64]| {
+            x.iter()
+                .zip(y)
+                .all(|(x, y)| (x.re.to_bits(), x.im.to_bits()) == (y.re.to_bits(), y.im.to_bits()))
+        };
+        let state: Vec<Complex64> = (0..32).map(|_| c()).collect();
+        let u1: [Complex64; 4] = std::array::from_fn(|_| c());
+        let u2: [Complex64; 16] = std::array::from_fn(|_| c());
+        for mode in [Sweep::Store, Sweep::NormOnly] {
+            for q in 0..5 {
+                let (mut body, mut entry) = (state.clone(), state.clone());
+                let nb = sweep_1q_scalar_body(&mut body, q, &u1, 0.75, mode);
+                let ne = sweep_1q_scalar(&mut entry, q, &u1, 0.75, mode);
+                assert_eq!(nb.to_bits(), ne.to_bits(), "1q norm q={q} {mode:?}");
+                assert!(same(&body, &entry), "1q q={q} {mode:?}");
+            }
+            for (a, b) in [(0usize, 1usize), (1, 0), (4, 0), (2, 3), (3, 1)] {
+                let (mut body, mut entry) = (state.clone(), state.clone());
+                let nb = sweep_2q_scalar_body(&mut body, a, b, &u2, 0.75, mode);
+                let ne = sweep_2q_scalar(&mut entry, a, b, &u2, 0.75, mode);
+                assert_eq!(nb.to_bits(), ne.to_bits(), "2q norm ({a},{b}) {mode:?}");
+                assert!(same(&body, &entry), "2q ({a},{b}) {mode:?}");
+            }
         }
     }
 

@@ -48,8 +48,12 @@
 //!   memory. For 8 amplitudes, `sweep_2q` took about 76 FP operations in
 //!   the mul/addsub form and takes 36 FMAs now; on the 2-core AVX2 host a
 //!   16-qubit storing sweep went from 1.7-2.1 to 1.0-1.3 ns per amplitude
-//!   (`docs/PERF.md`). On an x86-64 host without hardware FMA the dispatch
-//!   picks the scalar table, whose `mul_add` is a library call there;
+//!   (`docs/PERF.md`). A portable x86-64 build compiles `f64::mul_add` to
+//!   a library call, on every host. So the scalar sweeps run their body in
+//!   a copy compiled with the `fma` target feature when the host has FMA,
+//!   where each `mul_add` is one instruction with the same rounding. Only
+//!   a host without hardware FMA runs the library call, a software fma
+//!   whose cost has not been measured;
 //! * every other entry avoids FMA in its value path: complex
 //!   multiply-accumulate is mul / permute / addsub, because
 //!   [`Complex64`]'s scalar `Mul`/`mul_add` are plain mul/add/sub
