@@ -8,7 +8,7 @@
 //! * [`mct`] — no-ancilla multi-controlled Toffoli via the Barenco
 //!   square-root recursion (Figs. 6, 7, 15, 17-19);
 //! * [`qft`] — quantum Fourier transform, extra workload for examples;
-//! * [`qaoa`] — QAOA MaxCut circuits (Related Work [20] workload).
+//! * [`qaoa`] — QAOA MaxCut circuits (Related Work \[20\] workload).
 
 #![warn(missing_docs)]
 

@@ -1,5 +1,5 @@
 //! QAOA circuits for MaxCut — the workload of the paper's Related-Work
-//! discussion ([20]: approximate QAOA circuits with fewer CNOTs outperform
+//! discussion (\[20\]: approximate QAOA circuits with fewer CNOTs outperform
 //! deeper ones). Provides another CNOT-heavy circuit family for the
 //! approximation pipeline.
 //!

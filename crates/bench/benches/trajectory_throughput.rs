@@ -25,6 +25,9 @@
 //!   truncations, 16 shots each, in ONE `TrajectoryBackend::execute`
 //!   request seeded `[job_seed, 0, 1, 2]`, built from a serve `RunSpec`
 //!   exactly as the server's wide path builds it.
+//! * `ideal_16q` (full mode only) — the ideal distribution the serve wide
+//!   job scores its rows against: `statevector::probabilities` of the same
+//!   16q reference.
 //!
 //! Commentary lines record the selected amplitude kernel (`simd` on AVX2
 //! hosts, `scalar` under `QAPROX_SIMD=0` or on other ISAs), the fusion
@@ -126,7 +129,8 @@ fn main() {
 }
 
 /// The serve wide path's request: reference plus ranked truncations, one
-/// `execute`, row 0 seeded with the job seed and row `i + 1` with `i`.
+/// `execute`, row 0 seeded with the job seed and row `i + 1` with `i`; then
+/// the reference's ideal distribution, which the server computes after it.
 fn wide_job_16q() {
     let spec = RunSpec {
         synth: SynthSpec {
@@ -154,5 +158,8 @@ fn wide_job_16q() {
     seeds.extend(0..ranked.len() as u64);
     bench("wide_job_16q/shots=16", || {
         tb.execute(&circuits, &seeds).unwrap()
+    });
+    bench("ideal_16q", || {
+        qaprox_sim::statevector::probabilities(&reference)
     });
 }

@@ -228,17 +228,31 @@ impl Circuit {
     /// trajectory backend (AVX2 when the host supports it), so the ideal
     /// statevector path gets the SIMD speedup too. The blocked kernels are
     /// bit-identical to the plain ones.
+    ///
+    /// Two gate shapes skip the dense kernels. A CX swaps contiguous runs
+    /// of amplitudes, and a one-qubit gate whose off-diagonal entries are
+    /// exactly zero (RZ, P, S, T, Z) multiplies each half by its diagonal
+    /// entry. On a finite state every nonzero amplitude keeps the bits the
+    /// dense kernel gives it: the terms these paths leave out are products
+    /// with an exact zero, and adding a zero to a nonzero value is exact.
+    /// Only an exact zero may come out with the other sign, which its
+    /// probability does not see.
     pub fn apply_to_state(&self, state: &mut [Complex64]) {
         assert_eq!(state.len(), self.dim(), "statevector dimension mismatch");
         for inst in &self.instructions {
-            match inst.gate.arity() {
-                1 => {
-                    let u = mat2_to_array(&inst.gate.matrix());
-                    apply_1q_vec_blocked(state, inst.qubits[0], &u);
+            match (&inst.gate, inst.qubits.as_slice()) {
+                (Gate::CX, &[c, t]) => apply_cx(state, c, t),
+                (gate, &[q]) => {
+                    let u = mat2_to_array(&gate.matrix());
+                    if u[1] == Complex64::ZERO && u[2] == Complex64::ZERO {
+                        apply_diagonal_1q(state, q, u[0], u[3]);
+                    } else {
+                        apply_1q_vec_blocked(state, q, &u);
+                    }
                 }
-                2 => {
-                    let u = mat4_to_array(&inst.gate.matrix());
-                    apply_2q_vec_blocked(state, inst.qubits[0], inst.qubits[1], &u);
+                (gate, &[a, b]) => {
+                    let u = mat4_to_array(&gate.matrix());
+                    apply_2q_vec_blocked(state, a, b, &u);
                 }
                 _ => unreachable!("IR only holds 1- and 2-qubit gates"),
             }
@@ -290,6 +304,50 @@ impl Circuit {
     /// Removes all instructions, keeping the width.
     pub fn clear(&mut self) {
         self.instructions.clear();
+    }
+}
+
+/// CX with control `c` and target `t` on a statevector: every amplitude
+/// with the control bit set trades places with its target-bit partner.
+/// Indices that differ only below the lower of the two bits are
+/// contiguous, so each trade is a swap of two runs of that length.
+fn apply_cx(state: &mut [Complex64], c: usize, t: usize) {
+    let dim = state.len();
+    assert!(
+        c != t && 1 << c < dim && 1 << t < dim,
+        "CX qubits out of range"
+    );
+    let (mc, mt) = (1usize << c, 1usize << t);
+    let (run, mhi) = (mc.min(mt), mc.max(mt));
+    let mut base_hi = 0usize;
+    while base_hi < dim {
+        // `base` walks the indices with both bits clear, one run at a time
+        let mut base = base_hi;
+        while base < base_hi + mhi {
+            let i0 = base | mc;
+            let (head, tail) = state.split_at_mut(i0 | mt);
+            head[i0..i0 + run].swap_with_slice(&mut tail[..run]);
+            base += run << 1;
+        }
+        base_hi += mhi << 1;
+    }
+}
+
+/// A one-qubit gate `diag(d0, d1)` on qubit `q`: each amplitude is
+/// multiplied by the entry of its bit `q`, as the dense kernel's
+/// `a * u[0] + b * u[1]` does less its product with the zero entry.
+fn apply_diagonal_1q(state: &mut [Complex64], q: usize, d0: Complex64, d1: Complex64) {
+    let dim = state.len();
+    assert!(1 << q < dim, "qubit index out of range");
+    let mask = 1usize << q;
+    for block in state.chunks_exact_mut(mask << 1) {
+        let (zero, one) = block.split_at_mut(mask);
+        for z in zero {
+            *z *= d0;
+        }
+        for z in one {
+            *z *= d1;
+        }
     }
 }
 

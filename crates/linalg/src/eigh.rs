@@ -126,7 +126,7 @@ impl Eigh {
 }
 
 /// `exp(i H)` via the spectral decomposition — an independent cross-check of
-/// the Padé implementation in [`crate::expm`].
+/// the Padé implementation in [`crate::expm`](mod@crate::expm).
 pub fn expm_i_hermitian_spectral(h: &Matrix) -> Matrix {
     eigh(h).apply_function(Complex64::cis)
 }

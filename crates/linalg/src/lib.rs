@@ -7,10 +7,10 @@
 //! * [`Matrix`] — dense row-major complex matrices with the usual algebra;
 //! * [`kernels`] — gate-application kernels that never materialize `2^n x 2^n`
 //!   embeddings (the hot loops of every simulator and of synthesis);
-//! * [`solve`] — Gauss-Jordan inversion / linear solves;
+//! * [`solve`](mod@solve) — Gauss-Jordan inversion / linear solves;
 //! * [`expm`](crate::expm::expm) — Padé scaling-and-squaring matrix exponential,
 //!   with an allocation-free, bit-identical 4x4 form for QFast's blocks
-//!   ([`expm_i_su4`](crate::expm::expm_i_su4));
+//!   ([`expm_i_su4`]);
 //! * [`polar`](crate::polar::polar_unitary) — nearest-unitary projection
 //!   (Newton iteration), the core step of QFactor-style optimization;
 //! * [`decomp`](crate::decomp::zyz_decompose) — ZYZ/U3 Euler decomposition;

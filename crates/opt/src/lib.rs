@@ -3,9 +3,11 @@
 //! Numerical optimizers for circuit instantiation — the stand-ins for the
 //! SciPy BFGS/COBYLA optimizers the paper's synthesis tools call into:
 //!
-//! * [`lbfgs`] — limited-memory BFGS with a strong-Wolfe line search, for
-//!   objectives with analytic gradients (our Hilbert-Schmidt instantiation);
-//! * [`nelder_mead`] — derivative-free simplex search (COBYLA substitute);
+//! * [`lbfgs`](mod@lbfgs) — limited-memory BFGS with a strong-Wolfe line
+//!   search, for objectives with analytic gradients (our Hilbert-Schmidt
+//!   instantiation);
+//! * [`nelder_mead`](mod@nelder_mead) — derivative-free simplex search
+//!   (COBYLA substitute);
 //! * [`multistart`] — seeded random restarts around either local optimizer;
 //! * [`gradient`] — central-difference gradients and a gradient checker used
 //!   by the test suites of downstream crates.

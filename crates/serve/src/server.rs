@@ -5,8 +5,8 @@
 //!
 //! | op         | fields                         | response                         |
 //! |------------|--------------------------------|----------------------------------|
-//! | `synth`    | [`SynthSpec`] fields           | `{ok, id, key, deduped}` or backpressure |
-//! | `run`      | [`RunSpec`] fields             | same                             |
+//! | `synth`    | [`SynthSpec`](crate::SynthSpec) fields | `{ok, id, key, deduped}` or backpressure |
+//! | `run`      | [`RunSpec`](crate::RunSpec) fields | same                             |
 //! | `status`   | `id`                           | `{ok, id, state}`                |
 //! | `result`   | `id`                           | `{ok, id, state, result}`        |
 //! | `cancel`   | `id`                           | `{ok, cancelled}`                |

@@ -107,6 +107,82 @@ mod tests {
     }
 
     #[test]
+    fn fast_paths_match_the_dense_kernels() {
+        // random circuits over CX/CZ/RZ/P/RX and the fixed diagonal gates,
+        // from |0...0> and from random states: the CX swap and the diagonal
+        // multiply must give every amplitude the dense kernels' bits, up to
+        // the sign of exact zeros, and every probability exactly
+        use qaprox_circuit::Gate;
+        use qaprox_linalg::kernels::{
+            apply_1q_vec_blocked, apply_2q_vec_blocked, mat2_to_array, mat4_to_array,
+        };
+        use qaprox_linalg::random::{random_statevector, Rng, SplitMix64};
+        fn dense(c: &Circuit, state: &mut [Complex64]) {
+            for inst in c.iter() {
+                match *inst.qubits.as_slice() {
+                    [q] => apply_1q_vec_blocked(state, q, &mat2_to_array(&inst.gate.matrix())),
+                    [a, b] => {
+                        apply_2q_vec_blocked(state, a, b, &mat4_to_array(&inst.gate.matrix()))
+                    }
+                    _ => unreachable!(),
+                }
+            }
+        }
+        // `+ 0.0` maps -0 to +0 and leaves every other value alone
+        let amp_bits = |v: &[Complex64]| -> Vec<(u64, u64)> {
+            v.iter()
+                .map(|z| ((z.re + 0.0).to_bits(), (z.im + 0.0).to_bits()))
+                .collect()
+        };
+        let prob_bits =
+            |v: &[Complex64]| -> Vec<u64> { v.iter().map(|z| z.norm_sqr().to_bits()).collect() };
+        let mut rng = SplitMix64::seed_from_u64(0xFA57_0001);
+        let fixed = [Gate::Z, Gate::S, Gate::Sdg, Gate::T, Gate::Tdg];
+        let mut cx_lo_first = [false; 2];
+        for case in 0..60 {
+            let n = rng.gen_range(2..9);
+            let mut c = Circuit::new(n);
+            for _ in 0..rng.gen_range(10..60usize) {
+                let q = rng.gen_range(0..n);
+                let p = (q + 1 + rng.gen_range(0..n - 1)) % n;
+                let theta = rng.gen::<f64>() * 6.0;
+                match rng.gen_range(0..6u8) {
+                    0 => {
+                        cx_lo_first[usize::from(q < p)] = true;
+                        c.cx(q, p)
+                    }
+                    1 => c.cz(q, p),
+                    2 => c.rz(theta, q),
+                    3 => {
+                        c.push(Gate::P(theta), &[q]);
+                        &mut c
+                    }
+                    4 => c.rx(theta, q),
+                    _ => {
+                        c.push(fixed[rng.gen_range(0..fixed.len())].clone(), &[q]);
+                        &mut c
+                    }
+                };
+            }
+            let random = random_statevector(1 << n, &mut rng);
+            let mut ground = vec![Complex64::ZERO; 1 << n];
+            ground[0] = Complex64::ONE;
+            for start in [ground, random] {
+                let (mut fast, mut want) = (start.clone(), start);
+                c.apply_to_state(&mut fast);
+                dense(&c, &mut want);
+                assert_eq!(amp_bits(&fast), amp_bits(&want), "case {case}: amplitudes");
+                assert_eq!(
+                    prob_bits(&fast),
+                    prob_bits(&want),
+                    "case {case}: probabilities"
+                );
+            }
+        }
+        assert_eq!(cx_lo_first, [true; 2], "CX in both orientations");
+    }
+
+    #[test]
     fn x_on_basis_flips_bit() {
         let mut c = Circuit::new(2);
         c.x(1);

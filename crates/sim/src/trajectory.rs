@@ -53,7 +53,24 @@
 //!      keeps its `1/sqrt(norm)` pending (`ShotState`); the next sweep
 //!      multiplies it into its matrix's coefficients once, so no pass is
 //!      spent on it, and at most one [`scale`] runs, at the end of the
-//!      shot.
+//!      shot;
+//!    - **light cone**: a shot starts in `|0…0⟩`, so after ops that have
+//!      touched qubits up to `q` only the first `2 << q` amplitudes can be
+//!      nonzero. Every sweep of an op (its store, a flush, the norm-only
+//!      pricing) runs on that live prefix only; the prefix is zeroed
+//!      block by block as ops widen it, and the rest of the state when the
+//!      shot ends. This is exact, not an approximation: every noise event
+//!      acts inside its op's support, so the bound holds whatever branches
+//!      a shot draws; the sweeps visit the amplitudes below `2^k` first
+//!      and in the same order at any length, so those get the same bits;
+//!      and each amplitude past the prefix would add an exact `+0` to the
+//!      norm's lanes, so the norms and pending factors keep their bits.
+//!      Rows are bit-identical to sweeping the whole state. Only programs
+//!      whose early ops start at low qubits gain: the serve job's four
+//!      16-qubit TFIM programs, chains laid out from qubit 0 up, sweep the
+//!      amplitudes of 98 whole-state passes instead of 150 per shot set,
+//!      while a program whose first op touches the top qubit sweeps
+//!      everything from the start.
 //!
 //!    The branches a shot picks are those of sweeping every event in turn;
 //!    the amplitudes differ from that only by the rounding of the 2x2/4x4
@@ -69,6 +86,7 @@
 //! [`SplitMix64`]: qaprox_linalg::random::SplitMix64
 
 use crate::noise_model::NoiseModel;
+use crate::readout::ReadoutError;
 use qaprox_circuit::Circuit;
 use qaprox_linalg::kernels::{mat2_to_array, mat4_to_array, scale, sweep_1q, sweep_2q, Sweep};
 use qaprox_linalg::matrix::Matrix;
@@ -76,9 +94,10 @@ use qaprox_linalg::parallel::{par_map_range, thread_budget, with_thread_budget};
 use qaprox_linalg::random::Rng;
 use qaprox_linalg::random::SplitMix64 as StdRng;
 use qaprox_linalg::Complex64;
+use std::borrow::Cow;
 use std::cmp::Reverse;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, RwLock};
 
 /// Default shot count when the caller does not specify one. Chosen so the
 /// sampling error (~`sqrt(dim / shots)` in TV distance) sits below the noise
@@ -346,6 +365,15 @@ impl FusedOp {
         }
     }
 
+    /// The highest qubit the op touches. Every event of the op acts inside
+    /// its support, so this bounds what any branch of it can reach.
+    fn top_qubit(&self) -> usize {
+        match *self {
+            FusedOp::One { q, .. } => q,
+            FusedOp::Two { a, b, .. } => a.max(b),
+        }
+    }
+
     /// The op's matrix when every event takes its likely branch.
     fn likely(&self) -> &Fold {
         match self {
@@ -484,8 +512,9 @@ fn conjugate_event_by_1q(ev: &mut NoiseEvent, ra: usize, q: usize, g: &[Complex6
 pub struct FusedProgram {
     num_qubits: usize,
     ops: Vec<FusedOp>,
-    include_readout: bool,
-    readout: Vec<crate::readout::ReadoutError>,
+    /// One readout error per qubit, when the model enables readout
+    /// confusion.
+    readout: Option<Vec<ReadoutError>>,
 }
 
 impl FusedProgram {
@@ -671,13 +700,13 @@ impl FusedProgram {
         FusedProgram {
             num_qubits: circuit.num_qubits(),
             ops,
-            include_readout: model.include_readout,
-            readout: cal
-                .qubits
-                .iter()
-                .take(circuit.num_qubits())
-                .map(|q| crate::readout::ReadoutError::symmetric(q.readout_error))
-                .collect(),
+            readout: model.include_readout.then(|| {
+                cal.qubits
+                    .iter()
+                    .take(circuit.num_qubits())
+                    .map(|q| ReadoutError::symmetric(q.readout_error))
+                    .collect()
+            }),
         }
     }
 
@@ -702,38 +731,47 @@ impl FusedProgram {
     ///
     /// Each fused op is one in-place sweep: the shot's sampled noise
     /// branches are multiplied into a copy of the op's matrix
-    /// ([`ShotState::run_op`]), and only a relaxation draw at or past its
+    /// (`ShotState::run_op`), and only a relaxation draw at or past its
     /// event's acceptance floor sweeps the state in between. The branches
     /// are those of sweeping every event in turn with the exact sequential
     /// rule; the amplitudes differ from that only by rounding.
+    ///
+    /// Only the amplitudes the ops so far can have reached are swept: the
+    /// shot's live prefix (`ShotState`) grows to `2 << q` when an op first
+    /// touches qubit `q`, and the rest of `state` is zeroed when the shot
+    /// ends. The result is bit for bit that of sweeping all of `state`.
     pub fn run_shot<R: Rng>(&self, state: &mut [Complex64], rng: &mut R) {
         self.run_shot_observed(state, rng, |_| {});
     }
 
     /// [`run_shot`](Self::run_shot), reporting each event's branch to
-    /// `observe` in program order (see [`ShotState::run_op`]).
+    /// `observe` in program order (see `ShotState::run_op`).
     fn run_shot_observed<R: Rng>(
         &self,
         state: &mut [Complex64],
         rng: &mut R,
-        mut observe: impl FnMut(usize),
+        observe: impl FnMut(usize),
     ) {
         debug_assert_eq!(state.len(), 1usize << self.num_qubits);
-        state.fill(Complex64::ZERO);
-        state[0] = Complex64::ONE;
-        let mut shot = ShotState::new(state);
+        self.run_ops(ShotState::ground(state), rng, observe);
+    }
+
+    /// Runs every op on `shot`, widening its live prefix to each op's
+    /// support first, and finishes it.
+    fn run_ops<R: Rng>(&self, mut shot: ShotState, rng: &mut R, mut observe: impl FnMut(usize)) {
         for op in &self.ops {
+            shot.widen(op.top_qubit());
             shot.run_op(op, rng, &mut observe);
         }
         shot.finish();
     }
+}
 
-    /// Applies this program's readout confusion to a distribution (when the
-    /// model it was compiled from enables it).
-    fn fold_readout(&self, probs: &mut [f64]) {
-        if self.include_readout {
-            crate::readout::apply_confusion(probs, &self.readout);
-        }
+/// Applies a program's readout confusion (`None` when its model has none)
+/// to a distribution.
+fn fold_readout(readout: Option<&[ReadoutError]>, probs: &mut [f64]) {
+    if let Some(errors) = readout {
+        crate::readout::apply_confusion(probs, errors);
     }
 }
 
@@ -928,7 +966,8 @@ fn fold_random_pauli<R: Rng>(fold: &mut Fold, q: usize, rng: &mut R) -> usize {
 }
 
 /// A shot's amplitudes with the last renormalization still pending: the
-/// state is `pre * amps`.
+/// state is `pre * amps[..live]`, and every amplitude from `live` on is
+/// zero.
 ///
 /// An op that folded a relaxation branch leaves its `1/sqrt(norm)` in
 /// `pre` instead of sweeping the state to scale it; the next sweep
@@ -936,21 +975,61 @@ fn fold_random_pauli<R: Rng>(fold: &mut Fold, q: usize, rng: &mut R) -> usize {
 /// scaling pass followed by the sweep up to rounding.
 /// [`ShotState::finish`] applies what is left, at most one [`scale`] per
 /// shot.
+///
+/// `live` is the light cone of a shot that starts in `|0…0⟩`: `2 << q` for
+/// the highest qubit `q` any op so far has touched, so no amplitude from
+/// `live` on can have left zero. Every sweep runs on `amps[..live]` only.
+/// The amplitudes past `live` are left as they are until
+/// [`finish`](Self::finish) zeroes them, and [`widen`](Self::widen) zeroes
+/// each block the prefix takes in.
 struct ShotState<'s> {
     amps: &'s mut [Complex64],
+    live: usize,
     pre: f64,
 }
 
 impl<'s> ShotState<'s> {
+    /// The state `amps` as given, all of it live.
+    #[cfg(test)]
     fn new(amps: &'s mut [Complex64]) -> Self {
-        ShotState { amps, pre: 1.0 }
+        let live = amps.len();
+        ShotState {
+            amps,
+            live,
+            pre: 1.0,
+        }
+    }
+
+    /// `|0…0⟩` in `amps`, whatever it held: only `amps[0]` is written.
+    fn ground(amps: &'s mut [Complex64]) -> Self {
+        amps[0] = Complex64::ONE;
+        ShotState {
+            amps,
+            live: 1,
+            pre: 1.0,
+        }
+    }
+
+    /// Grows the live prefix to cover qubit `q`, zeroing what it takes in.
+    fn widen(&mut self, q: usize) {
+        let live = 2 << q;
+        if live > self.live {
+            self.amps[self.live..live].fill(Complex64::ZERO);
+            self.live = live;
+        }
+    }
+
+    /// The live prefix, the only amplitudes a sweep needs to visit.
+    fn live(&mut self) -> &mut [Complex64] {
+        &mut self.amps[..self.live]
     }
 
     /// Sweeps `fold` in, consuming the pending factor. When `scaled` (the
     /// fold carries a relaxation branch, so it does not keep the norm),
     /// the renormalization of the result becomes the pending factor.
     fn sweep(&mut self, fold: &Fold, scaled: bool) {
-        let norm = fold.sweep(self.amps, self.pre, Sweep::Store);
+        let pre = self.pre;
+        let norm = fold.sweep(self.live(), pre, Sweep::Store);
         self.pre = if scaled { renormalization(norm) } else { 1.0 };
     }
 
@@ -1072,9 +1151,9 @@ impl<'s> ShotState<'s> {
         u: f64,
         norm_only: impl Fn(&mut [Complex64], &K, f64) -> f64,
     ) -> usize {
-        let mut acc = 0.0f64;
+        let (pre, mut acc) = (self.pre, 0.0f64);
         for (i, k) in ops[..ops.len() - 1].iter().enumerate() {
-            acc += norm_only(self.amps, k, self.pre);
+            acc += norm_only(self.live(), k, pre);
             if u < acc {
                 return i;
             }
@@ -1082,10 +1161,13 @@ impl<'s> ShotState<'s> {
         ops.len() - 1
     }
 
-    /// Applies the pending factor, leaving `amps` the shot's final state.
+    /// Zeroes the amplitudes past the live prefix and applies the pending
+    /// factor, leaving `amps` the shot's final state.
     fn finish(self) {
+        let (live, rest) = self.amps.split_at_mut(self.live);
+        rest.fill(Complex64::ZERO);
         if self.pre != 1.0 {
-            scale(self.amps, self.pre);
+            scale(live, self.pre);
         }
     }
 }
@@ -1168,11 +1250,14 @@ impl TrajectoryBackend {
             .iter()
             .map(|c| FusedProgram::compile(c, &self.model))
             .collect();
+        // the batch frees each program after its last chunk; the readout
+        // errors it needs afterwards are kept apart
+        let readouts: Vec<_> = programs.iter().map(|p| p.readout.clone()).collect();
         let seeds = job_seeds.iter().map(|s| self.seed ^ s).collect();
-        let batch = TrajectoryBatch::new(programs.iter().collect(), seeds)?;
+        let batch = TrajectoryBatch::from_programs(programs.into_iter().map(Cow::Owned), seeds)?;
         let (mut rows, health) = batch.shot_average_health(self.shots, self.cancel_flag());
-        for (row, prog) in rows.iter_mut().zip(&programs) {
-            prog.fold_readout(row);
+        for (row, readout) in rows.iter_mut().zip(&readouts) {
+            fold_readout(readout.as_deref(), row);
         }
         Ok(BatchRun { rows, health })
     }
@@ -1236,7 +1321,11 @@ pub struct BatchRun {
 /// [`SplitMix64`]: qaprox_linalg::random::SplitMix64
 #[derive(Debug)]
 pub struct TrajectoryBatch<'a> {
-    programs: Vec<&'a FusedProgram>,
+    /// Each candidate's program until its last chunk is folded; the slot
+    /// is emptied then, which frees a program the batch owns.
+    programs: Vec<RwLock<Option<Cow<'a, FusedProgram>>>>,
+    /// Each candidate's fused op count, for the claim order.
+    lens: Vec<usize>,
     seeds: Vec<u64>,
     num_qubits: usize,
     budget_override: Option<usize>,
@@ -1246,6 +1335,15 @@ impl<'a> TrajectoryBatch<'a> {
     /// Builds a batch over `programs` with one RNG seed per candidate.
     /// Errors on an empty batch, a seed-count mismatch, or mixed widths.
     pub fn new(programs: Vec<&'a FusedProgram>, seeds: Vec<u64>) -> Result<Self, String> {
+        Self::from_programs(programs.into_iter().map(Cow::Borrowed), seeds)
+    }
+
+    /// [`new`](Self::new) over borrowed or owned programs.
+    fn from_programs(
+        programs: impl IntoIterator<Item = Cow<'a, FusedProgram>>,
+        seeds: Vec<u64>,
+    ) -> Result<Self, String> {
+        let programs: Vec<Cow<'a, FusedProgram>> = programs.into_iter().collect();
         if programs.is_empty() {
             return Err("trajectory batch needs at least one candidate".into());
         }
@@ -1265,7 +1363,8 @@ impl<'a> TrajectoryBatch<'a> {
             ));
         }
         Ok(TrajectoryBatch {
-            programs,
+            lens: programs.iter().map(|p| p.len()).collect(),
+            programs: programs.into_iter().map(|p| RwLock::new(Some(p))).collect(),
             seeds,
             num_qubits,
             budget_override: None,
@@ -1312,28 +1411,44 @@ impl<'a> TrajectoryBatch<'a> {
     /// Failpoint `traj.shot` evaluates once per candidate-shot (sleep
     /// actions emulate a stalled kernel; the serve watchdog quarantines jobs
     /// stuck here).
+    ///
+    /// The batch is consumed: each candidate's program is released as soon
+    /// as its last chunk is folded, so an owned program does not outlive
+    /// the shots that need it.
     pub fn shot_average_health(
-        &self,
+        self,
         shots: usize,
         cancel: Option<&AtomicBool>,
     ) -> (Vec<Vec<f64>>, Vec<HealthReport>) {
+        self.run(shots, cancel)
+    }
+
+    /// [`shot_average_health`](Self::shot_average_health), emptying each
+    /// program slot after its candidate's last chunk.
+    fn run(&self, shots: usize, cancel: Option<&AtomicBool>) -> (Vec<Vec<f64>>, Vec<HealthReport>) {
         let n_cand = self.programs.len();
         let chunk = shot_chunk(self.num_qubits);
         let chunks = shots.div_ceil(chunk);
         // item `k` is candidate `k / chunks`, chunk `k % chunks`; claim the
         // longest programs first, ties in (candidate, chunk) order
         let mut order: Vec<usize> = (0..n_cand * chunks).collect();
-        order.sort_by_key(|&k| (Reverse(self.programs[k / chunks].len()), k));
+        order.sort_by_key(|&k| (Reverse(self.lens[k / chunks]), k));
         let reducers: Vec<Mutex<RowReducer>> = (0..n_cand).map(|_| Mutex::default()).collect();
         with_thread_budget(self.workers(), || {
             par_map_range(order.len(), |i| {
-                let k = order[i];
-                let lo = (k % chunks) * chunk;
-                let partial = self.run_chunk(k / chunks, lo..(lo + chunk).min(shots), cancel);
-                reducers[k / chunks]
-                    .lock()
-                    .expect("a chunk fold panicked")
-                    .add(k % chunks, partial);
+                let (g, k) = (order[i] / chunks, order[i] % chunks);
+                let lo = k * chunk;
+                let partial = {
+                    let slot = self.programs[g].read().expect("program slot poisoned");
+                    let program = slot.as_deref().expect("released after its last chunk");
+                    self.run_chunk(program, self.seeds[g], lo..(lo + chunk).min(shots), cancel)
+                };
+                let mut reducer = reducers[g].lock().expect("a chunk fold panicked");
+                reducer.add(k, partial);
+                if reducer.next == chunks {
+                    // every chunk of `g` has run and dropped its read guard
+                    *self.programs[g].write().expect("program slot poisoned") = None;
+                }
             })
         });
         let dim = 1usize << self.num_qubits;
@@ -1354,12 +1469,14 @@ impl<'a> TrajectoryBatch<'a> {
             .unzip()
     }
 
-    /// One work item: candidate `g`'s `shots`, in index order, in a state
-    /// of their own, summed into a fresh accumulator. An item that starts
-    /// after `cancel` is set allocates nothing and returns no accumulator.
+    /// One work item: `program`'s `shots`, in index order, drawn from
+    /// `seed`'s streams in a state of their own and summed into a fresh
+    /// accumulator. An item that starts after `cancel` is set allocates
+    /// nothing and returns no accumulator.
     fn run_chunk(
         &self,
-        g: usize,
+        program: &FusedProgram,
+        seed: u64,
         shots: std::ops::Range<usize>,
         cancel: Option<&AtomicBool>,
     ) -> ChunkPartial {
@@ -1378,7 +1495,7 @@ impl<'a> TrajectoryBatch<'a> {
                 break;
             }
             qaprox_fault::fail_point!("traj.shot");
-            self.programs[g].run_shot(&mut state, &mut shot_rng(self.seeds[g], shot as u64));
+            program.run_shot(&mut state, &mut shot_rng(seed, shot as u64));
             inject_shot_corruption(&mut state);
             match shot_verdict(&state) {
                 ShotVerdict::Clean => {
@@ -1474,7 +1591,7 @@ mod tests {
     ) -> Vec<f64> {
         let program = FusedProgram::compile(circuit, model);
         let mut probs = solo_average(&program, shots, seed);
-        program.fold_readout(&mut probs);
+        fold_readout(program.readout.as_deref(), &mut probs);
         probs
     }
 
@@ -2067,6 +2184,182 @@ mod tests {
         c
     }
 
+    /// [`FusedProgram::run_shot_observed`] with the whole state live from
+    /// the first op: the shot loop without its light cone.
+    fn full_width_shot(
+        program: &FusedProgram,
+        state: &mut [Complex64],
+        rng: &mut StdRng,
+        observe: impl FnMut(usize),
+    ) {
+        state.fill(Complex64::ZERO);
+        state[0] = Complex64::ONE;
+        program.run_ops(ShotState::new(state), rng, observe);
+    }
+
+    /// A circuit whose first gates widen the light cone in one of four
+    /// ways (`shape`), then a random tail: 0 touches the top qubit first,
+    /// 1 the middle qubits, 2 climbs a chain from qubit 0 as the TFIM
+    /// programs do, 3 climbs with 1q gates only.
+    fn light_cone_circuit(n: usize, shape: usize, rng: &mut StdRng) -> Circuit {
+        let mut c = Circuit::new(n);
+        let theta = |rng: &mut StdRng| rng.gen::<f64>() * 6.0;
+        match shape {
+            0 => {
+                c.rx(theta(rng), n - 1).cx(n - 1, 0);
+            }
+            1 => {
+                c.h(n / 2).cx(n / 2, n / 2 - 1).rz(theta(rng), n / 2 - 1);
+            }
+            2 => {
+                c.h(0);
+                for q in 0..n - 1 {
+                    c.cx(q, q + 1).rz(theta(rng), q + 1).cx(q, q + 1);
+                }
+            }
+            _ => {
+                for q in 0..n {
+                    c.rx(theta(rng), q).ry(theta(rng), q);
+                }
+            }
+        }
+        let tail_len = rng.gen_range(4..20);
+        c.extend(&random_circuit(n, tail_len, rng));
+        c
+    }
+
+    #[test]
+    fn light_cone_shots_match_full_width_shots_bit_for_bit() {
+        // random light-cone shapes and calibrations, short coherence times
+        // in half the cases, so relaxation branches are priced and flushed
+        // while the prefix is still narrow: every shot must pick the
+        // branches the full-width loop picks, end with the same amplitudes
+        // (exact zeros up to sign) and the same probabilities to the bit,
+        // and a batch row must equal the full-width shots' row to the bit.
+        // The shots reuse a buffer left dirty by NaNs and earlier shots,
+        // which must not matter either.
+        let bits = |v: &[Complex64]| -> Vec<(u64, u64)> {
+            // `+ 0.0` maps -0 to +0 and leaves every other value alone
+            v.iter()
+                .map(|z| ((z.re + 0.0).to_bits(), (z.im + 0.0).to_bits()))
+                .collect()
+        };
+        let prob_bits =
+            |v: &[Complex64]| -> Vec<u64> { v.iter().map(|z| z.norm_sqr().to_bits()).collect() };
+        let mut rng = StdRng::seed_from_u64(0x11C0_0001);
+        let (mut narrow_ops, mut narrow_branches) = (0usize, 0usize);
+        for case in 0..48u64 {
+            let n = rng.gen_range(2..8);
+            let shape = case as usize % 4;
+            let short = case % 8 < 4;
+            let mut model = NoiseModel::from_calibration(random_cal(n, short, &mut rng));
+            model.include_readout = false;
+            let circuit = light_cone_circuit(n, shape, &mut rng);
+            let program = FusedProgram::compile(&circuit, &model);
+            let dim = 1usize << n;
+            let mut dirty = vec![Complex64::new(f64::NAN, f64::NAN); dim];
+            let (mut fresh, mut full) = (vec![], vec![Complex64::ZERO; dim]);
+            let mut row = vec![0.0f64; dim];
+            let shots = 16u64;
+            for shot in 0..shots {
+                let mut got = Vec::new();
+                program.run_shot_observed(&mut dirty, &mut shot_rng(case, shot), |b| got.push(b));
+                let mut want = Vec::new();
+                full_width_shot(&program, &mut full, &mut shot_rng(case, shot), |b| {
+                    want.push(b)
+                });
+                let ctx = format!("case {case} (shape {shape}, {n}q) shot {shot}");
+                assert_eq!(got, want, "{ctx}: branches differ");
+                assert_eq!(bits(&dirty), bits(&full), "{ctx}: amplitudes differ");
+                assert_eq!(prob_bits(&dirty), prob_bits(&full), "{ctx}: probabilities");
+                fresh.clear();
+                fresh.resize(dim, Complex64::ZERO);
+                program.run_shot(&mut fresh, &mut shot_rng(case, shot));
+                let exact = |v: &[Complex64]| -> Vec<(u64, u64)> {
+                    v.iter().map(|z| (z.re.to_bits(), z.im.to_bits())).collect()
+                };
+                assert_eq!(exact(&dirty), exact(&fresh), "{ctx}: dirty buffer");
+                for (a, z) in row.iter_mut().zip(&full) {
+                    *a += z.norm_sqr();
+                }
+                // the relaxation branches past 0 taken by ops that ran on
+                // a prefix narrower than the state: each one was priced
+                let mut events = want.iter();
+                for op in &program.ops {
+                    let narrow = 2 << op.top_qubit() < dim;
+                    narrow_ops += usize::from(narrow);
+                    for ev in op.events() {
+                        let branch = *events.next().expect("one branch per event");
+                        let kraus =
+                            matches!(ev, NoiseEvent::Kraus1 { .. } | NoiseEvent::Kraus2 { .. });
+                        narrow_branches += usize::from(narrow && kraus && branch > 0);
+                    }
+                }
+            }
+            for x in row.iter_mut() {
+                *x *= 1.0 / shots as f64;
+            }
+            let batch = solo_average(&program, shots as usize, case);
+            let row_bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(row_bits(&batch), row_bits(&row), "case {case}: row differs");
+        }
+        assert!(
+            narrow_ops > 1000,
+            "only {narrow_ops} ops ran inside the cone"
+        );
+        assert!(
+            narrow_branches > 50,
+            "only {narrow_branches} relaxation branches priced inside the cone"
+        );
+    }
+
+    #[test]
+    fn a_non_finite_coefficient_still_poisons_the_shot() {
+        // a NaN or infinite matrix entry in an op that runs while the
+        // prefix is narrow, and in the last op: the shot must still end
+        // non-finite, so the sentinel aborts it
+        let mut model = NoiseModel::from_calibration(noiseless_cal(4));
+        model.include_readout = false;
+        let mut c = Circuit::new(4);
+        c.h(0)
+            .cx(0, 1)
+            .rz(0.3, 1)
+            .cx(1, 2)
+            .rx(0.2, 2)
+            .cx(2, 3)
+            .ry(0.4, 3);
+        let program = FusedProgram::compile(&c, &model);
+        assert!(program.len() >= 3 && 2 << program.ops[0].top_qubit() < 16);
+        for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            for (op, entry) in [(0, 1), (0, 3), (program.len() - 1, 2)] {
+                let mut broken = program.clone();
+                let poison = |m: &mut [Complex64]| m[entry] = Complex64::new(bad, 0.0);
+                match &mut broken.ops[op] {
+                    FusedOp::One { u, likely, .. } => {
+                        poison(u);
+                        let Fold::One { m, .. } = likely else {
+                            unreachable!()
+                        };
+                        poison(m);
+                    }
+                    FusedOp::Two { u, likely, .. } => {
+                        poison(u);
+                        let Fold::Two { m, .. } = likely else {
+                            unreachable!()
+                        };
+                        poison(m);
+                    }
+                }
+                let mut state = vec![Complex64::ZERO; 16];
+                broken.run_shot(&mut state, &mut shot_rng(1, 0));
+                assert!(
+                    matches!(shot_verdict(&state), ShotVerdict::Nan),
+                    "{bad} at op {op} entry {entry} did not end in a NaN verdict"
+                );
+            }
+        }
+    }
+
     #[test]
     fn folded_ops_match_the_event_by_event_reference() {
         // random circuits and calibrations, short coherence times in half
@@ -2344,6 +2637,30 @@ mod tests {
             .shot_average_health(0, None);
         assert_eq!(rows, vec![vec![0.0; 4]]);
         assert_eq!(health, vec![HealthReport::default()]);
+    }
+
+    #[test]
+    fn batch_releases_each_program_after_its_last_chunk() {
+        // owned programs of unequal length over several chunks each: every
+        // slot is empty once the run returns, and the rows equal a batch
+        // over borrowed programs
+        let cal = ourense().induced(&[0, 1, 2]).with_uniform_cx_error(0.05);
+        let model = NoiseModel::from_calibration(cal);
+        let mut circuits = candidate_circuits(3);
+        circuits[1].cx(0, 1).rx(0.4, 0).cx(1, 2);
+        let programs: Vec<FusedProgram> = circuits
+            .iter()
+            .map(|c| FusedProgram::compile(c, &model))
+            .collect();
+        let seeds = vec![4u64, 5, 6];
+        let borrowed = TrajectoryBatch::new(programs.iter().collect(), seeds.clone())
+            .unwrap()
+            .shot_average_health(70, None);
+        let owned =
+            TrajectoryBatch::from_programs(programs.into_iter().map(Cow::Owned), seeds).unwrap();
+        assert!(owned.programs.iter().all(|p| p.read().unwrap().is_some()));
+        assert_eq!(owned.run(70, None), borrowed);
+        assert!(owned.programs.iter().all(|p| p.read().unwrap().is_none()));
     }
 
     #[test]

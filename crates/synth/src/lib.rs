@@ -4,11 +4,11 @@
 //! modifies into approximate-circuit generators:
 //!
 //! * [`template`] — the QSearch ansatz (CNOT placements + U3 layers);
-//! * [`instantiate`] — Hilbert-Schmidt instantiation with analytic-gradient
+//! * [`instantiate`](mod@instantiate) — Hilbert-Schmidt instantiation with analytic-gradient
 //!   multistart L-BFGS (the SciPy BFGS/COBYLA stand-in);
-//! * [`qsearch`] — A* over placements, emitting **every** evaluated circuit
+//! * [`qsearch`](mod@qsearch) — A* over placements, emitting **every** evaluated circuit
 //!   (the paper's enhancement, Sec. 4);
-//! * [`qfast`] — hierarchical synthesis: greedy SU(4)-block placement via
+//! * [`qfast`](mod@qfast) — hierarchical synthesis: greedy SU(4)-block placement via
 //!   `exp(i sum t_j P_j)` then per-block refinement into {U3, CX}
 //!   (`partial_solution_callback` analogue);
 //! * [`qfactor`] — tensor-sweep gate optimization via polar decomposition

@@ -1,11 +1,11 @@
 //! # qaprox-transpile
 //!
 //! The transpiler substrate standing in for Qiskit's: basis translation to
-//! {U3, CX} ([`decompose`]), peephole optimization ([`optimize`]), initial
-//! layout selection ([`layout`] — trivial for the paper's simulator runs,
-//! noise-aware for its hardware runs), and SWAP routing onto coupling graphs
-//! ([`routing`]), tied together by [`transpiler::transpile`] with Qiskit-
-//! style optimization levels 0-3.
+//! {U3, CX} ([`decompose`]), peephole optimization
+//! ([`optimize`](mod@optimize)), initial layout selection ([`layout`] —
+//! trivial for the paper's simulator runs, noise-aware for its hardware
+//! runs), and SWAP routing onto coupling graphs ([`routing`]), tied together
+//! by [`transpiler::transpile`] with Qiskit-style optimization levels 0-3.
 
 #![warn(missing_docs)]
 
