@@ -2246,6 +2246,9 @@ mod tests {
         };
         let prob_bits =
             |v: &[Complex64]| -> Vec<u64> { v.iter().map(|z| z.norm_sqr().to_bits()).collect() };
+        let exact = |v: &[Complex64]| -> Vec<(u64, u64)> {
+            v.iter().map(|z| (z.re.to_bits(), z.im.to_bits())).collect()
+        };
         let mut rng = StdRng::seed_from_u64(0x11C0_0001);
         let (mut narrow_ops, mut narrow_branches) = (0usize, 0usize);
         for case in 0..48u64 {
@@ -2275,9 +2278,6 @@ mod tests {
                 fresh.clear();
                 fresh.resize(dim, Complex64::ZERO);
                 program.run_shot(&mut fresh, &mut shot_rng(case, shot));
-                let exact = |v: &[Complex64]| -> Vec<(u64, u64)> {
-                    v.iter().map(|z| (z.re.to_bits(), z.im.to_bits())).collect()
-                };
                 assert_eq!(exact(&dirty), exact(&fresh), "{ctx}: dirty buffer");
                 for (a, z) in row.iter_mut().zip(&full) {
                     *a += z.norm_sqr();
