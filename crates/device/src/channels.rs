@@ -3,7 +3,10 @@
 //! These are the same ingredients Qiskit's device noise models are built
 //! from: depolarizing errors sized from reported gate error rates, thermal
 //! relaxation from T1/T2 and gate durations, and (for completeness and tests)
-//! the textbook bit/phase-flip and damping channels.
+//! the textbook bit/phase-flip and damping channels. Which channel follows
+//! which gate, and with what strength, is [`crate::GateNoise`]'s rule; the
+//! density-matrix simulator, the trajectory compiler and the static
+//! verifier all build their channels from these constructors.
 
 use qaprox_linalg::matrix::{pauli_x, pauli_y, pauli_z, Matrix};
 use qaprox_linalg::{c64, Complex64};
@@ -49,10 +52,9 @@ pub fn depolarizing_1q(lambda: f64) -> Vec<Matrix> {
     ]
 }
 
-/// Two-qubit depolarizing channel with parameter `lambda`, expressed with
-/// all 16 two-qubit Pauli Kraus operators. Used in tests to cross-check the
-/// closed-form partial-trace implementation in
-/// [`crate::density::DensityMatrix::depolarize`].
+/// Two-qubit depolarizing channel with parameter `lambda`
+/// (`rho -> (1-lambda) rho + lambda I/4`), expressed with all 16 two-qubit
+/// Pauli Kraus operators.
 pub fn depolarizing_2q(lambda: f64) -> Vec<Matrix> {
     assert!((0.0..=1.0).contains(&lambda), "lambda out of range");
     let p = lambda / 16.0;
@@ -93,6 +95,23 @@ pub fn phase_damping(lambda: f64) -> Vec<Matrix> {
     vec![k0, k1]
 }
 
+/// The parameters of thermal relaxation over `t_ns` for a qubit with the
+/// given coherence times: the amplitude-damping probability `gamma` and the
+/// phase-damping parameter `lambda_pd` of the residual dephasing, so that
+/// populations decay as `exp(-t/T1)` and coherences as `exp(-t/T2)`.
+///
+/// The caller checks its input: [`thermal_relaxation`] asserts positive
+/// coherence times, and the static estimators treat non-positive times as
+/// "no data".
+pub fn relaxation_params(t_ns: f64, t1_us: f64, t2_us: f64) -> (f64, f64) {
+    let t_us = t_ns * 1e-3;
+    let gamma = 1.0 - (-t_us / t1_us).exp();
+    // residual dephasing after accounting for T1's contribution to T2
+    let inv_tphi = (1.0 / t2_us - 0.5 / t1_us).max(0.0);
+    let lambda_pd = 1.0 - (-2.0 * t_us * inv_tphi).exp();
+    (gamma, lambda_pd)
+}
+
 /// Thermal relaxation over duration `t_ns` for a qubit with the given
 /// coherence times: amplitude damping composed with the pure dephasing that
 /// makes the total off-diagonal decay `exp(-t/T2)`.
@@ -101,11 +120,7 @@ pub fn phase_damping(lambda: f64) -> Vec<Matrix> {
 /// `1/T_phi = 1/T2 - 1/(2 T1)`.
 pub fn thermal_relaxation(t_ns: f64, t1_us: f64, t2_us: f64) -> Vec<Matrix> {
     assert!(t_ns >= 0.0 && t1_us > 0.0 && t2_us > 0.0);
-    let t_us = t_ns * 1e-3;
-    let gamma = 1.0 - (-t_us / t1_us).exp();
-    // residual dephasing after accounting for T1's contribution to T2
-    let inv_tphi = (1.0 / t2_us - 0.5 / t1_us).max(0.0);
-    let lambda = 1.0 - (-2.0 * t_us * inv_tphi).exp();
+    let (gamma, lambda) = relaxation_params(t_ns, t1_us, t2_us);
     // Compose: K_total = {A_i * P_j} over amplitude damping A and phase damping P.
     let ad = amplitude_damping(gamma);
     let pd = phase_damping(lambda);
@@ -121,8 +136,48 @@ pub fn thermal_relaxation(t_ns: f64, t1_us: f64, t2_us: f64) -> Vec<Matrix> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::density::DensityMatrix;
-    use qaprox_circuit::Circuit;
+
+    /// `sum K rho K^dagger`, with `rho` held as a dense matrix.
+    fn apply(kraus: &[Matrix], rho: &Matrix) -> Matrix {
+        let mut out = Matrix::zeros(rho.rows(), rho.cols());
+        for k in kraus {
+            out.axpy(Complex64::ONE, &k.matmul(rho).matmul(&k.adjoint()));
+        }
+        out
+    }
+
+    /// `|psi><psi|`.
+    fn pure(psi: &[Complex64]) -> Matrix {
+        let mut rho = Matrix::zeros(psi.len(), psi.len());
+        for (r, a) in psi.iter().enumerate() {
+            for (c, b) in psi.iter().enumerate() {
+                rho[(r, c)] = *a * b.conj();
+            }
+        }
+        rho
+    }
+
+    /// `|+><+|`.
+    fn plus() -> Matrix {
+        let h = std::f64::consts::FRAC_1_SQRT_2;
+        pure(&[c64(h, 0.0), c64(h, 0.0)])
+    }
+
+    /// `|1><1|`.
+    fn excited() -> Matrix {
+        pure(&[Complex64::ZERO, Complex64::ONE])
+    }
+
+    /// `(1 - lambda) rho + lambda I/d`, the depolarizing channel's closed form.
+    fn depolarized(rho: &Matrix, lambda: f64) -> Matrix {
+        let d = rho.rows();
+        let mut out = rho.scale_re(1.0 - lambda);
+        out.axpy(
+            Complex64::ONE,
+            &Matrix::identity(d).scale_re(lambda / d as f64),
+        );
+        out
+    }
 
     #[test]
     fn all_channels_are_trace_preserving() {
@@ -130,6 +185,7 @@ mod tests {
             bit_flip(0.3),
             phase_flip(0.1),
             depolarizing_1q(0.25),
+            depolarizing_2q(0.25),
             amplitude_damping(0.4),
             phase_damping(0.2),
             thermal_relaxation(300.0, 80.0, 70.0),
@@ -140,20 +196,10 @@ mod tests {
 
     #[test]
     fn depolarizing_matches_closed_form() {
-        // Kraus form vs the partial-trace closed form in DensityMatrix
-        let mut c = Circuit::new(2);
-        c.h(0).cx(0, 1).rz(0.3, 0);
         let lambda = 0.37;
-
-        let mut via_kraus = DensityMatrix::ground(2);
-        via_kraus.apply_circuit(&c);
-        via_kraus.apply_kraus_1q(0, &depolarizing_1q(lambda));
-
-        let mut via_closed = DensityMatrix::ground(2);
-        via_closed.apply_circuit(&c);
-        via_closed.depolarize(&[0], lambda);
-
-        assert!(via_kraus.matrix().approx_eq(via_closed.matrix(), 1e-12));
+        let rho = pure(&[c64(0.6, 0.0), c64(0.0, 0.8)]);
+        let via_kraus = apply(&depolarizing_1q(lambda), &rho);
+        assert!(via_kraus.approx_eq(&depolarized(&rho, lambda), 1e-12));
     }
 
     #[test]
@@ -162,67 +208,43 @@ mod tests {
         let kraus = depolarizing_2q(lambda);
         assert_eq!(kraus.len(), 16);
         assert!(is_trace_preserving(&kraus, 1e-12));
-
-        let mut c = Circuit::new(3);
-        c.h(0).cx(0, 1).cx(1, 2).rz(0.4, 2);
-        let mut via_kraus = DensityMatrix::ground(3);
-        via_kraus.apply_circuit(&c);
-        via_kraus.apply_kraus_2q(0, 2, &kraus);
-
-        let mut via_closed = DensityMatrix::ground(3);
-        via_closed.apply_circuit(&c);
-        via_closed.depolarize(&[0, 2], lambda);
-
-        assert!(via_kraus.matrix().approx_eq(via_closed.matrix(), 1e-11));
+        // an entangled state with complex amplitudes
+        let rho = pure(&[c64(0.5, 0.0), c64(0.0, 0.5), c64(0.1, 0.0), c64(0.0, -0.7)]);
+        let via_kraus = apply(&kraus, &rho);
+        assert!(via_kraus.approx_eq(&depolarized(&rho, lambda), 1e-12));
     }
 
     #[test]
     fn amplitude_damping_decays_excited_state() {
-        let mut dm = DensityMatrix::basis(1, 1); // |1>
-        dm.apply_kraus_1q(0, &amplitude_damping(0.3));
-        let p = dm.probabilities();
-        assert!((p[1] - 0.7).abs() < 1e-13);
-        assert!((p[0] - 0.3).abs() < 1e-13);
+        let rho = apply(&amplitude_damping(0.3), &excited());
+        assert!((rho[(1, 1)].re - 0.7).abs() < 1e-13);
+        assert!((rho[(0, 0)].re - 0.3).abs() < 1e-13);
     }
 
     #[test]
     fn phase_damping_kills_coherence_not_populations() {
-        let mut c = Circuit::new(1);
-        c.h(0);
-        let mut dm = DensityMatrix::ground(1);
-        dm.apply_circuit(&c);
-        dm.apply_kraus_1q(0, &phase_damping(1.0));
-        let p = dm.probabilities();
-        assert!((p[0] - 0.5).abs() < 1e-13);
-        assert!((p[1] - 0.5).abs() < 1e-13);
-        assert!(dm.matrix()[(0, 1)].abs() < 1e-13, "coherence should vanish");
+        let rho = apply(&phase_damping(1.0), &plus());
+        assert!((rho[(0, 0)].re - 0.5).abs() < 1e-13);
+        assert!((rho[(1, 1)].re - 0.5).abs() < 1e-13);
+        assert!(rho[(0, 1)].abs() < 1e-13, "coherence should vanish");
     }
 
     #[test]
     fn thermal_relaxation_zero_time_is_identity() {
-        let mut c = Circuit::new(1);
-        c.h(0);
-        let mut dm = DensityMatrix::ground(1);
-        dm.apply_circuit(&c);
-        let before = dm.clone();
-        dm.apply_kraus_1q(0, &thermal_relaxation(0.0, 80.0, 70.0));
-        assert!(dm.matrix().approx_eq(before.matrix(), 1e-12));
+        let rho = apply(&thermal_relaxation(0.0, 80.0, 70.0), &plus());
+        assert!(rho.approx_eq(&plus(), 1e-12));
     }
 
     #[test]
     fn thermal_relaxation_off_diagonal_decays_at_t2() {
         let (t1, t2) = (80.0, 60.0);
         let t_ns = 50_000.0; // 50 us
-        let mut c = Circuit::new(1);
-        c.h(0);
-        let mut dm = DensityMatrix::ground(1);
-        dm.apply_circuit(&c);
-        dm.apply_kraus_1q(0, &thermal_relaxation(t_ns, t1, t2));
+        let rho = apply(&thermal_relaxation(t_ns, t1, t2), &plus());
         let expected = 0.5 * (-(t_ns * 1e-3) / t2).exp();
         assert!(
-            (dm.matrix()[(0, 1)].abs() - expected).abs() < 1e-10,
+            (rho[(0, 1)].abs() - expected).abs() < 1e-10,
             "off-diagonal {} vs expected {expected}",
-            dm.matrix()[(0, 1)].abs()
+            rho[(0, 1)].abs()
         );
     }
 
@@ -230,18 +252,14 @@ mod tests {
     fn thermal_relaxation_population_decays_at_t1() {
         let (t1, t2) = (80.0, 60.0);
         let t_ns = 80_000.0; // one T1
-        let mut dm = DensityMatrix::basis(1, 1);
-        dm.apply_kraus_1q(0, &thermal_relaxation(t_ns, t1, t2));
-        let p = dm.probabilities();
+        let rho = apply(&thermal_relaxation(t_ns, t1, t2), &excited());
         let expected = (-1.0f64).exp();
-        assert!((p[1] - expected).abs() < 1e-10);
+        assert!((rho[(1, 1)].re - expected).abs() < 1e-10);
     }
 
     #[test]
     fn long_relaxation_reaches_ground_state() {
-        let mut dm = DensityMatrix::basis(1, 1);
-        dm.apply_kraus_1q(0, &thermal_relaxation(10_000_000.0, 50.0, 40.0));
-        let p = dm.probabilities();
-        assert!(p[0] > 0.999);
+        let rho = apply(&thermal_relaxation(10_000_000.0, 50.0, 40.0), &excited());
+        assert!(rho[(0, 0)].re > 0.999);
     }
 }

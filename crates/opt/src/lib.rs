@@ -1,14 +1,12 @@
 //! # qaprox-opt
 //!
-//! Numerical optimizers for circuit instantiation — the stand-ins for the
-//! SciPy BFGS/COBYLA optimizers the paper's synthesis tools call into:
+//! Numerical optimizers for circuit instantiation — the stand-in for the
+//! SciPy BFGS optimizer the paper's synthesis tools call into:
 //!
 //! * [`lbfgs`](mod@lbfgs) — limited-memory BFGS with a strong-Wolfe line
 //!   search, for objectives with analytic gradients (our Hilbert-Schmidt
 //!   instantiation);
-//! * [`nelder_mead`](mod@nelder_mead) — derivative-free simplex search
-//!   (COBYLA substitute);
-//! * [`multistart`] — seeded random restarts around either local optimizer;
+//! * [`multistart`] — seeded random restarts around the local optimizer;
 //! * [`gradient`] — central-difference gradients and a gradient checker used
 //!   by the test suites of downstream crates.
 
@@ -17,11 +15,9 @@
 pub mod gradient;
 pub mod lbfgs;
 pub mod multistart;
-pub mod nelder_mead;
 
 pub use lbfgs::{lbfgs, LbfgsParams, LbfgsResult};
 pub use multistart::{multistart_minimize, multistart_minimize_par, MultistartParams};
-pub use nelder_mead::{nelder_mead, NelderMeadParams};
 
 /// An objective with an analytic gradient.
 ///

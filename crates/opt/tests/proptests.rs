@@ -1,7 +1,7 @@
 //! Property-style tests for the optimizers, driven by the in-repo seeded RNG.
 
 use qaprox_linalg::random::{Rng, SplitMix64};
-use qaprox_opt::{lbfgs, nelder_mead, LbfgsParams, NelderMeadParams};
+use qaprox_opt::{lbfgs, LbfgsParams};
 
 const CASES: usize = 32;
 
@@ -61,44 +61,6 @@ fn lbfgs_monotone_improvement() {
             },
         );
         assert!(r.f <= f0 + 1e-12);
-    }
-}
-
-#[test]
-fn nelder_mead_never_worse_than_start() {
-    let mut rng = SplitMix64::seed_from_u64(3);
-    for _ in 0..CASES {
-        let n = rng.gen_range(1usize..5);
-        let start = vec_in(-3.0, 3.0, n, &mut rng);
-        let f = |x: &[f64]| -> f64 {
-            x.iter()
-                .map(|v| (v - 0.5).powi(2) + (v * 2.0).cos() * 0.3)
-                .sum()
-        };
-        let f0 = f(&start);
-        let r = nelder_mead(
-            &f,
-            &start,
-            &NelderMeadParams {
-                max_evals: 2000,
-                ..Default::default()
-            },
-        );
-        assert!(r.f <= f0 + 1e-12);
-    }
-}
-
-#[test]
-fn nelder_mead_solves_separable_quadratics() {
-    let mut rng = SplitMix64::seed_from_u64(4);
-    for _ in 0..CASES {
-        let n = rng.gen_range(1usize..4);
-        let center = vec_in(-2.0, 2.0, n, &mut rng);
-        let c = center.clone();
-        let f = move |x: &[f64]| -> f64 { x.iter().zip(&c).map(|(v, ci)| (v - ci).powi(2)).sum() };
-        let start = vec![0.0; center.len()];
-        let r = nelder_mead(&f, &start, &NelderMeadParams::default());
-        assert!(r.f < 1e-6, "residual {}", r.f);
     }
 }
 

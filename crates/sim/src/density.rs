@@ -272,6 +272,7 @@ impl DensityMatrix {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use qaprox_device::channels::{depolarizing_1q, depolarizing_2q};
 
     #[test]
     fn ground_state_properties() {
@@ -378,6 +379,42 @@ mod tests {
         assert!((probs[0] - 0.75).abs() < 1e-13);
         assert!((probs[1] - 0.25).abs() < 1e-13);
         assert!((dm.trace() - 1.0).abs() < 1e-13);
+    }
+
+    #[test]
+    fn depolarize_matches_kraus_form_1q() {
+        // the partial-trace closed form vs the 4-operator Kraus set
+        let mut c = Circuit::new(2);
+        c.h(0).cx(0, 1).rz(0.3, 0);
+        let lambda = 0.37;
+
+        let mut via_kraus = DensityMatrix::ground(2);
+        via_kraus.apply_circuit(&c);
+        via_kraus.apply_kraus_1q(0, &depolarizing_1q(lambda));
+
+        let mut via_closed = DensityMatrix::ground(2);
+        via_closed.apply_circuit(&c);
+        via_closed.depolarize(&[0], lambda);
+
+        assert!(via_kraus.matrix().approx_eq(via_closed.matrix(), 1e-12));
+    }
+
+    #[test]
+    fn depolarize_matches_kraus_form_2q() {
+        // the partial-trace closed form vs all 16 two-qubit Pauli operators,
+        // on a non-adjacent pair of a 3-qubit register
+        let lambda = 0.41;
+        let mut c = Circuit::new(3);
+        c.h(0).cx(0, 1).cx(1, 2).rz(0.4, 2);
+        let mut via_kraus = DensityMatrix::ground(3);
+        via_kraus.apply_circuit(&c);
+        via_kraus.apply_kraus_2q(0, 2, &depolarizing_2q(lambda));
+
+        let mut via_closed = DensityMatrix::ground(3);
+        via_closed.apply_circuit(&c);
+        via_closed.depolarize(&[0, 2], lambda);
+
+        assert!(via_kraus.matrix().approx_eq(via_closed.matrix(), 1e-11));
     }
 
     #[test]

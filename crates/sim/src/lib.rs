@@ -4,9 +4,9 @@
 //!
 //! * [`statevector`] — ideal simulation ("noise free reference");
 //! * [`density`] — density-matrix states with Kraus-channel support;
-//! * [`channels`] — depolarizing / damping / thermal-relaxation channels;
 //! * [`noise_model`] — device noise models built from calibration snapshots
-//!   (the paper's "hardware specific noise models");
+//!   (the paper's "hardware specific noise models"), applying the
+//!   `qaprox_device` per-gate noise rule and Kraus channels;
 //! * [`readout`] — per-qubit measurement confusion;
 //! * [`hardware`] — emulated physical machines: model noise plus coherent
 //!   over-rotation, ZZ crosstalk, readout drift, finite shots (the
@@ -19,7 +19,6 @@
 
 #![warn(missing_docs)]
 
-pub mod channels;
 pub mod density;
 pub mod executor;
 pub mod hardware;

@@ -1,17 +1,18 @@
 //! Device noise models built from calibration snapshots.
 //!
 //! Mirrors Qiskit-Aer's `NoiseModel.from_backend`: each gate is followed by
-//! a depolarizing channel sized from the reported gate error, plus thermal
-//! relaxation over the gate duration from T1/T2; measurement applies the
+//! the noise [`Calibration::gate_noise`] describes (depolarizing, then
+//! thermal relaxation over the gate duration); measurement applies the
 //! per-qubit readout confusion. The paper's error-sensitivity sweeps
 //! (Figs. 8-11) are produced by rewriting the calibration's CNOT errors
 //! before building the model.
 
-use crate::channels::thermal_relaxation;
 use crate::density::DensityMatrix;
-use crate::readout::{apply_confusion, ReadoutError};
+use crate::mitigation::errors_from_calibration;
+use crate::readout::apply_confusion;
 use qaprox_circuit::{Circuit, Instruction};
-use qaprox_device::{Calibration, EdgeCal};
+use qaprox_device::channels::thermal_relaxation;
+use qaprox_device::Calibration;
 
 /// A gate-level noise model for one device.
 #[derive(Debug, Clone)]
@@ -43,57 +44,21 @@ impl NoiseModel {
         self.cal.topology.num_qubits()
     }
 
-    /// Depolarizing parameter for a one-qubit gate on `q`:
-    /// `lambda = err * d/(d-1)` with `d = 2`.
-    pub(crate) fn lambda_1q(&self, q: usize) -> f64 {
-        (self.cal.qubits[q].sx_error * 2.0).clamp(0.0, 1.0)
-    }
-
-    /// Edge calibration with a fallback to device averages for uncoupled
-    /// pairs (lenient mode: lets logical circuits run before routing).
-    pub(crate) fn edge_cal(&self, a: usize, b: usize) -> EdgeCal {
-        self.cal.edge(a, b).copied().unwrap_or(EdgeCal {
-            cx_error: self.cal.avg_cx_error(),
-            cx_time_ns: 400.0,
-        })
-    }
-
-    /// Depolarizing parameter for a two-qubit gate: `lambda = err * 4/3`.
-    pub(crate) fn lambda_2q(&self, a: usize, b: usize) -> f64 {
-        (self.edge_cal(a, b).cx_error * 4.0 / 3.0).clamp(0.0, 1.0)
-    }
-
-    /// Applies the post-gate noise for one instruction to `dm`.
+    /// Applies the post-gate noise for one instruction to `dm`: the
+    /// calibration's [`GateNoise`](qaprox_device::GateNoise) depolarizing
+    /// channel, then thermal relaxation of each operand over the gate's
+    /// duration.
     pub fn apply_gate_noise(&self, dm: &mut DensityMatrix, inst: &Instruction) {
-        match inst.qubits.len() {
-            1 => {
-                let q = inst.qubits[0];
-                let l = self.lambda_1q(q);
-                if l > 0.0 {
-                    dm.depolarize(&[q], l);
-                }
-                if self.include_relaxation {
-                    let qc = &self.cal.qubits[q];
-                    let kraus = thermal_relaxation(qc.sx_time_ns, qc.t1_us, qc.t2_us);
-                    dm.apply_kraus_1q(q, &kraus);
-                }
+        let noise = self.cal.gate_noise(&inst.qubits);
+        if noise.lambda > 0.0 {
+            dm.depolarize(&inst.qubits, noise.lambda);
+        }
+        if self.include_relaxation {
+            for &q in &inst.qubits {
+                let qc = &self.cal.qubits[q];
+                let kraus = thermal_relaxation(noise.duration_ns, qc.t1_us, qc.t2_us);
+                dm.apply_kraus_1q(q, &kraus);
             }
-            2 => {
-                let (a, b) = (inst.qubits[0], inst.qubits[1]);
-                let l = self.lambda_2q(a, b);
-                if l > 0.0 {
-                    dm.depolarize(&[a, b], l);
-                }
-                if self.include_relaxation {
-                    let t = self.edge_cal(a, b).cx_time_ns;
-                    for &q in &[a, b] {
-                        let qc = &self.cal.qubits[q];
-                        let kraus = thermal_relaxation(t, qc.t1_us, qc.t2_us);
-                        dm.apply_kraus_1q(q, &kraus);
-                    }
-                }
-            }
-            _ => unreachable!("IR only holds 1- and 2-qubit gates"),
         }
     }
 
@@ -131,13 +96,7 @@ impl NoiseModel {
         let dm = self.run_density(circuit);
         let mut probs = dm.probabilities();
         if self.include_readout {
-            let errs: Vec<ReadoutError> = self
-                .cal
-                .qubits
-                .iter()
-                .map(|q| ReadoutError::symmetric(q.readout_error))
-                .collect();
-            apply_confusion(&mut probs, &errs);
+            apply_confusion(&mut probs, &errors_from_calibration(&self.cal));
         }
         probs
     }
@@ -147,7 +106,7 @@ impl NoiseModel {
 mod tests {
     use super::*;
     use qaprox_device::devices::ourense;
-    use qaprox_device::{QubitCal, Topology};
+    use qaprox_device::{EdgeCal, QubitCal, Topology};
     use std::collections::BTreeMap;
 
     fn noiseless_cal(n: usize) -> Calibration {

@@ -85,9 +85,11 @@
 //!
 //! [`SplitMix64`]: qaprox_linalg::random::SplitMix64
 
+use crate::mitigation::errors_from_calibration;
 use crate::noise_model::NoiseModel;
 use crate::readout::ReadoutError;
-use qaprox_circuit::Circuit;
+use qaprox_circuit::{Circuit, Instruction};
+use qaprox_device::channels::thermal_relaxation;
 use qaprox_linalg::kernels::{mat2_to_array, mat4_to_array, scale, sweep_1q, sweep_2q, Sweep};
 use qaprox_linalg::matrix::Matrix;
 use qaprox_linalg::parallel::{par_map_range, thread_budget, with_thread_budget};
@@ -504,6 +506,32 @@ fn conjugate_event_by_1q(ev: &mut NoiseEvent, ra: usize, q: usize, g: &[Complex6
     }
 }
 
+/// The noise events following `inst` under `model`: the calibration's
+/// [`GateNoise`](qaprox_device::GateNoise) depolarizing channel, then
+/// thermal relaxation of each operand over the gate's duration — the
+/// order `NoiseModel::apply_gate_noise` applies them in.
+fn gate_events(model: &NoiseModel, inst: &Instruction) -> Vec<NoiseEvent> {
+    let cal = model.calibration();
+    let noise = cal.gate_noise(&inst.qubits);
+    let mut events = Vec::new();
+    if noise.lambda > 0.0 {
+        let lambda = noise.lambda;
+        events.push(match *inst.qubits {
+            [q] => NoiseEvent::Dep1 { q, lambda },
+            [a, b] => NoiseEvent::Dep2 { a, b, lambda },
+            _ => unreachable!("IR only holds 1- and 2-qubit gates"),
+        });
+    }
+    if model.include_relaxation {
+        for &q in &inst.qubits {
+            let qc = &cal.qubits[q];
+            let kraus = thermal_relaxation(noise.duration_ns, qc.t1_us, qc.t2_us);
+            events.push(NoiseEvent::kraus_1q(q, &kraus));
+        }
+    }
+    events
+}
+
 /// A circuit + noise model compiled for the trajectory shot loop: fused
 /// same-support gates, precompiled (and suffix-conjugated) noise events.
 /// Compile once per circuit; every shot then runs over fixed-size arrays
@@ -543,18 +571,7 @@ impl FusedProgram {
             match *inst.qubits.as_slice() {
                 [q] => {
                     let g = mat2_to_array(&inst.gate.matrix());
-                    let mut events = Vec::new();
-                    let lambda = model.lambda_1q(q);
-                    if lambda > 0.0 {
-                        events.push(NoiseEvent::Dep1 { q, lambda });
-                    }
-                    if model.include_relaxation {
-                        let qc = &cal.qubits[q];
-                        events.push(NoiseEvent::kraus_1q(
-                            q,
-                            &crate::channels::thermal_relaxation(qc.sx_time_ns, qc.t1_us, qc.t2_us),
-                        ));
-                    }
+                    let events = gate_events(model, inst);
                     match step {
                         qaprox_verify::FusionStep::Join(r) => {
                             match runs[*r].as_mut().expect("joined run is still open") {
@@ -602,21 +619,7 @@ impl FusedProgram {
                 }
                 [a, b] => {
                     let mut g = mat4_to_array(&inst.gate.matrix());
-                    let mut events = Vec::new();
-                    let lambda = model.lambda_2q(a, b);
-                    if lambda > 0.0 {
-                        events.push(NoiseEvent::Dep2 { a, b, lambda });
-                    }
-                    if model.include_relaxation {
-                        let t = model.edge_cal(a, b).cx_time_ns;
-                        for &q in &[a, b] {
-                            let qc = &cal.qubits[q];
-                            events.push(NoiseEvent::kraus_1q(
-                                q,
-                                &crate::channels::thermal_relaxation(t, qc.t1_us, qc.t2_us),
-                            ));
-                        }
-                    }
+                    let events = gate_events(model, inst);
                     match step {
                         qaprox_verify::FusionStep::Join(r) => {
                             let Some(FusedOp::Two {
@@ -701,11 +704,9 @@ impl FusedProgram {
             num_qubits: circuit.num_qubits(),
             ops,
             readout: model.include_readout.then(|| {
-                cal.qubits
-                    .iter()
-                    .take(circuit.num_qubits())
-                    .map(|q| ReadoutError::symmetric(q.readout_error))
-                    .collect()
+                let mut errors = errors_from_calibration(cal);
+                errors.truncate(circuit.num_qubits());
+                errors
             }),
         }
     }
@@ -1559,7 +1560,7 @@ impl RowReducer {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::channels::amplitude_damping;
+    use qaprox_device::channels::amplitude_damping;
     use qaprox_device::devices::ourense;
     use qaprox_metrics_shim::total_variation;
 
@@ -1980,7 +1981,6 @@ mod tests {
         // Kraus2 by a random 2q unitary and conjugated further; states
         // random and normalized, then walked through many random gates and
         // relaxation events so the norm carries rounding and a pending factor
-        use crate::channels::thermal_relaxation;
         let n = 6;
         let mut rng = StdRng::seed_from_u64(0xF100_0001);
         let mut high_floors = 0;

@@ -2,8 +2,8 @@
 //! the in-repo seeded RNG.
 
 use qaprox_circuit::{Circuit, Gate};
+use qaprox_device::channels::*;
 use qaprox_linalg::random::{Rng, SplitMix64};
-use qaprox_sim::channels::*;
 use qaprox_sim::readout::{apply_confusion, ReadoutError};
 use qaprox_sim::{sample_counts, DensityMatrix};
 

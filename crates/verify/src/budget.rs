@@ -25,17 +25,18 @@
 //! Readout survival is reported separately (`readout_survival`) because the
 //! simulator's pure-state fidelity excludes confusion.
 //!
-//! The per-gate error parameters mirror `qaprox_sim::NoiseModel` exactly:
-//! `lambda_1q = clamp(2 * sx_error)`, `lambda_2q = clamp(4/3 * cx_error)`,
-//! with the same uncoupled-pair fallback (`avg_cx_error`, 400 ns) and the
-//! same thermal-relaxation parameters over gate durations.
+//! Each gate's error, depolarizing strength and duration are the ones the
+//! simulator applies: [`qaprox_device::GateNoise`], read from the
+//! calibration. Relaxation survival uses the simulator's parameters
+//! ([`qaprox_device::channels::relaxation_params`]).
 
 use crate::circuit_lints::emit;
 use crate::config::{LintCode, LintConfig};
 use crate::dag::CircuitDag;
 use crate::diagnostics::{Location, Report, REPORT_SCHEMA_VERSION};
 use qaprox_circuit::Circuit;
-use qaprox_device::{Calibration, EdgeCal};
+use qaprox_device::channels::relaxation_params;
+use qaprox_device::Calibration;
 
 /// Knobs for [`analyze`]. The defaults match `NoiseModel::from_calibration`
 /// (relaxation and readout both on, no thresholds).
@@ -195,25 +196,15 @@ impl AnalysisReport {
 }
 
 /// Survival amplitude `s` of the thermal-relaxation channel over `t_ns`:
-/// `s = sqrt((1 - gamma)(1 - lambda_pd))` with the exact parameters the
-/// simulator's `thermal_relaxation` uses. Non-positive coherence times mean
+/// `s = sqrt((1 - gamma)(1 - lambda_pd))` with the simulator's parameters
+/// ([`relaxation_params`]). Non-positive durations or coherence times mean
 /// "no data" and yield 1 (no relaxation).
 pub(crate) fn relaxation_survival(t_ns: f64, t1_us: f64, t2_us: f64) -> f64 {
     if t_ns <= 0.0 || t1_us <= 0.0 || t2_us <= 0.0 {
         return 1.0;
     }
-    let t_us = t_ns * 1e-3;
-    let gamma = 1.0 - (-t_us / t1_us).exp();
-    let inv_tphi = (1.0 / t2_us - 0.5 / t1_us).max(0.0);
-    let lambda_pd = 1.0 - (-2.0 * t_us * inv_tphi).exp();
+    let (gamma, lambda_pd) = relaxation_params(t_ns, t1_us, t2_us);
     ((1.0 - gamma) * (1.0 - lambda_pd)).sqrt()
-}
-
-pub(crate) fn edge_cal(cal: &Calibration, a: usize, b: usize) -> EdgeCal {
-    cal.edge(a, b).copied().unwrap_or(EdgeCal {
-        cx_error: cal.avg_cx_error(),
-        cx_time_ns: 400.0,
-    })
 }
 
 /// Runs the abstract interpreter with an explicit lint config for the QA4xx
@@ -238,46 +229,28 @@ pub fn analyze_with_config(
     let mut qubit_survival = vec![1.0f64; n];
     let mut qubit_gates = vec![0usize; n];
 
-    // helper applied once per qubit-application of duration t_ns
-    let relax =
-        |q: usize, t_ns: f64, bound: &mut f64, esp: &mut f64, qubit_survival: &mut [f64]| {
-            if !opts.include_relaxation {
-                return;
-            }
-            let qc = &cal.qubits[q];
-            let s = relaxation_survival(t_ns, qc.t1_us, qc.t2_us);
-            // relaxation can raise fidelity toward |0..0>, so the sound bound
-            // only gains slack; the heuristic esp pays the survival probability
-            *bound = (*bound + 2.0 * (1.0 - s) + (1.0 - s * s)).min(1.0);
-            *esp *= s * s;
-            qubit_survival[q] *= s * s;
-        };
-
     for inst in circuit.iter() {
-        match inst.qubits[..] {
-            [q] => {
+        let noise = cal.gate_noise(&inst.qubits);
+        // a depolarizing channel on a d-dimensional support maps F to at
+        // most (1 - lambda) F + lambda / d
+        let dim = (1usize << inst.qubits.len()) as f64;
+        bound = (1.0 - noise.lambda) * bound + noise.lambda / dim;
+        let err = noise.error.clamp(0.0, 1.0);
+        esp *= 1.0 - err;
+        for &q in &inst.qubits {
+            // pessimistic attribution: a 2q gate's full error hits both
+            qubit_survival[q] *= 1.0 - err;
+            qubit_gates[q] += 1;
+            if opts.include_relaxation {
                 let qc = &cal.qubits[q];
-                let lambda = (qc.sx_error * 2.0).clamp(0.0, 1.0);
-                bound = (1.0 - lambda) * bound + lambda / 2.0;
-                esp *= 1.0 - qc.sx_error.clamp(0.0, 1.0);
-                qubit_survival[q] *= 1.0 - qc.sx_error.clamp(0.0, 1.0);
-                qubit_gates[q] += 1;
-                relax(q, qc.sx_time_ns, &mut bound, &mut esp, &mut qubit_survival);
+                let s = relaxation_survival(noise.duration_ns, qc.t1_us, qc.t2_us);
+                // relaxation can raise fidelity toward |0..0>, so the sound
+                // bound only gains slack; the heuristic esp pays the survival
+                // probability
+                bound = (bound + 2.0 * (1.0 - s) + (1.0 - s * s)).min(1.0);
+                esp *= s * s;
+                qubit_survival[q] *= s * s;
             }
-            [a, b] => {
-                let ec = edge_cal(cal, a, b);
-                let lambda = (ec.cx_error * 4.0 / 3.0).clamp(0.0, 1.0);
-                bound = (1.0 - lambda) * bound + lambda / 4.0;
-                let err = ec.cx_error.clamp(0.0, 1.0);
-                esp *= 1.0 - err;
-                for &q in &[a, b] {
-                    // pessimistic attribution: the full 2q error hits both
-                    qubit_survival[q] *= 1.0 - err;
-                    qubit_gates[q] += 1;
-                    relax(q, ec.cx_time_ns, &mut bound, &mut esp, &mut qubit_survival);
-                }
-            }
-            _ => unreachable!("IR only holds 1- and 2-qubit gates"),
         }
     }
 

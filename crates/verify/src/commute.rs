@@ -22,11 +22,9 @@
 //!   the diamond distance). Disjoint supports cost exactly zero — channels
 //!   on disjoint subsystems commute as maps — and exactly-commuting
 //!   overlapping pairs (two diagonals on one wire, say) cost zero up to
-//!   rounding. The per-gate noise mirrors `qaprox_sim::NoiseModel`
-//!   *exactly*: depolarizing `lambda_1q = clamp(2 sx_error)` /
-//!   `lambda_2q = clamp(4/3 cx_error)` plus per-qubit thermal relaxation
-//!   over the gate duration (cross-checked against the simulator's Kraus
-//!   sets in the tests).
+//!   rounding. The per-gate noise is the simulator's, built from the same
+//!   description and constructors: [`qaprox_device::GateNoise`] and
+//!   [`qaprox_device::channels`].
 //! * **Fusion legality.** [`fusion_plan`] tells the trajectory compiler
 //!   which gates may fuse across *nested* support: a 1q gate slides into
 //!   the run that last touched its qubit because everything in between acts
@@ -42,18 +40,18 @@
 //! cannot see), and QA603 reports when the ASAP schedule modulo commutation
 //! is strictly shorter than the wire schedule.
 
-use crate::budget::edge_cal;
 use crate::circuit_lints::emit;
 use crate::config::{LintCode, LintConfig};
 use crate::dag::CircuitDag;
 use crate::dataflow::{find_cancellations, CancellationKind};
 use crate::diagnostics::{Location, Report};
 use qaprox_circuit::{commutes, Circuit, Instruction, RawMeasure};
+use qaprox_device::channels::{depolarizing_1q, depolarizing_2q, thermal_relaxation};
 use qaprox_device::Calibration;
 use qaprox_linalg::eigh::eigh;
 use qaprox_linalg::kernels::{apply_1q_mat_left, apply_2q_mat_left, mat2_to_array, mat4_to_array};
-use qaprox_linalg::matrix::{pauli_x, pauli_y, pauli_z, Matrix};
-use qaprox_linalg::{c64, Complex64};
+use qaprox_linalg::matrix::Matrix;
+use qaprox_linalg::Complex64;
 use std::collections::BTreeMap;
 
 /// Structural ceiling for the QA6xx lint passes: programs larger than this
@@ -198,73 +196,12 @@ fn superop_from_kraus(kraus: &[Matrix]) -> Matrix {
     s
 }
 
-/// One-qubit depolarizing Kraus set (mirrors `qaprox_sim::channels`).
-fn dep1_kraus(lambda: f64) -> Vec<Matrix> {
-    let p = lambda / 4.0;
-    vec![
-        Matrix::identity(2).scale_re((1.0 - 3.0 * p).max(0.0).sqrt()),
-        pauli_x().scale_re(p.sqrt()),
-        pauli_y().scale_re(p.sqrt()),
-        pauli_z().scale_re(p.sqrt()),
-    ]
-}
-
-/// Two-qubit depolarizing Kraus set: all 16 Pauli pairs (the full twirl).
-fn dep2_kraus(lambda: f64) -> Vec<Matrix> {
-    let p = lambda / 16.0;
-    let singles = [Matrix::identity(2), pauli_x(), pauli_y(), pauli_z()];
-    let mut out = Vec::with_capacity(16);
-    for (i, a) in singles.iter().enumerate() {
-        for (j, b) in singles.iter().enumerate() {
-            let w = if i == 0 && j == 0 {
-                (1.0 - 15.0 * p).max(0.0)
-            } else {
-                p
-            };
-            out.push(a.kron(b).scale_re(w.sqrt()));
-        }
-    }
-    out
-}
-
-/// Thermal-relaxation Kraus set over `t_ns`, mirroring
-/// `qaprox_sim::channels::thermal_relaxation` exactly. Non-positive
-/// durations or coherence times mean "no data" and yield `None` (identity),
-/// matching [`crate::budget`]'s survival convention.
-fn relaxation_kraus(t_ns: f64, t1_us: f64, t2_us: f64) -> Option<Vec<Matrix>> {
-    if t_ns <= 0.0 || t1_us <= 0.0 || t2_us <= 0.0 {
-        return None;
-    }
-    let t_us = t_ns * 1e-3;
-    let gamma = 1.0 - (-t_us / t1_us).exp();
-    let inv_tphi = (1.0 / t2_us - 0.5 / t1_us).max(0.0);
-    let lambda = 1.0 - (-2.0 * t_us * inv_tphi).exp();
-    let ad = vec![
-        Matrix::from_rows(&[
-            &[Complex64::ONE, Complex64::ZERO],
-            &[Complex64::ZERO, c64((1.0 - gamma).sqrt(), 0.0)],
-        ]),
-        Matrix::from_rows(&[
-            &[Complex64::ZERO, c64(gamma.sqrt(), 0.0)],
-            &[Complex64::ZERO, Complex64::ZERO],
-        ]),
-    ];
-    let pd = vec![
-        Matrix::diag(&[Complex64::ONE, c64((1.0 - lambda).sqrt(), 0.0)]),
-        Matrix::diag(&[Complex64::ZERO, c64(lambda.sqrt(), 0.0)]),
-    ];
-    let mut out = Vec::with_capacity(4);
-    for a in &ad {
-        for p in &pd {
-            out.push(a.matmul(p));
-        }
-    }
-    Some(out)
-}
-
 /// Superoperator of one *noisy block* — the instruction's unitary followed
-/// by its exact `NoiseModel` noise (depolarizing, then per-qubit thermal
-/// relaxation) — embedded on the union support `sup` (sorted qubit list).
+/// by the calibration's [`GateNoise`](qaprox_device::GateNoise) channels
+/// (depolarizing on the gate's support, then thermal relaxation of each
+/// operand) — embedded on the union support `sup` (sorted qubit list).
+/// Non-positive durations or coherence times mean "no data": that
+/// relaxation is the identity, as in [`crate::budget`]'s survival.
 fn block_superop(
     inst: &Instruction,
     sup: &[usize],
@@ -273,48 +210,34 @@ fn block_superop(
 ) -> Matrix {
     let m = sup.len();
     let loc = |q: usize| sup.iter().position(|&x| x == q).expect("qubit in support");
-    let u = match inst.qubits[..] {
-        [q] => embed_1q(&inst.gate.matrix(), loc(q), m),
-        [a, b] => embed_2q(&inst.gate.matrix(), loc(a), loc(b), m),
+    let embed = |op: &Matrix, qubits: &[usize]| match *qubits {
+        [q] => embed_1q(op, loc(q), m),
+        [a, b] => embed_2q(op, loc(a), loc(b), m),
         _ => unreachable!("IR only holds 1- and 2-qubit gates"),
     };
+    let apply_channel = |kraus: Vec<Matrix>, qubits: &[usize], s: &Matrix| {
+        let embedded: Vec<Matrix> = kraus.iter().map(|k| embed(k, qubits)).collect();
+        superop_from_kraus(&embedded).matmul(s)
+    };
+    let u = embed(&inst.gate.matrix(), &inst.qubits);
     let mut s = conj_matrix(&u).kron(&u);
-    let relax = |q: usize, t_ns: f64, s: &mut Matrix| {
-        if !include_relaxation {
-            return;
-        }
-        let qc = &cal.qubits[q];
-        if let Some(kraus) = relaxation_kraus(t_ns, qc.t1_us, qc.t2_us) {
-            let embedded: Vec<Matrix> = kraus.iter().map(|k| embed_1q(k, loc(q), m)).collect();
-            *s = superop_from_kraus(&embedded).matmul(s);
-        }
-    };
-    match inst.qubits[..] {
-        [q] => {
-            let lambda = (cal.qubits[q].sx_error * 2.0).clamp(0.0, 1.0);
-            if lambda > 0.0 {
-                let embedded: Vec<Matrix> = dep1_kraus(lambda)
-                    .iter()
-                    .map(|k| embed_1q(k, loc(q), m))
-                    .collect();
-                s = superop_from_kraus(&embedded).matmul(&s);
+    let noise = cal.gate_noise(&inst.qubits);
+    if noise.lambda > 0.0 {
+        let kraus = match inst.qubits.len() {
+            1 => depolarizing_1q(noise.lambda),
+            _ => depolarizing_2q(noise.lambda),
+        };
+        s = apply_channel(kraus, &inst.qubits, &s);
+    }
+    if include_relaxation {
+        for &q in &inst.qubits {
+            let qc = &cal.qubits[q];
+            if noise.duration_ns <= 0.0 || qc.t1_us <= 0.0 || qc.t2_us <= 0.0 {
+                continue;
             }
-            relax(q, cal.qubits[q].sx_time_ns, &mut s);
+            let kraus = thermal_relaxation(noise.duration_ns, qc.t1_us, qc.t2_us);
+            s = apply_channel(kraus, &[q], &s);
         }
-        [a, b] => {
-            let ec = edge_cal(cal, a, b);
-            let lambda = (ec.cx_error * 4.0 / 3.0).clamp(0.0, 1.0);
-            if lambda > 0.0 {
-                let embedded: Vec<Matrix> = dep2_kraus(lambda)
-                    .iter()
-                    .map(|k| embed_2q(k, loc(a), loc(b), m))
-                    .collect();
-                s = superop_from_kraus(&embedded).matmul(&s);
-            }
-            relax(a, ec.cx_time_ns, &mut s);
-            relax(b, ec.cx_time_ns, &mut s);
-        }
-        _ => unreachable!("IR only holds 1- and 2-qubit gates"),
     }
     s
 }

@@ -453,15 +453,15 @@ impl CircuitDag {
     }
 
     /// Duration-weighted critical path in nanoseconds, using the
-    /// calibration's per-gate durations (`sx_time_ns` for 1q gates, the
-    /// edge's `cx_time_ns` — or the 400 ns lenient fallback for uncoupled
-    /// pairs, matching the simulator's noise model — for 2q gates).
-    /// Measurements weigh 0 (the calibration carries no readout duration).
+    /// calibration's per-gate durations ([`Calibration::gate_noise`], which
+    /// includes the lenient fallback for uncoupled pairs). A 1q gate on a
+    /// qubit the calibration does not cover weighs 0, as do measurements
+    /// (the calibration carries no readout duration).
     pub fn duration_critical_path(&self, cal: &Calibration) -> CriticalPath {
         self.critical_path(|node| match node {
             DagNode::Gate { inst, .. } => match inst.qubits.as_slice() {
-                [q] => cal.qubits.get(*q).map_or(0.0, |c| c.sx_time_ns),
-                [a, b] => cal.edge(*a, *b).map_or(400.0, |e| e.cx_time_ns),
+                [q] if *q >= cal.qubits.len() => 0.0,
+                qubits @ ([_] | [_, _]) => cal.gate_noise(qubits).duration_ns,
                 _ => 0.0,
             },
             DagNode::Measure { .. } => 0.0,

@@ -23,12 +23,11 @@
 //!   the operator-norm distance, hence on half the diamond distance of the
 //!   induced channels), an unmatched gate costs its distance to identity.
 //! * **Noise terms.** Every non-tier-1-discharged gate contributes its
-//!   half-diamond distance to the identity channel, mirroring
-//!   `qaprox_sim::NoiseModel` exactly: depolarizing strength
-//!   `lambda_1q = clamp(2 sx_error)` / `lambda_2q = clamp(4/3 cx_error)`
-//!   contributes `lambda`; thermal relaxation over the gate duration
-//!   contributes `(1 - s) + (1 - s^2)/2` per qubit-application, with `s` the
-//!   survival amplitude from [`crate::budget`].
+//!   half-diamond distance to the identity channel, for the noise the
+//!   simulator applies ([`qaprox_device::GateNoise`]): the depolarizing
+//!   strength contributes `lambda`; thermal relaxation over the gate
+//!   duration contributes `(1 - s) + (1 - s^2)/2` per qubit-application,
+//!   with `s` the survival amplitude from [`crate::budget`].
 //! * **Ideal cross-check.** For small widths the exact ideal-statevector TV
 //!   distance is computed too; `tv_ideal + noise_A + noise_B` is a second
 //!   sound upper bound (triangle inequality through the ideal circuits) and
@@ -39,7 +38,7 @@
 //! distributions, and stochastic maps contract total variation — so the
 //! bound is sound with or without readout and the checker ignores it.
 
-use crate::budget::{edge_cal, relaxation_survival};
+use crate::budget::relaxation_survival;
 use crate::circuit_lints::emit;
 use crate::config::{LintCode, LintConfig};
 use crate::diagnostics::{Location, Report, REPORT_SCHEMA_VERSION};
@@ -419,30 +418,22 @@ fn align_unitary(a: &[Instruction], b: &[Instruction]) -> f64 {
     d[m][n]
 }
 
-/// Half-diamond distance of one gate's noise block to the identity channel,
-/// with the exact `NoiseModel` parameters (see the module docs).
+/// Half-diamond distance of one gate's noise block to the identity channel:
+/// its [`GateNoise`](qaprox_device::GateNoise) depolarizing strength plus
+/// `(1 - s) + (1 - s^2)/2` per relaxing operand (see the module docs).
 fn gate_noise(cal: &Calibration, inst: &Instruction, include_relaxation: bool) -> f64 {
-    let relax = |t_ns: f64, q: usize| -> f64 {
+    let noise = cal.gate_noise(&inst.qubits);
+    let relax = |q: usize| -> f64 {
         if !include_relaxation {
             return 0.0;
         }
         let qc = &cal.qubits[q];
-        let s = relaxation_survival(t_ns, qc.t1_us, qc.t2_us);
+        let s = relaxation_survival(noise.duration_ns, qc.t1_us, qc.t2_us);
         (1.0 - s) + (1.0 - s * s) / 2.0
     };
-    match inst.qubits[..] {
-        [q] => {
-            let qc = &cal.qubits[q];
-            (qc.sx_error * 2.0).clamp(0.0, 1.0) + relax(qc.sx_time_ns, q)
-        }
-        [a, b] => {
-            let ec = edge_cal(cal, a, b);
-            (ec.cx_error * 4.0 / 3.0).clamp(0.0, 1.0)
-                + relax(ec.cx_time_ns, a)
-                + relax(ec.cx_time_ns, b)
-        }
-        _ => unreachable!("IR only holds 1- and 2-qubit gates"),
-    }
+    inst.qubits
+        .iter()
+        .fold(noise.lambda, |acc, &q| acc + relax(q))
 }
 
 /// Exact TV distance between the ideal output distributions.

@@ -1,8 +1,8 @@
 //! Parameter-sweep regression: every noise-channel constructor in
-//! `qaprox_sim::channels` must yield a trace-preserving (CPTP) Kraus set
+//! `qaprox_device::channels` must yield a trace-preserving (CPTP) Kraus set
 //! across its whole legal parameter range, as judged by the channel lints.
 
-use qaprox_sim::channels::{
+use qaprox_device::channels::{
     amplitude_damping, bit_flip, depolarizing_1q, depolarizing_2q, phase_damping, phase_flip,
     thermal_relaxation,
 };
