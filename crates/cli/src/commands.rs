@@ -987,9 +987,10 @@ fn cmd_equiv(args: &Args) -> Result<(), CliError> {
             .map_err(|_| format!("--epsilon: cannot parse '{raw}'"))?,
         None => 0.1,
     };
-    if epsilon.is_nan() || epsilon < 0.0 {
+    // an infinite epsilon would certify every pair, and JSON cannot carry it
+    if !epsilon.is_finite() || epsilon < 0.0 {
         return Err(CliError::Failure(format!(
-            "--epsilon: must be non-negative, got {epsilon}"
+            "--epsilon: must be finite and non-negative, got {epsilon}"
         )));
     }
     let ideal_max: usize = match args.options.get("ideal-max-qubits") {
@@ -1492,6 +1493,8 @@ mod tests {
         assert!(run(&["equiv", &a, &a, "--format", "yaml"]).is_err());
         assert!(run(&["equiv", &a, &a, "--epsilon", "abc"]).is_err());
         assert!(run(&["equiv", &a, &a, "--epsilon", "-1"]).is_err());
+        assert!(run(&["equiv", &a, &a, "--epsilon", "inf"]).is_err());
+        assert!(run(&["equiv", &a, &a, "--epsilon", "1e999"]).is_err());
         assert!(run(&["equiv", &a, &a, "--device", "nowhere"]).is_err());
         assert!(run(&["equiv", &a, "/nonexistent/b.qasm"]).is_err());
     }

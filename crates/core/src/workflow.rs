@@ -361,58 +361,6 @@ where
     })
 }
 
-/// How a bound-first execution pass spent its population.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct CertifyStats {
-    /// Candidates scored statically from the certified equivalence bound
-    /// (no backend call).
-    pub certified: usize,
-    /// Candidates the bound could not decide — executed on the backend.
-    pub simulated: usize,
-    /// Candidates dropped because they provably violate ε-equivalence.
-    pub rejected: usize,
-}
-
-/// Steps 4-5 with a static shortcut: every candidate first gets an O(gates)
-/// equivalence check against `reference` under `cal` (the QA5xx bound from
-/// `qaprox-verify`). Candidates **certified** within `epsilon` inherit the
-/// reference's own score padded by their certified bound — sound whenever
-/// `metric` is 1-Lipschitz in total-variation distance and `[0, 1]`-bounded
-/// (success probability is) — so only the *undecided* band ever touches the
-/// backend. Provably-violating candidates are dropped.
-pub fn execute_and_score_bound_first<F>(
-    population: &[ApproxCircuit],
-    reference: &Circuit,
-    cal: &qaprox_device::Calibration,
-    epsilon: f64,
-    backend: &Backend,
-    metric: F,
-) -> (Vec<Scored>, CertifyStats)
-where
-    F: Fn(&Circuit, &[f64]) -> f64 + Sync,
-{
-    let bands = qaprox_synth::partition_by_bound(population, reference, cal, epsilon);
-    let stats = CertifyStats {
-        certified: bands.certified.len(),
-        simulated: bands.undecided.len(),
-        rejected: bands.rejected.len(),
-    };
-    let mut scored = Vec::with_capacity(bands.certified.len() + bands.undecided.len());
-    if !bands.certified.is_empty() {
-        let ref_probs = backend.probabilities(reference, 0);
-        let ref_score = metric(reference, &ref_probs);
-        for (ap, bound) in &bands.certified {
-            scored.push(Scored {
-                cnots: ap.cnots,
-                hs_distance: ap.hs_distance,
-                score: qaprox_synth::certified_score(ref_score, *bound),
-            });
-        }
-    }
-    scored.extend(execute_and_score(&bands.undecided, backend, metric));
-    (scored, stats)
-}
-
 /// Convenience: verify a recorded population against its target (sanity
 /// check used by tests and the experiment harness).
 pub fn verify_population(population: &Population, target: &Matrix, tol: f64) -> bool {
@@ -668,43 +616,6 @@ mod tests {
             "a fully credited budget leaves nothing to explore"
         );
         assert_eq!(gen.population.circuits.len(), full.circuits.len());
-    }
-
-    #[test]
-    fn bound_first_execution_skips_certified_candidates() {
-        let reference = ghz_reference();
-        let mut cal = qaprox_device::devices::ourense()
-            .induced(&[0, 1])
-            .with_uniform_cx_error(0.0);
-        for q in &mut cal.qubits {
-            q.sx_error = 0.05;
-            q.t1_us = 1e9;
-            q.t2_us = 1e9;
-        }
-        let same = ApproxCircuit::new(ghz_reference(), 0.0);
-        let mut nudged = ghz_reference();
-        nudged.ry(0.2, 0);
-        let nudged = ApproxCircuit::new(nudged, 0.01);
-        let mut far = Circuit::new(2);
-        far.x(0);
-        let far = ApproxCircuit::new(far, 0.9);
-        let pop = vec![same, nudged, far];
-        // P(|00>) — bounded and 1-Lipschitz in TV, so certified inheritance
-        // is sound
-        let metric = |_: &Circuit, p: &[f64]| p[0];
-        let (scored, stats) =
-            execute_and_score_bound_first(&pop, &reference, &cal, 0.05, &Backend::Ideal, metric);
-        assert_eq!(
-            stats,
-            CertifyStats {
-                certified: 1,
-                simulated: 1,
-                rejected: 1
-            }
-        );
-        assert_eq!(scored.len(), 2);
-        // the certified copy inherits the reference's exact score (bound 0)
-        assert!((scored[0].score - 0.5).abs() < 1e-12);
     }
 
     #[test]

@@ -1,11 +1,14 @@
 //! A minimal JSON value, parser, and serializer.
 //!
-//! The workspace builds offline with zero external dependencies, so the
-//! store's manifests and the `qaprox-serve` wire protocol share this
-//! hand-rolled implementation. It covers exactly what those producers emit:
-//! objects (insertion-ordered), arrays, strings with standard escapes,
-//! finite numbers, booleans, and null. Non-finite numbers serialize as
-//! `null` (JSON has no NaN/Infinity).
+//! The workspace builds offline with zero external dependencies, so every
+//! JSON document it writes goes through this hand-rolled implementation:
+//! `qaprox-store`'s manifests (which re-exports this module as
+//! `qaprox_store::json`), `qaprox-serve`'s wire protocol and journal, and
+//! `qaprox-verify`'s lint, analysis and equivalence reports. It covers
+//! exactly what those producers emit: objects (insertion-ordered), arrays,
+//! strings with standard escapes, finite numbers, booleans, and null.
+//! Non-finite numbers serialize as `null` (JSON has no NaN/Infinity), and
+//! the parser rejects a number literal that overflows to infinity.
 
 use std::fmt::Write as _;
 
@@ -433,9 +436,12 @@ impl<'a> Parser<'a> {
             }
         }
         let text = std::str::from_utf8(&self.bytes[start..self.pos]).unwrap();
-        text.parse::<f64>()
-            .map(Json::Num)
-            .map_err(|_| self.err(format!("bad number '{text}'")))
+        // a literal past f64's range parses to ±inf, which the writer could
+        // only render as null
+        match text.parse::<f64>() {
+            Ok(v) if v.is_finite() => Ok(Json::Num(v)),
+            _ => Err(self.err(format!("bad number '{text}'"))),
+        }
     }
 }
 
@@ -470,6 +476,7 @@ mod tests {
             1.0 / 3.0,
             std::f64::consts::PI,
             1e300,
+            1e308,
             -2.2250738585072014e-308,
             123_456_789.123_456_79,
         ] {
@@ -514,6 +521,9 @@ mod tests {
             "nul",
             "[1 2]",
             "\"\\q\"",
+            // past f64's range: parses to ±inf, which JSON cannot carry
+            "1e999",
+            "-1e999",
         ] {
             assert!(parse(bad).is_err(), "should reject {bad:?}");
         }
@@ -544,8 +554,13 @@ mod tests {
 
     #[test]
     fn control_characters_escape() {
-        let v = Json::Str("\u{01}x".into());
-        assert_eq!(v.to_string(), "\"\\u0001x\"");
-        assert_eq!(parse(&v.to_string()).unwrap(), v);
+        for (raw, text) in [
+            ("\u{01}x", "\"\\u0001x\""),
+            ("a\"b\\c\nd", "\"a\\\"b\\\\c\\nd\""),
+        ] {
+            let v = Json::Str(raw.into());
+            assert_eq!(v.to_string(), text);
+            assert_eq!(parse(&v.to_string()).unwrap(), v);
+        }
     }
 }

@@ -23,6 +23,8 @@
 //!   serial at a thread budget of 1;
 //! * [`simd`] — runtime-dispatched AVX2 amplitude kernels, bit-identical to
 //!   the scalar fallback (`QAPROX_SIMD=0` forces scalar).
+//! * [`json`] — the workspace's one JSON value, parser and writer (store
+//!   manifests, serve's wire protocol and journal, verify's reports).
 
 #![warn(missing_docs)]
 
@@ -31,6 +33,7 @@ pub mod decomp;
 pub mod eigh;
 pub mod expm;
 pub mod hashing;
+pub mod json;
 pub mod kernels;
 pub mod matrix;
 pub mod parallel;

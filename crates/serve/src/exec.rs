@@ -674,13 +674,12 @@ pub fn run_spec(
                     .count();
                 // the reference circuit's static analysis rides along with
                 // every run result (cached ones included — it's O(gates))
-                let analysis_report = qaprox_verify::analyze(
+                let analysis = qaprox_verify::analyze(
                     &r.reference_circuit()?,
                     &r.calibration()?,
                     &Default::default(),
-                );
-                let analysis = qaprox_store::json::parse(&analysis_report.to_json())
-                    .map_err(|e| e.to_string())?;
+                )
+                .to_json_value();
                 let mut fields = vec![
                     ("kind".to_string(), Json::Str("run".into())),
                     ("key".to_string(), Json::Str(out.key.hex())),
@@ -780,8 +779,8 @@ pub fn degraded_payload(store: Option<&Store>, spec: &JobSpec, error: &str) -> O
         JobSpec::Run(r) => {
             let reference = r.reference_circuit().ok()?;
             let cal = r.calibration().ok()?;
-            let report = qaprox_verify::analyze(&reference, &cal, &Default::default());
-            let analysis = qaprox_store::json::parse(&report.to_json()).ok()?;
+            let analysis =
+                qaprox_verify::analyze(&reference, &cal, &Default::default()).to_json_value();
             // never form the target unitary at wide widths: the degraded
             // answer there is the O(gates) prediction, standing alone
             let fallback = if r.is_wide() {

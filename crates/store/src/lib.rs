@@ -19,15 +19,16 @@
 //! * [`Store`] — the on-disk store itself: atomic writes, corruption
 //!   detection on load, persistent hit/miss counters, and LRU [`Store::gc`].
 //!
-//! The JSON machinery is hand-rolled ([`json`]) to keep the workspace
-//! zero-external-dependency; `qaprox-serve` reuses it for its wire protocol.
+//! The JSON machinery is hand-rolled to keep the workspace
+//! zero-external-dependency. It lives in [`qaprox_linalg::json`] and is
+//! re-exported here as [`json`]: the manifests, `qaprox-serve`'s wire
+//! protocol and journal, and `qaprox-verify`'s reports all write through it.
 
 pub mod artifact;
-pub mod json;
 pub mod key;
 pub mod store;
 
 pub use artifact::{DecodeError, PartialCheckpoint, PopulationArtifact, ResultArtifact, ResultRow};
-pub use json::Json;
 pub use key::{population_key, result_key, Key};
+pub use qaprox_linalg::json::{self, Json};
 pub use store::{GcReport, Stats, Store, StoreError};

@@ -87,95 +87,6 @@ pub fn admit(candidate: &ApproxCircuit) -> Result<(), String> {
     }
 }
 
-/// Device-aware admission: [`admit`] plus a static ε-equivalence proof
-/// attempt against the reference circuit under the given calibration.
-///
-/// A candidate whose certified *lower* bound already exceeds `epsilon`
-/// (QA501: the pair is provably farther apart than requested, even before
-/// noise) is rejected without ever running a simulator. Candidates that
-/// certify or stay undecidable are admitted — the equivalence report is
-/// returned so callers can partition on it (see [`partition_by_bound`]).
-pub fn admit_on_device(
-    candidate: &ApproxCircuit,
-    reference: &Circuit,
-    cal: &qaprox_device::Calibration,
-    epsilon: f64,
-) -> Result<qaprox_verify::EquivReport, String> {
-    admit(candidate)?;
-    let opts = qaprox_verify::EquivOptions {
-        epsilon,
-        ..qaprox_verify::EquivOptions::default()
-    };
-    let report = qaprox_verify::check_equivalence(&candidate.circuit, reference, cal, &opts);
-    if report.verdict == qaprox_verify::EquivVerdict::Violated {
-        Err(format!(
-            "candidate provably violates {epsilon}-equivalence with the reference \
-             (certified lower bound {:.3e})",
-            report.lower_bound
-        ))
-    } else {
-        Ok(report)
-    }
-}
-
-/// Bound-first split of a candidate population for pre-ranking.
-///
-/// Every candidate gets one O(gates) equivalence check against `reference`;
-/// the result routes it into one of three bands:
-///
-/// * **certified** — the static bound proves the candidate within `epsilon`
-///   of the reference *including device noise*; paired with its certified
-///   upper bound so callers can score it as `reference_score + bound`
-///   without simulating;
-/// * **undecided** — the bound is too loose to decide either way; these are
-///   the only candidates that still need a density-matrix evaluation;
-/// * **rejected** — provably violates `epsilon` (or fails [`admit`]).
-pub struct BoundPartition {
-    /// Candidates certified ε-equivalent, with their certified upper bound.
-    pub certified: Vec<(ApproxCircuit, f64)>,
-    /// Candidates the static bound could not decide — simulate these.
-    pub undecided: Vec<ApproxCircuit>,
-    /// Candidates provably outside ε (or structurally defective).
-    pub rejected: Vec<ApproxCircuit>,
-}
-
-/// Partitions `circuits` by the certified equivalence bound against
-/// `reference` (see [`BoundPartition`]). The intended use is synthesis
-/// pre-ranking: score certified candidates statically and run the O(4^n)
-/// simulator only on the undecided band.
-pub fn partition_by_bound(
-    circuits: &[ApproxCircuit],
-    reference: &Circuit,
-    cal: &qaprox_device::Calibration,
-    epsilon: f64,
-) -> BoundPartition {
-    let mut out = BoundPartition {
-        certified: Vec::new(),
-        undecided: Vec::new(),
-        rejected: Vec::new(),
-    };
-    for c in circuits {
-        match admit_on_device(c, reference, cal, epsilon) {
-            Err(_) => out.rejected.push(c.clone()),
-            Ok(report) => match report.verdict {
-                qaprox_verify::EquivVerdict::Equivalent => {
-                    out.certified.push((c.clone(), report.bound));
-                }
-                _ => out.undecided.push(c.clone()),
-            },
-        }
-    }
-    out
-}
-
-/// Score for a certified candidate given the reference circuit's own score:
-/// the candidate's output distribution sits within `bound` (total variation)
-/// of the reference's, so its score differs by at most that much. Clamped
-/// to `[0, 1]`.
-pub fn certified_score(reference_score: f64, bound: f64) -> f64 {
-    (reference_score + bound).clamp(0.0, 1.0)
-}
-
 /// Keeps circuits with `hs_distance <= max_hs` — the paper's selection rule
 /// — after dropping any candidate that fails [`admit`].
 pub fn select_by_threshold(circuits: &[ApproxCircuit], max_hs: f64) -> Vec<ApproxCircuit> {
@@ -285,75 +196,6 @@ mod tests {
         assert_eq!(select_by_threshold(&pop, 0.1).len(), 1);
         // a clean candidate passes
         assert!(admit(&fake(2, 0.0)).is_ok());
-    }
-
-    /// Calibration with hand-picked error rates so band routing is exact:
-    /// zero CX error, zero relaxation, 5% sx error per single-qubit gate.
-    fn bench_cal() -> qaprox_device::Calibration {
-        let mut cal = qaprox_device::devices::ourense()
-            .induced(&[0, 1])
-            .with_uniform_cx_error(0.0);
-        for q in &mut cal.qubits {
-            q.sx_error = 0.05;
-            q.t1_us = 1e9;
-            q.t2_us = 1e9;
-        }
-        cal
-    }
-
-    fn bell() -> Circuit {
-        let mut c = Circuit::new(2);
-        c.h(0).cx(0, 1);
-        c
-    }
-
-    #[test]
-    fn device_admission_certifies_identity_and_rejects_violations() {
-        let cal = bench_cal();
-        let reference = bell();
-        // identical candidate: whole pair discharges, certified at bound 0
-        let same = ApproxCircuit::new(bell(), 0.0);
-        let report = admit_on_device(&same, &reference, &cal, 0.05).unwrap();
-        assert_eq!(report.verdict, qaprox_verify::EquivVerdict::Equivalent);
-        assert!(report.bound < 1e-12);
-        // a lone X gate is provably ~1.0 away from the Bell pair in TV,
-        // far beyond what device noise could explain: hard rejection
-        let mut far = Circuit::new(2);
-        far.x(0);
-        let err =
-            admit_on_device(&ApproxCircuit::new(far, 0.0), &reference, &cal, 0.05).unwrap_err();
-        assert!(err.contains("violates"), "unexpected message: {err}");
-    }
-
-    #[test]
-    fn partition_by_bound_routes_three_bands() {
-        let cal = bench_cal();
-        let reference = bell();
-        let same = ApproxCircuit::new(bell(), 0.0);
-        let mut nudged = bell();
-        nudged.ry(0.2, 0); // tiny TV shift, but noise keeps the bound loose
-        let nudged = ApproxCircuit::new(nudged, 0.01);
-        let mut far = Circuit::new(2);
-        far.x(0);
-        let far = ApproxCircuit::new(far, 0.9);
-        let pop = vec![same, nudged, far];
-        let bands = partition_by_bound(&pop, &reference, &cal, 0.05);
-        assert_eq!(bands.certified.len(), 1, "identical candidate certifies");
-        assert!(bands.certified[0].1 < 1e-12);
-        assert_eq!(
-            bands.undecided.len(),
-            1,
-            "nudged candidate needs simulation"
-        );
-        assert_eq!(bands.rejected.len(), 1, "distant candidate is rejected");
-        assert_eq!(bands.rejected[0].circuit.len(), 1);
-    }
-
-    #[test]
-    fn certified_score_clamps() {
-        assert!((certified_score(0.9, 0.05) - 0.95).abs() < 1e-12);
-        assert!((certified_score(0.99, 0.2) - 1.0).abs() < 1e-12);
-        assert!((certified_score(0.5, 0.0) - 0.5).abs() < 1e-12);
     }
 
     #[test]

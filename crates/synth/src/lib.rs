@@ -31,9 +31,8 @@ pub mod qsearch;
 pub mod template;
 
 pub use approx::{
-    admit, admit_on_device, best_per_cnot_count, certified_score, dedupe, partition_by_bound,
-    predicted_score, rank_by_predicted, select_by_threshold, ApproxCircuit, BoundPartition,
-    SynthStats, SynthesisOutput,
+    admit, best_per_cnot_count, dedupe, predicted_score, rank_by_predicted, select_by_threshold,
+    ApproxCircuit, SynthStats, SynthesisOutput,
 };
 pub use hooks::{ProgressFn, SearchHooks};
 pub use instantiate::{

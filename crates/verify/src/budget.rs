@@ -37,6 +37,7 @@ use crate::diagnostics::{Location, Report, REPORT_SCHEMA_VERSION};
 use qaprox_circuit::Circuit;
 use qaprox_device::channels::relaxation_params;
 use qaprox_device::Calibration;
+use qaprox_linalg::json::Json;
 
 /// Knobs for [`analyze`]. The defaults match `NoiseModel::from_calibration`
 /// (relaxation and readout both on, no thresholds).
@@ -149,39 +150,42 @@ impl AnalysisReport {
         out
     }
 
-    /// JSON rendering (hand-rolled, same `schema_version` convention as the
-    /// lint reports).
+    /// The report as a JSON object, with the same `schema_version`
+    /// convention as the lint reports and the findings as
+    /// [`Report::to_json_value`].
+    pub fn to_json_value(&self) -> Json {
+        let budgets = self
+            .qubit_budgets
+            .iter()
+            .map(|b| {
+                Json::obj(vec![
+                    ("qubit", Json::Num(b.qubit as f64)),
+                    ("gates", Json::Num(b.gates as f64)),
+                    ("survival", Json::Num(b.survival)),
+                    ("readout_error", Json::Num(b.readout_error)),
+                ])
+            })
+            .collect();
+        Json::obj(vec![
+            ("schema_version", Json::Num(REPORT_SCHEMA_VERSION.into())),
+            ("machine", Json::Str(self.machine.clone())),
+            ("num_qubits", Json::Num(self.num_qubits as f64)),
+            ("gate_count", Json::Num(self.gate_count as f64)),
+            ("cnot_cost", Json::Num(self.cnot_cost as f64)),
+            ("depth", Json::Num(self.depth as f64)),
+            ("cnot_critical_path", Json::Num(self.cnot_critical_path)),
+            ("duration_ns", Json::Num(self.duration_ns)),
+            ("fidelity_bound", Json::Num(self.fidelity_bound)),
+            ("esp", Json::Num(self.esp)),
+            ("readout_survival", Json::Num(self.readout_survival)),
+            ("qubit_budgets", Json::Arr(budgets)),
+            ("findings", self.findings.to_json_value()),
+        ])
+    }
+
+    /// [`AnalysisReport::to_json_value`] as one line of JSON text.
     pub fn to_json(&self) -> String {
-        let mut out = String::from("{");
-        out.push_str(&format!(
-            "\"schema_version\":{REPORT_SCHEMA_VERSION},\"machine\":\"{}\",\"num_qubits\":{},\
-             \"gate_count\":{},\"cnot_cost\":{},\"depth\":{},\"cnot_critical_path\":{},\
-             \"duration_ns\":{},\"fidelity_bound\":{},\"esp\":{},\"readout_survival\":{},",
-            self.machine,
-            self.num_qubits,
-            self.gate_count,
-            self.cnot_cost,
-            self.depth,
-            self.cnot_critical_path,
-            self.duration_ns,
-            self.fidelity_bound,
-            self.esp,
-            self.readout_survival
-        ));
-        out.push_str("\"qubit_budgets\":[");
-        for (i, b) in self.qubit_budgets.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!(
-                "{{\"qubit\":{},\"gates\":{},\"survival\":{},\"readout_error\":{}}}",
-                b.qubit, b.gates, b.survival, b.readout_error
-            ));
-        }
-        out.push_str("],\"findings\":");
-        out.push_str(&self.findings.to_json());
-        out.push('}');
-        out
+        self.to_json_value().to_string()
     }
 
     /// Canonical fingerprint for store keys: circuits whose predicted

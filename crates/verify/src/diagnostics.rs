@@ -2,6 +2,7 @@
 //! source location, and human-readable message, plus text and JSON renderers
 //! so both the CLI and CI can consume lint output.
 
+use qaprox_linalg::json::Json;
 use std::fmt;
 
 /// How serious a finding is. Derived from the configured [`LintLevel`] of the
@@ -160,48 +161,34 @@ impl Report {
         out
     }
 
-    /// Renders the report as a JSON object (hand-rolled; the workspace has no
-    /// serde): `{"schema_version": V, "errors": N, "warnings": N,
-    /// "diagnostics": [...]}`.
-    pub fn to_json(&self) -> String {
-        let mut out = String::from("{");
-        out.push_str(&format!(
-            "\"schema_version\":{REPORT_SCHEMA_VERSION},\"errors\":{},\"warnings\":{},\"diagnostics\":[",
-            self.error_count(),
-            self.warning_count()
-        ));
-        for (i, d) in self.diagnostics.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!(
-                "{{\"code\":\"{}\",\"severity\":\"{}\",\"location\":\"{}\",\"message\":\"{}\"}}",
-                d.code,
-                d.severity,
-                json_escape(&d.location.to_string()),
-                json_escape(&d.message)
-            ));
-        }
-        out.push_str("]}");
-        out
+    /// The report as a JSON object: `{"schema_version": V, "errors": N,
+    /// "warnings": N, "diagnostics": [{"code", "severity", "location",
+    /// "message"}, ...]}`.
+    pub fn to_json_value(&self) -> Json {
+        let diagnostics = self
+            .diagnostics
+            .iter()
+            .map(|d| {
+                Json::obj(vec![
+                    ("code", Json::Str(d.code.to_string())),
+                    ("severity", Json::Str(d.severity.as_str().to_string())),
+                    ("location", Json::Str(d.location.to_string())),
+                    ("message", Json::Str(d.message.clone())),
+                ])
+            })
+            .collect();
+        Json::obj(vec![
+            ("schema_version", Json::Num(REPORT_SCHEMA_VERSION.into())),
+            ("errors", Json::Num(self.error_count() as f64)),
+            ("warnings", Json::Num(self.warning_count() as f64)),
+            ("diagnostics", Json::Arr(diagnostics)),
+        ])
     }
-}
 
-/// Escapes a string for embedding in a JSON literal.
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
+    /// [`Report::to_json_value`] as one line of JSON text.
+    pub fn to_json(&self) -> String {
+        self.to_json_value().to_string()
     }
-    out
 }
 
 #[cfg(test)]
@@ -251,11 +238,6 @@ mod tests {
         assert!(json.contains("\"code\":\"QA101\""));
         // no raw newlines or unescaped quotes inside
         assert!(!json.contains('\n'));
-    }
-
-    #[test]
-    fn json_escapes_special_characters() {
-        assert_eq!(json_escape("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
     }
 
     #[test]

@@ -44,6 +44,7 @@ use crate::config::{LintCode, LintConfig};
 use crate::diagnostics::{Location, Report, REPORT_SCHEMA_VERSION};
 use qaprox_circuit::{commutes, Circuit, Instruction};
 use qaprox_device::Calibration;
+use qaprox_linalg::json::Json;
 use qaprox_linalg::Matrix;
 
 /// Knobs for [`check_equivalence`].
@@ -194,47 +195,44 @@ impl EquivReport {
         out
     }
 
-    /// JSON rendering (hand-rolled, same `schema_version` convention as the
-    /// lint reports).
+    /// The report as a JSON object, with the same `schema_version`
+    /// convention as the lint reports; an absent `ideal_tv` or
+    /// `reorder_noise` is `null`.
+    pub fn to_json_value(&self) -> Json {
+        let opt = |v: Option<f64>| v.map_or(Json::Null, Json::Num);
+        Json::obj(vec![
+            ("schema_version", Json::Num(REPORT_SCHEMA_VERSION.into())),
+            ("machine", Json::Str(self.machine.clone())),
+            ("num_qubits", Json::Num(self.num_qubits as f64)),
+            ("epsilon", Json::Num(self.epsilon)),
+            ("gates_a", Json::Num(self.gates_a as f64)),
+            ("gates_b", Json::Num(self.gates_b as f64)),
+            ("discharged_noisy", Json::Num(self.discharged_noisy as f64)),
+            (
+                "discharged_unitary",
+                Json::Num(self.discharged_unitary as f64),
+            ),
+            ("d_unitary", Json::Num(self.d_unitary)),
+            ("noise_residual_a", Json::Num(self.noise_residual_a)),
+            ("noise_residual_b", Json::Num(self.noise_residual_b)),
+            ("noise_full_a", Json::Num(self.noise_full_a)),
+            ("noise_full_b", Json::Num(self.noise_full_b)),
+            ("ideal_tv", opt(self.ideal_tv)),
+            (
+                "commutation_equivalent",
+                Json::Bool(self.commutation_equivalent),
+            ),
+            ("reorder_noise", opt(self.reorder_noise)),
+            ("bound", Json::Num(self.bound)),
+            ("lower_bound", Json::Num(self.lower_bound)),
+            ("verdict", Json::Str(self.verdict.as_str().to_string())),
+            ("findings", self.findings.to_json_value()),
+        ])
+    }
+
+    /// [`EquivReport::to_json_value`] as one line of JSON text.
     pub fn to_json(&self) -> String {
-        let ideal = match self.ideal_tv {
-            Some(tv) => format!("{tv}"),
-            None => "null".to_string(),
-        };
-        let reorder = match self.reorder_noise {
-            Some(c) => format!("{c}"),
-            None => "null".to_string(),
-        };
-        let mut out = String::from("{");
-        out.push_str(&format!(
-            "\"schema_version\":{REPORT_SCHEMA_VERSION},\"machine\":\"{}\",\"num_qubits\":{},\
-             \"epsilon\":{},\"gates_a\":{},\"gates_b\":{},\"discharged_noisy\":{},\
-             \"discharged_unitary\":{},\"d_unitary\":{},\"noise_residual_a\":{},\
-             \"noise_residual_b\":{},\"noise_full_a\":{},\"noise_full_b\":{},\"ideal_tv\":{},\
-             \"commutation_equivalent\":{},\"reorder_noise\":{},\
-             \"bound\":{},\"lower_bound\":{},\"verdict\":\"{}\",\"findings\":",
-            self.machine,
-            self.num_qubits,
-            self.epsilon,
-            self.gates_a,
-            self.gates_b,
-            self.discharged_noisy,
-            self.discharged_unitary,
-            self.d_unitary,
-            self.noise_residual_a,
-            self.noise_residual_b,
-            self.noise_full_a,
-            self.noise_full_b,
-            ideal,
-            self.commutation_equivalent,
-            reorder,
-            self.bound,
-            self.lower_bound,
-            self.verdict.as_str()
-        ));
-        out.push_str(&self.findings.to_json());
-        out.push('}');
-        out
+        self.to_json_value().to_string()
     }
 
     /// Canonical fingerprint for store keys and certified result payloads.
