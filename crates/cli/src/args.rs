@@ -58,13 +58,28 @@ pub fn parse<I: IntoIterator<Item = String>>(argv: I) -> Result<Args, String> {
 }
 
 impl Args {
+    /// Typed lookup of an optional option: `None` when absent.
+    pub fn get<T: std::str::FromStr>(&self, key: &str) -> Result<Option<T>, String> {
+        self.options
+            .get(key)
+            .map(|raw| {
+                raw.parse()
+                    .map_err(|_| format!("--{key}: cannot parse '{raw}'"))
+            })
+            .transpose()
+    }
+
     /// Typed option lookup with a default.
     pub fn get_or<T: std::str::FromStr>(&self, key: &str, default: T) -> Result<T, String> {
-        match self.options.get(key) {
-            None => Ok(default),
-            Some(raw) => raw
-                .parse()
-                .map_err(|_| format!("option --{key}: cannot parse '{raw}'")),
+        Ok(self.get(key)?.unwrap_or(default))
+    }
+
+    /// `--format text|json` (default text): true for json.
+    pub fn json_format(&self) -> Result<bool, String> {
+        match self.options.get("format").map_or("text", String::as_str) {
+            "text" => Ok(false),
+            "json" => Ok(true),
+            other => Err(format!("--format: expected text|json, got '{other}'")),
         }
     }
 
@@ -110,7 +125,32 @@ mod tests {
     fn rejects_duplicates_and_bad_values() {
         assert!(of(&["run", "--n", "1", "--n", "2"]).is_err());
         let a = of(&["run", "--n", "abc"]).unwrap();
-        assert!(a.get_or("n", 0usize).is_err());
+        assert_eq!(
+            a.get_or("n", 0usize).unwrap_err(),
+            "--n: cannot parse 'abc'"
+        );
+        // an optional flag: absent is None, present parses, bad is an error
+        // with the same wording
+        assert_eq!(a.get::<f64>("epsilon").unwrap(), None);
+        let b = of(&["run", "--epsilon", "0.25", "--shots", "many"]).unwrap();
+        assert_eq!(b.get::<f64>("epsilon").unwrap(), Some(0.25));
+        assert_eq!(
+            b.get::<usize>("shots").unwrap_err(),
+            "--shots: cannot parse 'many'"
+        );
+        // --format takes text or json only
+        assert!(!a.json_format().unwrap());
+        assert!(of(&["lint", "--format", "json"])
+            .unwrap()
+            .json_format()
+            .unwrap());
+        assert_eq!(
+            of(&["lint", "--format", "xml"])
+                .unwrap()
+                .json_format()
+                .unwrap_err(),
+            "--format: expected text|json, got 'xml'"
+        );
     }
 
     #[test]

@@ -191,10 +191,7 @@ pub fn dispatch(args: &Args) -> Result<(), CliError> {
 
 /// Applies the global `--jobs N` thread cap before any computation starts.
 fn apply_jobs(args: &Args) -> Result<(), String> {
-    if let Some(raw) = args.options.get("jobs") {
-        let n: usize = raw
-            .parse()
-            .map_err(|_| format!("--jobs: cannot parse '{raw}'"))?;
+    if let Some(n) = args.get::<usize>("jobs")? {
         if n == 0 {
             return Err("--jobs must be at least 1".into());
         }
@@ -231,38 +228,19 @@ fn synth_spec_from(args: &Args) -> Result<SynthSpec, String> {
         seed: args.get_or("seed", d.seed)?,
         // a client-side freshness TTL, honored by the service scheduler
         // (expired jobs are shed before dispatch); local runs ignore it
-        deadline_ms: match args.options.get("deadline-ms") {
-            Some(raw) => Some(
-                raw.parse()
-                    .map_err(|_| format!("--deadline-ms: cannot parse '{raw}'"))?,
-            ),
-            None => None,
-        },
+        deadline_ms: args.get("deadline-ms")?,
     })
 }
 
 /// Builds a [`RunSpec`] from the synth options plus the backend options.
 fn run_spec_from(args: &Args) -> Result<RunSpec, String> {
     let d = RunSpec::default();
-    let cx_error = match args.options.get("cx-error") {
-        Some(raw) => Some(
-            raw.parse()
-                .map_err(|_| format!("--cx-error: cannot parse '{raw}'"))?,
-        ),
-        None => None,
-    };
-    let epsilon = match args.options.get("epsilon") {
-        Some(raw) => {
-            let eps: f64 = raw
-                .parse()
-                .map_err(|_| format!("--epsilon: cannot parse '{raw}'"))?;
-            if eps.is_nan() || eps < 0.0 {
-                return Err(format!("--epsilon: must be non-negative, got {eps}"));
-            }
-            Some(eps)
+    let epsilon: Option<f64> = args.get("epsilon")?;
+    if let Some(eps) = epsilon {
+        if eps.is_nan() || eps < 0.0 {
+            return Err(format!("--epsilon: must be non-negative, got {eps}"));
         }
-        None => None,
-    };
+    }
     // --backend wins over the QAPROX_BACKEND env (mirrors --store/QAPROX_STORE)
     let backend = match args.options.get("backend") {
         Some(b) => Some(b.clone()),
@@ -270,21 +248,14 @@ fn run_spec_from(args: &Args) -> Result<RunSpec, String> {
             .ok()
             .filter(|b| !b.is_empty()),
     };
-    let shots = match args.options.get("shots") {
-        Some(raw) => Some(
-            raw.parse()
-                .map_err(|_| format!("--shots: cannot parse '{raw}'"))?,
-        ),
-        None => None,
-    };
     Ok(RunSpec {
         synth: synth_spec_from(args)?,
         device: args.str_or("device", &d.device),
-        cx_error,
+        cx_error: args.get("cx-error")?,
         hardware: args.flag("hardware"),
         job_seed: args.get_or("job-seed", d.job_seed)?,
         backend,
-        shots,
+        shots: args.get("shots")?,
         epsilon,
     })
 }
@@ -417,37 +388,17 @@ fn cmd_serve(args: &Args) -> Result<(), String> {
     let scheduler = SchedulerConfig {
         workers,
         queue_capacity: args.get_or("queue", d.queue_capacity)?,
-        job_timeout: match args.options.get("timeout-secs") {
-            Some(raw) => {
-                Some(Duration::from_secs(raw.parse().map_err(|_| {
-                    format!("--timeout-secs: cannot parse '{raw}'")
-                })?))
-            }
-            None => None,
-        },
+        job_timeout: args.get("timeout-secs")?.map(Duration::from_secs),
         checkpoint_every: d.checkpoint_every,
         journal_dir: args.options.get("journal").map(std::path::PathBuf::from),
         retry: d.retry,
         breaker: d.breaker,
         admission: qaprox_serve::AdmissionConfig {
-            max_queued_cost: match args.options.get("max-queued-cost") {
-                Some(raw) => Some(
-                    raw.parse()
-                        .map_err(|_| format!("--max-queued-cost: cannot parse '{raw}'"))?,
-                ),
-                None => None,
-            },
+            max_queued_cost: args.get("max-queued-cost")?,
             ..Default::default()
         },
         watchdog: qaprox_serve::WatchdogConfig {
-            stall_timeout: match args.options.get("stall-timeout-secs") {
-                Some(raw) => {
-                    Some(Duration::from_secs(raw.parse().map_err(|_| {
-                        format!("--stall-timeout-secs: cannot parse '{raw}'")
-                    })?))
-                }
-                None => None,
-            },
+            stall_timeout: args.get("stall-timeout-secs")?.map(Duration::from_secs),
             ..Default::default()
         },
     };
@@ -590,13 +541,9 @@ fn cmd_store(args: &Args) -> Result<(), String> {
             Ok(())
         }
         Some("gc") => {
-            let raw = args
-                .options
-                .get("max-bytes")
+            let max_bytes: u64 = args
+                .get("max-bytes")?
                 .ok_or("store gc needs --max-bytes N")?;
-            let max_bytes: u64 = raw
-                .parse()
-                .map_err(|_| format!("--max-bytes: cannot parse '{raw}'"))?;
             let report = store.gc(max_bytes).map_err(|e| e.to_string())?;
             println!("evicted,reclaimed_bytes,remaining_bytes");
             println!(
@@ -718,12 +665,7 @@ fn cmd_lint(args: &Args) -> Result<(), CliError> {
         ));
     }
     let cfg = lint_config_from(args)?;
-    let format = args.str_or("format", "text");
-    if !matches!(format.as_str(), "text" | "json") {
-        return Err(CliError::Failure(format!(
-            "--format: expected text|json, got '{format}'"
-        )));
-    }
+    let json = args.json_format()?;
     let calibration = match args.options.get("device") {
         Some(name) => {
             Some(devices::by_name(name).ok_or_else(|| format!("unknown device '{name}'"))?)
@@ -749,12 +691,11 @@ fn cmd_lint(args: &Args) -> Result<(), CliError> {
             report.extend(qaprox_verify::lint_calibration(cal, &cfg));
         }
         total_errors += report.error_count();
-        match format.as_str() {
-            "json" => println!("{}", report.to_json()),
-            _ => {
-                println!("# {path}");
-                print!("{}", report.to_text());
-            }
+        if json {
+            println!("{}", report.to_json());
+        } else {
+            println!("# {path}");
+            print!("{}", report.to_text());
         }
     }
     if total_errors > 0 {
@@ -769,20 +710,11 @@ fn cmd_lint(args: &Args) -> Result<(), CliError> {
 /// Builds [`AnalyzeOptions`](qaprox_verify::AnalyzeOptions) from the
 /// `--no-relaxation/--no-readout/--min-fidelity/--min-qubit-fidelity` flags.
 fn analyze_options_from(args: &Args) -> Result<qaprox_verify::AnalyzeOptions, String> {
-    let threshold = |key: &str| -> Result<Option<f64>, String> {
-        match args.options.get(key) {
-            Some(raw) => raw
-                .parse()
-                .map(Some)
-                .map_err(|_| format!("--{key}: cannot parse '{raw}'")),
-            None => Ok(None),
-        }
-    };
     Ok(qaprox_verify::AnalyzeOptions {
         include_relaxation: !args.flag("no-relaxation"),
         include_readout: !args.flag("no-readout"),
-        min_fidelity: threshold("min-fidelity")?,
-        min_qubit_fidelity: threshold("min-qubit-fidelity")?,
+        min_fidelity: args.get("min-fidelity")?,
+        min_qubit_fidelity: args.get("min-qubit-fidelity")?,
     })
 }
 
@@ -794,12 +726,7 @@ fn analyze_options_from(args: &Args) -> Result<qaprox_verify::AnalyzeOptions, St
 fn cmd_analyze(args: &Args) -> Result<(), CliError> {
     let cfg = lint_config_from(args)?;
     let opts = analyze_options_from(args)?;
-    let format = args.str_or("format", "text");
-    if !matches!(format.as_str(), "text" | "json") {
-        return Err(CliError::Failure(format!(
-            "--format: expected text|json, got '{format}'"
-        )));
-    }
+    let json = args.json_format()?;
     let (device, cal) = calibration_from(args)?;
 
     let circuits: Vec<(String, Circuit)> = if args.positional.is_empty() {
@@ -832,18 +759,10 @@ fn cmd_analyze(args: &Args) -> Result<(), CliError> {
     // the dynamic cross-check runs up front as one shot-batched trajectory
     // pass per circuit width (per-file results are looked up below), so an
     // analyze sweep over many QASM files pays one shot loop, not one each
-    let check_shots: Option<usize> = match args.options.get("check-shots") {
-        Some(raw) => {
-            let shots: usize = raw
-                .parse()
-                .map_err(|_| format!("--check-shots: cannot parse '{raw}'"))?;
-            if shots == 0 {
-                return Err(CliError::Failure("--check-shots must be at least 1".into()));
-            }
-            Some(shots)
-        }
-        None => None,
-    };
+    let check_shots: Option<usize> = args.get("check-shots")?;
+    if check_shots == Some(0) {
+        return Err(CliError::Failure("--check-shots must be at least 1".into()));
+    }
     let checks = match check_shots {
         Some(shots) => Some(trajectory_check_all(&circuits, &cal, shots, args)?),
         None => None,
@@ -853,17 +772,16 @@ fn cmd_analyze(args: &Args) -> Result<(), CliError> {
     for (i, (name, circuit)) in circuits.iter().enumerate() {
         let report = qaprox_verify::analyze_with_config(circuit, &cal, &opts, &cfg);
         total_errors += report.findings.error_count();
-        match format.as_str() {
-            "json" => println!("{}", report.to_json()),
-            _ => {
-                println!("# {name}");
-                print!("{}", report.to_text());
-            }
+        if json {
+            println!("{}", report.to_json());
+        } else {
+            println!("# {name}");
+            print!("{}", report.to_text());
         }
         if let (Some(shots), Some(checks)) = (check_shots, &checks) {
             let (tvd, fidelity, health) = checks[i];
-            match format.as_str() {
-                "json" => println!(
+            if json {
+                println!(
                     "{}",
                     Json::obj(vec![
                         ("trajectory_shots", Json::Num(shots as f64)),
@@ -879,24 +797,23 @@ fn cmd_analyze(args: &Args) -> Result<(), CliError> {
                             Json::Num(health.norm_drift_events as f64),
                         ),
                     ])
-                ),
-                _ => {
+                );
+            } else {
+                println!(
+                    "# trajectory check ({shots} shots): tvd_to_ideal={tvd:.4} \
+                     classical_fidelity={fidelity:.4} vs static fidelity_bound={:.4}",
+                    report.fidelity_bound
+                );
+                if !health.is_healthy() {
                     println!(
-                        "# trajectory check ({shots} shots): tvd_to_ideal={tvd:.4} \
-                         classical_fidelity={fidelity:.4} vs static fidelity_bound={:.4}",
-                        report.fidelity_bound
+                        "# trajectory check DEGRADED: {}/{shots} shots aborted \
+                         (nan={}, norm_drift={}) — the averages above use only \
+                         the {} clean shots",
+                        health.aborted_shots,
+                        health.nan_events,
+                        health.norm_drift_events,
+                        health.clean_shots
                     );
-                    if !health.is_healthy() {
-                        println!(
-                            "# trajectory check DEGRADED: {}/{shots} shots aborted \
-                             (nan={}, norm_drift={}) — the averages above use only \
-                             the {} clean shots",
-                            health.aborted_shots,
-                            health.nan_events,
-                            health.norm_drift_events,
-                            health.clean_shots
-                        );
-                    }
                 }
             }
         }
@@ -955,10 +872,7 @@ fn trajectory_check_all(
 fn calibration_from(args: &Args) -> Result<(String, qaprox_device::Calibration), String> {
     let device = args.str_or("device", "ourense");
     let mut cal = devices::by_name(&device).ok_or_else(|| format!("unknown device '{device}'"))?;
-    if let Some(raw) = args.options.get("cx-error") {
-        let eps: f64 = raw
-            .parse()
-            .map_err(|_| format!("--cx-error: cannot parse '{raw}'"))?;
+    if let Some(eps) = args.get("cx-error")? {
         cal = cal.with_uniform_cx_error(eps);
     }
     Ok((device, cal))
@@ -974,31 +888,16 @@ fn cmd_equiv(args: &Args) -> Result<(), CliError> {
         ));
     }
     let cfg = lint_config_from(args)?;
-    let format = args.str_or("format", "text");
-    if !matches!(format.as_str(), "text" | "json") {
-        return Err(CliError::Failure(format!(
-            "--format: expected text|json, got '{format}'"
-        )));
-    }
+    let json = args.json_format()?;
     let (device, cal) = calibration_from(args)?;
-    let epsilon: f64 = match args.options.get("epsilon") {
-        Some(raw) => raw
-            .parse()
-            .map_err(|_| format!("--epsilon: cannot parse '{raw}'"))?,
-        None => 0.1,
-    };
+    let epsilon: f64 = args.get_or("epsilon", 0.1)?;
     // an infinite epsilon would certify every pair, and JSON cannot carry it
     if !epsilon.is_finite() || epsilon < 0.0 {
         return Err(CliError::Failure(format!(
             "--epsilon: must be finite and non-negative, got {epsilon}"
         )));
     }
-    let ideal_max: usize = match args.options.get("ideal-max-qubits") {
-        Some(raw) => raw
-            .parse()
-            .map_err(|_| format!("--ideal-max-qubits: cannot parse '{raw}'"))?,
-        None => 12,
-    };
+    let ideal_max: usize = args.get_or("ideal-max-qubits", 12)?;
 
     let mut circuits = Vec::new();
     for path in &args.positional {
@@ -1032,12 +931,11 @@ fn cmd_equiv(args: &Args) -> Result<(), CliError> {
         ideal_tv_max_qubits: ideal_max,
     };
     let report = qaprox_verify::check_equivalence_with_config(a, b, &cal, &opts, &cfg);
-    match format.as_str() {
-        "json" => println!("{}", report.to_json()),
-        _ => {
-            println!("# {} vs {}", args.positional[0], args.positional[1]);
-            print!("{}", report.to_text());
-        }
+    if json {
+        println!("{}", report.to_json());
+    } else {
+        println!("# {} vs {}", args.positional[0], args.positional[1]);
+        print!("{}", report.to_text());
     }
     let errors = report.findings.error_count();
     if errors > 0 {

@@ -4,7 +4,7 @@
 //! on Noisy Quantum Devices"* (Wilson, Bassman, Mueller, Iancu — SC 2021),
 //! together with every substrate the paper's Python/Qiskit/BQSKit stack
 //! provided: simulators with device noise models, calibration snapshots for
-//! the five IBM machines, a transpiler, and QSearch/QFast/QFactor-style
+//! the five IBM machines, a transpiler, and QSearch/QFast-style
 //! synthesis — all built from scratch in this workspace.
 //!
 //! The headline workflow (the paper's Fig. 1) lives in [`workflow`]:

@@ -11,7 +11,7 @@ use crate::toffoli_study::{battery_inputs, ideal_battery_distribution, with_inpu
 use crate::workflow::Scored;
 use qaprox_circuit::Circuit;
 use qaprox_device::Calibration;
-use qaprox_linalg::parallel::{par_map, par_map_indexed};
+use qaprox_linalg::parallel::par_map_indexed;
 use qaprox_metrics::js_distance;
 use qaprox_sim::{Backend, HardwareBackend, HardwareEffects, NoiseModel, TrajectoryBackend};
 use qaprox_synth::ApproxCircuit;
@@ -112,17 +112,6 @@ pub fn compare_mappings(
             (label.clone(), ref_js, pop)
         })
         .collect()
-}
-
-/// Ideal-backend sanity evaluation of a population's battery JS (no device):
-/// used by tests and the harness to separate mapping effects from synthesis
-/// error.
-pub fn ideal_battery_js(population: &[ApproxCircuit]) -> Vec<Scored> {
-    par_map(population, |ap| Scored {
-        cnots: ap.cnots,
-        hs_distance: ap.hs_distance,
-        score: crate::toffoli_study::battery_js(&ap.circuit, &Backend::Ideal, 0),
-    })
 }
 
 #[cfg(test)]

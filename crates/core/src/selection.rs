@@ -56,12 +56,6 @@ impl Selector {
             Selector::Oracle => "oracle".into(),
         }
     }
-
-    /// A noise-derived depth weight: each CNOT costs roughly its average
-    /// error in output fidelity, so weigh depth by the device's mean error.
-    pub fn depth_penalized_for(cal: &Calibration) -> Selector {
-        Selector::DepthPenalized(cal.avg_cx_error())
-    }
 }
 
 /// Builds the cheap proxy calibration used by [`Selector::ProxyNoise`]:

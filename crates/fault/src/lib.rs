@@ -17,7 +17,7 @@
 //! not there. Cargo feature unification means enabling `failpoints` on any
 //! crate in the build graph arms every instrumented site at once.
 //!
-//! # Spec grammar (`QAPROX_FAILPOINTS`)
+//! # Spec grammar ([`configure`])
 //!
 //! ```text
 //! spec     := point (',' point)*
@@ -221,15 +221,6 @@ pub fn configure(spec: &str) -> Result<usize, String> {
         reg.insert(name, point);
     }
     Ok(n)
-}
-
-/// Arms failpoints from the `QAPROX_FAILPOINTS` environment variable.
-/// Returns how many were configured (0 when the variable is unset or empty).
-pub fn configure_from_env() -> Result<usize, String> {
-    match std::env::var("QAPROX_FAILPOINTS") {
-        Ok(spec) if !spec.trim().is_empty() => configure(&spec),
-        _ => Ok(0),
-    }
 }
 
 /// Disarms every failpoint and forgets all counters.

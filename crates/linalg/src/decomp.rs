@@ -51,7 +51,7 @@ pub fn u3_array(theta: f64, phi: f64, lambda: f64) -> [Complex64; 4] {
 ///
 /// # Panics
 /// Panics if `u` is not 2x2. The result is only meaningful for (near-)unitary
-/// input; use [`crate::polar::polar_unitary`] first if needed.
+/// input.
 pub fn zyz_decompose(u: &Matrix) -> Zyz {
     assert_eq!((u.rows(), u.cols()), (2, 2), "zyz_decompose expects 2x2");
     let u00 = u[(0, 0)];

@@ -11,8 +11,6 @@
 //! * [`expm`](crate::expm::expm) — Padé scaling-and-squaring matrix exponential,
 //!   with an allocation-free, bit-identical 4x4 form for QFast's blocks
 //!   ([`expm_i_su4`]);
-//! * [`polar`](crate::polar::polar_unitary) — nearest-unitary projection
-//!   (Newton iteration), the core step of QFactor-style optimization;
 //! * [`decomp`](crate::decomp::zyz_decompose) — ZYZ/U3 Euler decomposition;
 //! * [`eigh`](crate::eigh::eigh) — Hermitian eigendecomposition (Jacobi),
 //!   spectral matrix functions, von Neumann entropy;
@@ -38,7 +36,6 @@ pub mod kernels;
 pub mod matrix;
 pub mod parallel;
 pub mod pauli;
-pub mod polar;
 pub mod random;
 pub mod simd;
 pub mod solve;
@@ -49,7 +46,6 @@ pub use eigh::{eigh, expm_i_hermitian_spectral, von_neumann_entropy, Eigh};
 pub use expm::{expm, expm_i_hermitian, expm_i_su4};
 pub use hashing::{hash128, hash128_hex, Hash128};
 pub use matrix::Matrix;
-pub use polar::{nearest_unitary, polar_unitary};
 pub use random::{Rng, SplitMix64};
 pub use simd::{kernel_dispatch, selected_kernel, simd_available, KernelDispatch};
 pub use solve::{invert, solve, SingularMatrix};

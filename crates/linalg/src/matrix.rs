@@ -100,11 +100,6 @@ impl Matrix {
         &mut self.data
     }
 
-    /// Consumes the matrix, returning its row-major data.
-    pub fn into_vec(self) -> Vec<Complex64> {
-        self.data
-    }
-
     /// Overwrites `self` with the contents of `src` (no allocation).
     ///
     /// # Panics

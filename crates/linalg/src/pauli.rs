@@ -66,11 +66,6 @@ impl PauliString {
         PauliString(labels)
     }
 
-    /// True when every label is the identity.
-    pub fn is_identity(&self) -> bool {
-        self.0.iter().all(|&p| p == Pauli::I)
-    }
-
     /// Builds the dense `2^n x 2^n` matrix of the string.
     ///
     /// Pauli strings have exactly one nonzero per row, so this is `O(2^n)`.

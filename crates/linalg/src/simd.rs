@@ -12,8 +12,8 @@
 //!   flat data;
 //! * the Hilbert-Schmidt instantiation objective: the prefix-chain update
 //!   `U_embed * A`, the suffix-chain update `M * U_embed^dagger` (in place,
-//!   which the density-matrix simulator and QFactor share, and out of
-//!   place, which the objective itself uses) and the fused pass that forms
+//!   which the density-matrix simulator uses, and out of place, which the
+//!   objective itself uses) and the fused pass that forms
 //!   one U3's three gradient traces;
 //! * QFast's coarse objective: the 4x4 block exponential
 //!   ([`crate::expm::expm_i_su4`]) and the distance trace
@@ -104,7 +104,7 @@ pub struct KernelDispatch {
     pub scale: fn(&mut [Complex64], f64),
     /// Out-of-place `dst <- U_embed * src` (instantiation prefix chain).
     pub apply_1q_mat_left_into: fn(&mut Matrix, &Matrix, usize, &[Complex64; 4]),
-    /// In-place `M <- M * U_embed^dagger` (density simulator, QFactor).
+    /// In-place `M <- M * U_embed^dagger` (density simulator).
     pub apply_1q_mat_right_dag: fn(&mut Matrix, usize, &[Complex64; 4]),
     /// Out-of-place `dst <- src * U_embed^dagger` (instantiation suffix
     /// chain).

@@ -3,7 +3,7 @@
 
 use qaprox_linalg::matrix::Matrix;
 use qaprox_linalg::random::{haar_unitary, Rng, SplitMix64};
-use qaprox_linalg::{c64, expm, invert, polar_unitary, u3_matrix, zyz_decompose, Complex64};
+use qaprox_linalg::{c64, expm, invert, u3_matrix, zyz_decompose, Complex64};
 
 const CASES: usize = 48;
 
@@ -135,22 +135,6 @@ fn expm_of_skew_hermitian_is_unitary() {
         // and exp(iH) exp(-iH) = I
         let v = expm(&h.scale(c64(0.0, -1.0)));
         assert!(u.matmul(&v).approx_eq(&Matrix::identity(2), 1e-9));
-    }
-}
-
-#[test]
-fn polar_factor_is_unitary_and_stable() {
-    let mut rng = SplitMix64::seed_from_u64(9);
-    for _ in 0..CASES {
-        let mut shifted = small_matrix(3, &mut rng);
-        for i in 0..3 {
-            shifted[(i, i)] += c64(8.0, 0.0);
-        }
-        let q = polar_unitary(&shifted).unwrap();
-        assert!(q.is_unitary(1e-9));
-        // idempotence: the polar factor of a unitary is itself
-        let q2 = polar_unitary(&q).unwrap();
-        assert!(q2.approx_eq(&q, 1e-8));
     }
 }
 

@@ -421,8 +421,8 @@ fn check_instantiation_kernels(kernels: &KernelDispatch, seed: u64) {
                 apply_1q_mat_left_into_scalar(&mut sc, &src, q, &u);
                 assert_bits_eq(via.data(), sc.data(), &format!("left_into {ctx}"));
 
-                // the suffix chain is square; the density and QFactor
-                // callers may pass any row count
+                // the suffix chain is square; the in-place kernel
+                // accepts any row count
                 for rows in [dim, 3] {
                     let m = sparse_matrix(rows, dim, &mut rng);
                     let mut via = m.clone();

@@ -119,11 +119,6 @@ impl Server {
         &self.scheduler
     }
 
-    /// True once a client issued `shutdown` (the accept loop has stopped).
-    pub fn shutdown_requested(&self) -> bool {
-        self.stop.load(Ordering::Relaxed)
-    }
-
     /// Blocks until a client issues `shutdown`.
     pub fn wait_for_shutdown(mut self) {
         if let Some(t) = self.accept_thread.take() {

@@ -70,16 +70,6 @@ impl Backend {
         par_map_indexed(circuits, |i, c| self.probabilities(c, i as u64))
     }
 
-    /// Maps an arbitrary evaluation over circuits in parallel, giving each
-    /// the backend and a stable per-circuit seed.
-    pub fn run_batch_with<T, F>(&self, circuits: &[Circuit], f: F) -> Vec<T>
-    where
-        T: Send,
-        F: Fn(&Circuit, Vec<f64>) -> T + Sync,
-    {
-        par_map_indexed(circuits, |i, c| f(c, self.probabilities(c, i as u64)))
-    }
-
     /// Runs `circuits` as one request; row `i` uses job seed
     /// `job_seeds[i]`, and results keep input order exactly. A seed-count
     /// mismatch is an error.
@@ -328,15 +318,5 @@ mod tests {
             backend.execute(&circuits, &[0, 1, 2, 3]).unwrap().rows,
             backend.run_batch(&circuits)
         );
-    }
-
-    #[test]
-    fn run_batch_with_computes_derived_metric() {
-        let circuits = some_circuits(5);
-        let backend = Backend::Ideal;
-        let sums: Vec<f64> = backend.run_batch_with(&circuits, |_, p| p.iter().sum());
-        for s in sums {
-            assert!((s - 1.0).abs() < 1e-12);
-        }
     }
 }

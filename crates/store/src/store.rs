@@ -321,6 +321,8 @@ impl Store {
         self.write_index(&idx)
     }
 
+    /// Reads an entry's manifest and dump; `None` when there is no manifest.
+    /// Counts nothing: callers decide whether a miss is a statistic.
     fn read_pair(&self, kind: Kind, key: &Key) -> Result<Option<(String, String)>, StoreError> {
         // Failpoint `store.read`: a transient read failure (flaky disk/NFS).
         qaprox_fault::fail_point!("store.read", |_action| {
@@ -331,10 +333,7 @@ impl Store {
         let manifest_path = self.object_path(kind, key, "json");
         let manifest = match std::fs::read_to_string(&manifest_path) {
             Ok(t) => t,
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => {
-                self.touch(kind, key, false)?;
-                return Ok(None);
-            }
+            Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(None),
             Err(e) => return Err(e.into()),
         };
         let blob = match std::fs::read_to_string(self.object_path(kind, key, "qasm")) {
@@ -375,6 +374,7 @@ impl Store {
     /// artifacts are evicted and surfaced as [`StoreError::Corrupt`].
     pub fn get_population(&self, key: &Key) -> Result<Option<PopulationArtifact>, StoreError> {
         let Some((manifest, blob)) = self.read_pair(Kind::Population, key)? else {
+            self.touch(Kind::Population, key, false)?;
             return Ok(None);
         };
         match PopulationArtifact::decode(&manifest, &blob) {
@@ -427,15 +427,11 @@ impl Store {
 
     /// Looks up a partial synthesis checkpoint. Does **not** count toward
     /// hit/miss statistics (partials are an internal resume mechanism).
+    /// A read error is [`StoreError::Io`] and leaves the checkpoint on disk.
     pub fn get_partial(&self, key: &Key) -> Result<Option<PartialCheckpoint>, StoreError> {
-        let manifest_path = self.object_path(Kind::Partial, key, "json");
-        let manifest = match std::fs::read_to_string(&manifest_path) {
-            Ok(m) => m,
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(None),
-            Err(e) => return Err(e.into()),
+        let Some((manifest, blob)) = self.read_pair(Kind::Partial, key)? else {
+            return Ok(None);
         };
-        let blob = std::fs::read_to_string(self.object_path(Kind::Partial, key, "qasm"))
-            .unwrap_or_default();
         match PartialCheckpoint::decode(&manifest, &blob) {
             Ok(part) => Ok(Some(part)),
             Err(e) => {
@@ -578,18 +574,18 @@ mod tests {
     use qaprox_circuit::Circuit;
     use qaprox_synth::ApproxCircuit;
 
-    pub(crate) fn tmp_root(tag: &str) -> PathBuf {
+    fn tmp_root(tag: &str) -> PathBuf {
         let dir =
             std::env::temp_dir().join(format!("qaprox-store-test-{tag}-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         dir
     }
 
-    pub(crate) fn key_of(n: u64) -> Key {
+    fn key_of(n: u64) -> Key {
         Key { hi: n, lo: !n }
     }
 
-    pub(crate) fn some_pop(tag: f64) -> PopulationArtifact {
+    fn some_pop(tag: f64) -> PopulationArtifact {
         let mk = |cnots: usize, dist: f64| {
             let mut c = Circuit::new(2);
             c.h(0);
@@ -673,6 +669,35 @@ mod tests {
         // completing the population clears the partial
         store.put_population(&k, &some_pop(0.3)).unwrap();
         assert!(store.get_partial(&k).unwrap().is_none());
+        // partials are not cache lookups
+        let s = store.stats();
+        assert_eq!((s.hits, s.misses), (0, 0));
+    }
+
+    #[test]
+    fn unreadable_partial_dump_is_an_io_error_and_keeps_the_checkpoint() {
+        let store = Store::open(tmp_root("partial-io")).unwrap();
+        let k = key_of(6);
+        let part = PartialCheckpoint {
+            circuits: some_pop(0.3).circuits,
+            nodes_done: 9,
+        };
+        store.put_partial(&k, &part).unwrap();
+        // a dump that exists but cannot be read as a file
+        let dump = store.object_path(Kind::Partial, &k, "qasm");
+        let aside = dump.with_extension("aside");
+        std::fs::rename(&dump, &aside).unwrap();
+        std::fs::create_dir(&dump).unwrap();
+        match store.get_partial(&k) {
+            Err(StoreError::Io(_)) => {}
+            other => panic!("unreadable dump not an io error: {other:?}"),
+        }
+        assert!(store.object_path(Kind::Partial, &k, "json").exists());
+        assert_eq!(store.stats().entries.1, 1);
+        // once the dump reads again, the checkpoint is intact
+        std::fs::remove_dir(&dump).unwrap();
+        std::fs::rename(&aside, &dump).unwrap();
+        assert_eq!(store.get_partial(&k).unwrap().unwrap().nodes_done, 9);
     }
 
     #[test]
@@ -780,66 +805,5 @@ mod tests {
         // eviction forgets the tag with the entry
         store.remove_entry(Kind::Population, &b).unwrap();
         assert_eq!(store.populations_tagged("target-x"), vec![a]);
-    }
-}
-
-// Requires `--features failpoints`; `Scenario` serializes these with every
-// other failpoint test in the process.
-#[cfg(all(test, feature = "failpoints"))]
-mod fault_tests {
-    use super::tests::{key_of, some_pop, tmp_root};
-    use super::*;
-    use qaprox_fault::Scenario;
-
-    /// The satellite corruption drill from the issue: a torn write lands a
-    /// half-payload at the final path, the checksum catches it on read, the
-    /// entry is evicted, and a recompute (fresh put) fully recovers.
-    #[test]
-    fn torn_write_is_detected_evicted_and_recovered_by_recompute() {
-        let store = Store::open(tmp_root("torn")).unwrap();
-        let k = key_of(40);
-        {
-            // fire exactly once, on the first write of the put (the qasm
-            // dump), leaving an intact manifest whose checksum cannot match
-            let _guard = Scenario::setup("store.write=after:0->torn");
-            store.put_population(&k, &some_pop(0.5)).unwrap();
-            assert_eq!(qaprox_fault::fires("store.write"), 1);
-        }
-        match store.get_population(&k) {
-            Err(StoreError::Corrupt(_)) => {}
-            other => panic!("torn artifact not flagged corrupt: {other:?}"),
-        }
-        // evicted: the follow-up read is a clean miss, the index is clean
-        assert!(store.get_population(&k).unwrap().is_none());
-        assert_eq!(store.stats().entries.0, 0);
-        // recompute path: a fresh put round-trips again
-        store.put_population(&k, &some_pop(0.5)).unwrap();
-        let got = store.get_population(&k).unwrap().unwrap();
-        assert_eq!(got.explored, 50);
-    }
-
-    #[test]
-    fn injected_write_and_read_errors_are_transient_io_errors() {
-        let store = Store::open(tmp_root("injected")).unwrap();
-        let k = key_of(41);
-        {
-            let _guard = Scenario::setup("store.write=always");
-            let err = store.put_population(&k, &some_pop(0.6)).unwrap_err();
-            assert!(matches!(err, StoreError::Io(_)));
-            assert!(qaprox_fault::is_transient(&err.to_string()), "{err}");
-        }
-        store.put_population(&k, &some_pop(0.6)).unwrap();
-        {
-            let _guard = Scenario::setup("store.read=after:0");
-            let err = store.get_population(&k).unwrap_err();
-            assert!(qaprox_fault::is_transient(&err.to_string()), "{err}");
-            // after:N disarms after firing: the retry goes through
-            assert!(store.get_population(&k).unwrap().is_some());
-        }
-        {
-            let _guard = Scenario::setup("store.evict=always");
-            let err = store.clear_partial(&k).unwrap_err();
-            assert!(qaprox_fault::is_transient(&err.to_string()), "{err}");
-        }
     }
 }

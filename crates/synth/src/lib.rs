@@ -11,8 +11,6 @@
 //! * [`qfast`](mod@qfast) — hierarchical synthesis: greedy SU(4)-block placement via
 //!   `exp(i sum t_j P_j)` then per-block refinement into {U3, CX}
 //!   (`partial_solution_callback` analogue);
-//! * [`qfactor`] — tensor-sweep gate optimization via polar decomposition
-//!   (the paper's Sec. 6.5 roadmap tool);
 //! * [`approx`] — the approximate-circuit records, HS-threshold selection,
 //!   and per-depth frontiers the experiments consume;
 //! * [`partitioned`] — Sec. 6.5's "large circuits from many small pieces":
@@ -25,7 +23,6 @@ pub mod hooks;
 pub mod instantiate;
 pub mod memo;
 pub mod partitioned;
-pub mod qfactor;
 pub mod qfast;
 pub mod qsearch;
 pub mod template;
@@ -40,7 +37,6 @@ pub use instantiate::{
 };
 pub use memo::{canonicalize, CanonicalForm, StructureMemo};
 pub use partitioned::{partition, synthesize_partitioned, PartitionConfig, PartitionedResult};
-pub use qfactor::{qfactor_optimize, QFactorConfig, QFactorResult};
 pub use qfast::{qfast, qfast_with_hooks, QFastConfig};
 pub use qsearch::{qsearch, qsearch_resume, qsearch_with_hooks, warm_memo, QSearchConfig};
 pub use template::Structure;
